@@ -13,7 +13,7 @@
 //! auditor record is also surfaced as a [`Mismatch`].
 
 use mp_dag::{TaskGraph, TaskId};
-use mp_trace::Trace;
+use mp_trace::{SpanTable, Trace};
 
 /// Which execution a finding refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,6 +55,16 @@ pub enum Mismatch {
         task: TaskId,
         /// How many spans the trace holds for it.
         count: usize,
+    },
+    /// A span names a task the graph does not have (a corrupt or
+    /// mismatched trace).
+    UnknownTask {
+        /// Which execution.
+        side: Side,
+        /// The task id the span names.
+        task: TaskId,
+        /// Tasks in the graph.
+        total: usize,
     },
     /// A task started before one of its predecessors ended.
     PrecedenceViolation {
@@ -133,6 +143,12 @@ impl std::fmt::Display for Mismatch {
             Mismatch::ExecutionCount { side, task, count } => {
                 write!(f, "{side:?}: {task:?} executed {count} times")
             }
+            Mismatch::UnknownTask { side, task, total } => {
+                write!(
+                    f,
+                    "{side:?}: a span names {task:?}, outside the {total}-task graph"
+                )
+            }
             Mismatch::PrecedenceViolation {
                 side,
                 task,
@@ -201,27 +217,11 @@ impl DiffReport {
     }
 }
 
-/// Start-time slack. Within one clock the engines order completions
-/// before dependent starts exactly, but float accumulation in the sim's
-/// virtual time warrants a hair of tolerance.
-const EPS: f64 = 1e-6;
-
 /// Every task executes exactly once: the trace holds exactly one span
 /// per task of the graph.
 pub fn check_exactly_once(graph: &TaskGraph, trace: &Trace, side: Side, out: &mut Vec<Mismatch>) {
-    let mut counts = vec![0usize; graph.task_count()];
-    for span in &trace.tasks {
-        counts[span.task.index()] += 1;
-    }
-    for (i, &count) in counts.iter().enumerate() {
-        if count != 1 {
-            out.push(Mismatch::ExecutionCount {
-                side,
-                task: TaskId::from_index(i),
-                count,
-            });
-        }
-    }
+    let spans = span_table(graph, trace, side, out);
+    miscounted(&spans, side, |count| count != 1, out);
 }
 
 /// Effectively-once, for runs under retryable faults: every task commits
@@ -235,19 +235,8 @@ pub fn check_effectively_once(
     side: Side,
     out: &mut Vec<Mismatch>,
 ) {
-    let mut counts = vec![0usize; graph.task_count()];
-    for span in &trace.tasks {
-        counts[span.task.index()] += 1;
-    }
-    for (i, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            out.push(Mismatch::ExecutionCount {
-                side,
-                task: TaskId::from_index(i),
-                count,
-            });
-        }
-    }
+    let spans = span_table(graph, trace, side, out);
+    miscounted(&spans, side, |count| count == 0, out);
 }
 
 /// No task starts before all its predecessors ended (per-side clock).
@@ -255,29 +244,63 @@ pub fn check_effectively_once(
 /// successor is checked against the *earliest* end among the
 /// predecessor's spans — the dependency was first satisfied then.
 pub fn check_precedence(graph: &TaskGraph, trace: &Trace, side: Side, out: &mut Vec<Mismatch>) {
-    let mut ends = vec![f64::NAN; graph.task_count()];
-    for span in &trace.tasks {
-        let e = &mut ends[span.task.index()];
-        if e.is_nan() || span.end < *e {
-            *e = span.end;
+    let spans = span_table(graph, trace, side, out);
+    precedence(&spans, side, out);
+}
+
+/// Index `trace` by the tasks of `graph`, reporting each span that names
+/// a task outside the graph as [`Mismatch::UnknownTask`]. Every check
+/// reads the table, so a bad id is a finding, never an index panic.
+pub(crate) fn span_table<'a>(
+    graph: &'a TaskGraph,
+    trace: &'a Trace,
+    side: Side,
+    out: &mut Vec<Mismatch>,
+) -> SpanTable<'a> {
+    let spans = SpanTable::new(trace, graph);
+    out.extend(
+        spans
+            .out_of_range()
+            .iter()
+            .map(|&task| Mismatch::UnknownTask {
+                side,
+                task,
+                total: graph.task_count(),
+            }),
+    );
+    spans
+}
+
+/// One [`Mismatch::ExecutionCount`] per task whose span count is `bad`.
+pub(crate) fn miscounted(
+    spans: &SpanTable<'_>,
+    side: Side,
+    bad: impl Fn(usize) -> bool,
+    out: &mut Vec<Mismatch>,
+) {
+    for i in 0..spans.task_count() {
+        let task = TaskId::from_index(i);
+        let count = spans.count(task);
+        if bad(count) {
+            out.push(Mismatch::ExecutionCount { side, task, count });
         }
     }
-    for span in &trace.tasks {
-        for &p in graph.preds(span.task) {
-            if ends[p.index()].is_nan() {
-                continue; // missing spans are ExecutionCount findings
-            }
-            if span.start < ends[p.index()] - EPS {
-                out.push(Mismatch::PrecedenceViolation {
-                    side,
-                    task: span.task,
-                    pred: p,
-                    start: span.start,
-                    pred_end: ends[p.index()],
-                });
-            }
+}
+
+/// [`SpanTable::check_precedence`]'s violations as
+/// [`Mismatch::PrecedenceViolation`]s. Span-less predecessors are not
+/// precedence findings: the execution-count and cache-coverage checks
+/// report them.
+pub(crate) fn precedence(spans: &SpanTable<'_>, side: Side, out: &mut Vec<Mismatch>) {
+    out.extend(spans.check_precedence().violations.into_iter().map(|v| {
+        Mismatch::PrecedenceViolation {
+            side,
+            task: v.task,
+            pred: v.pred,
+            start: v.start,
+            pred_end: v.pred_end,
         }
-    }
+    }));
 }
 
 /// Order-sensitive FNV-1a hash over a trace's task spans: task id,
@@ -364,6 +387,25 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn out_of_range_span_is_a_finding_not_a_panic() {
+        let g = chain2();
+        let mut trace = Trace::new(1);
+        trace.tasks = vec![span(0, 0.0, 10.0), span(9, 5.0, 6.0), span(1, 10.0, 20.0)];
+        let unknown = Mismatch::UnknownTask {
+            side: Side::Sim,
+            task: TaskId(9),
+            total: 2,
+        };
+        type Check = fn(&TaskGraph, &Trace, Side, &mut Vec<Mismatch>);
+        let checks: [Check; 3] = [check_exactly_once, check_effectively_once, check_precedence];
+        for check in checks {
+            let mut out = Vec::new();
+            check(&g, &trace, Side::Sim, &mut out);
+            assert_eq!(out, vec![unknown.clone()]);
+        }
     }
 
     #[test]

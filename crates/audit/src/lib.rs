@@ -366,8 +366,7 @@ pub fn warm_cold_audit_with_cache(
 /// empty means the run passed.
 pub fn streaming_audit(graph: &TaskGraph, trace: &mp_trace::Trace) -> Vec<Mismatch> {
     let mut out = Vec::new();
-    diff::check_exactly_once(graph, trace, Side::Runtime, &mut out);
-    diff::check_precedence(graph, trace, Side::Runtime, &mut out);
+    check_trace(graph, trace, Side::Runtime, false, false, &mut out);
     out
 }
 
@@ -392,27 +391,18 @@ pub fn streaming_audit_cached(
     cache_hits: u64,
 ) -> Vec<Mismatch> {
     let mut out = Vec::new();
-    let mut count = vec![0usize; graph.task_count()];
-    for s in &trace.tasks {
-        if s.task.index() < count.len() {
-            count[s.task.index()] += 1;
-        }
-    }
-    for (i, &c) in count.iter().enumerate() {
-        if c > 1 {
-            out.push(Mismatch::ExecutionCount {
-                side: Side::Runtime,
-                task: mp_dag::ids::TaskId::from_index(i),
-                count: c,
-            });
-        }
-    }
-    let executed = count.iter().filter(|&&c| c > 0).count();
+    let spans = diff::span_table(graph, trace, Side::Runtime, &mut out);
+    diff::miscounted(&spans, Side::Runtime, |count| count > 1, &mut out);
+    let executed = graph
+        .tasks()
+        .iter()
+        .filter(|t| spans.count(t.id) > 0)
+        .count();
     let expected = graph.task_count().saturating_sub(cache_hits as usize);
     if executed != expected {
         out.push(Mismatch::CacheCoverage { executed, expected });
     }
-    diff::check_precedence(graph, trace, Side::Runtime, &mut out);
+    diff::precedence(&spans, Side::Runtime, &mut out);
     out
 }
 
@@ -474,6 +464,7 @@ fn check_trace(
     lenient: bool,
     out: &mut Vec<Mismatch>,
 ) {
+    let spans = diff::span_table(graph, trace, side, out);
     if truncated {
         out.push(Mismatch::TruncatedTrace {
             side,
@@ -481,11 +472,11 @@ fn check_trace(
             total: graph.task_count(),
         });
     } else if lenient {
-        diff::check_effectively_once(graph, trace, side, out);
+        diff::miscounted(&spans, side, |count| count == 0, out);
     } else {
-        diff::check_exactly_once(graph, trace, side, out);
+        diff::miscounted(&spans, side, |count| count != 1, out);
     }
-    diff::check_precedence(graph, trace, side, out);
+    diff::precedence(&spans, side, out);
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@ pub struct SimConfig {
     /// Feed measured execution times back into the performance model
     /// (exercises history-based calibration).
     pub feedback_to_model: bool,
-    /// Run the O(n) post-execution validation (every task ran once, no
-    /// precedence violation, no worker overlap).
+    /// Run the post-execution validation (every task ran once, no
+    /// precedence violation, no worker overlap). It costs O(tasks +
+    /// edges): the engine records each worker's spans already in order.
     pub validate: bool,
     /// Deterministic fault injection: worker kills (virtual-time
     /// mirror of the runtime's) and per-attempt transient execution

@@ -11,8 +11,8 @@ use mp_perfmodel::{Estimator, PerfModel};
 use mp_platform::types::{MemNodeId, Platform, WorkerId};
 use mp_sched::api::{LoadInfo, PrefetchReq, SchedEvent, SchedView, Scheduler};
 use mp_trace::{
-    AuditRecord, Counter, ObsCell, RuntimeEvent, RuntimeEventKind, TaskSpan, Trace, TransferKind,
-    TransferSpan,
+    AuditRecord, Counter, ObsCell, RuntimeEvent, RuntimeEventKind, SpanTable, TaskSpan, Trace,
+    TransferKind, TransferSpan,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -498,6 +498,27 @@ fn recover_node(
     members.sort_unstable();
     members.retain(|&q| rindeg[q.index()] == 0);
     members
+}
+
+/// Post-run precedence validation: every task starts at or after all
+/// its predecessors end, checked over every edge in O(tasks + edges).
+/// A predecessor without a span is legal only when a result cache served
+/// it (`cached`), in which case it completed (`done`) at or before the
+/// instant it released its successor.
+fn assert_precedence(trace: &Trace, graph: &TaskGraph, cached: bool, done: &[bool]) {
+    let precedence = SpanTable::new(trace, graph).check_precedence();
+    for &(_, p) in &precedence.unspanned {
+        assert!(
+            cached && done[p.index()],
+            "predecessor {p:?} executed without a span"
+        );
+    }
+    if let Some(v) = precedence.violations.first() {
+        panic!(
+            "{:?} started at {} before predecessor {:?} ended at {}",
+            v.task, v.start, v.pred, v.pred_end
+        );
+    }
 }
 
 /// Run `graph` on `platform` under `scheduler`, returning the makespan,
@@ -1323,30 +1344,7 @@ pub fn simulate_cached(
         store.audit_quiesce();
         if cfg.validate && cfg.record_trace {
             trace.validate().expect("trace validation failed");
-            // Precedence: every task starts at or after all predecessors end.
-            for span in &trace.tasks {
-                for &p in graph.preds(span.task) {
-                    let Some(pspan) = trace.span_of(p) else {
-                        // No span: the predecessor must have been served
-                        // from the result cache (it completed, at or
-                        // before the instant it released this task).
-                        assert!(
-                            cache.is_some() && done[p.index()],
-                            "predecessor {p:?} executed without a span"
-                        );
-                        continue;
-                    };
-                    let pe = pspan.end;
-                    assert!(
-                        span.start >= pe - 1e-6,
-                        "{:?} started at {} before predecessor {:?} ended at {}",
-                        span.task,
-                        span.start,
-                        p,
-                        pe
-                    );
-                }
-            }
+            assert_precedence(&trace, graph, cache.is_some(), &done);
         }
     }
 
@@ -1405,6 +1403,55 @@ mod tests {
             .set("K", ArchClass::Gpu, TimeFn::Const(5.0))
             .build();
         (g, p, m)
+    }
+
+    /// The fixture's task and a dependent one, as spans: the first ends
+    /// at 10, the dependent starts at `s1`.
+    fn chain_trace(s1: f64) -> (TaskGraph, Trace) {
+        let (mut g, p, _) = fixture();
+        let k = g.type_id("K").unwrap();
+        let t1 = g.add_task(k, vec![(DataId(0), AccessMode::Read)], 1.0, "t1");
+        g.add_edge(TaskId(0), t1);
+        let mut trace = Trace::new(p.worker_count());
+        for (t, start, end) in [(TaskId(0), 0.0, 10.0), (t1, s1, s1 + 1.0)] {
+            trace.tasks.push(TaskSpan {
+                task: t,
+                ttype: k,
+                worker: WorkerId(0),
+                ready_at: start,
+                start,
+                end,
+            });
+        }
+        (g, trace)
+    }
+
+    #[test]
+    fn precedence_validation_accepts_an_ordered_trace() {
+        let (g, trace) = chain_trace(10.0);
+        assert_precedence(&trace, &g, false, &[true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "t1 started at 9 before predecessor t0 ended at 10")]
+    fn precedence_validation_panics_on_an_early_start() {
+        let (g, trace) = chain_trace(9.0);
+        assert_precedence(&trace, &g, false, &[true, true]);
+    }
+
+    #[test]
+    fn precedence_validation_exempts_cache_served_predecessors() {
+        let (g, mut trace) = chain_trace(10.0);
+        trace.tasks.remove(0);
+        assert_precedence(&trace, &g, true, &[true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "predecessor t0 executed without a span")]
+    fn precedence_validation_panics_on_a_spanless_predecessor_without_a_cache() {
+        let (g, mut trace) = chain_trace(10.0);
+        trace.tasks.remove(0);
+        assert_precedence(&trace, &g, false, &[true, true]);
     }
 
     /// An orphaned handle (no replica anywhere) surfaces as a typed

@@ -5,6 +5,7 @@ use mp_dag::ids::TaskId;
 use mp_platform::types::{ArchId, Platform, WorkerId};
 
 use crate::record::Trace;
+use crate::spans::SpanTable;
 
 /// Idle-time report for one resource group.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,7 +83,8 @@ pub fn arch_idle_pct(trace: &Trace, platform: &Platform, a: ArchId) -> f64 {
 /// and repeatedly follow the predecessor that finished last, until a task
 /// with no predecessors is reached. These are the tasks Fig. 4 highlights
 /// with a red border — the chain that actually determined the makespan in
-/// this particular execution.
+/// this particular execution. Ties go to the smaller task id; a task with
+/// several spans counts with its earliest end ([`SpanTable`]).
 pub fn practical_critical_path(trace: &Trace, graph: &TaskGraph) -> Vec<TaskId> {
     let Some(last) = trace
         .tasks
@@ -91,13 +93,14 @@ pub fn practical_critical_path(trace: &Trace, graph: &TaskGraph) -> Vec<TaskId> 
     else {
         return Vec::new();
     };
+    let spans = SpanTable::new(trace, graph);
     let mut path = vec![last.task];
     let mut cur = last.task;
     loop {
         let next = graph
             .preds(cur)
             .iter()
-            .filter_map(|&p| trace.span_of(p).map(|s| (p, s.end)))
+            .filter_map(|&p| spans.end(p).map(|end| (p, end)))
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
         match next {
             Some((p, _)) => {

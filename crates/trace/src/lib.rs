@@ -9,7 +9,10 @@
 //!   walking back from the last-finishing task through the predecessor
 //!   that finished last (the red-bordered tasks of Fig. 4);
 //! * ASCII and SVG **Gantt charts**;
-//! * CSV export for external plotting.
+//! * CSV export for external plotting;
+//! * the **precedence check** over a task graph, in O(spans + edges)
+//!   through a per-task [`SpanTable`] — the one check every engine's
+//!   post-run validation and every audit uses.
 
 pub mod analysis;
 pub mod audit;
@@ -17,6 +20,7 @@ pub mod chrome;
 pub mod gantt;
 pub mod obs;
 pub mod record;
+pub mod spans;
 
 pub use analysis::{practical_critical_path, IdleStats};
 pub use audit::{AuditKind, AuditRecord};
@@ -26,3 +30,4 @@ pub use obs::{
     RuntimeEventKind,
 };
 pub use record::{TaskSpan, Trace, TransferKind, TransferSpan};
+pub use spans::{EdgeViolation, PrecedenceReport, SpanTable};
