@@ -31,8 +31,8 @@ use mp_dag::TaskGraph;
 use mp_perfmodel::PerfModel;
 use mp_platform::types::Platform;
 use mp_runtime::{
-    LoadReport, PersistConfig, PersistFaultPlan, RelaxedConfig, ResultCache, Runtime, StreamConfig,
-    Submission,
+    LoadReport, PersistConfig, PersistFaultPlan, RelaxedConfig, RelaxedMultiQueue, ResultCache,
+    Runtime, ShardedAdapter, StreamConfig, Submission,
 };
 use mp_sched::Scheduler;
 use mp_sim::{simulate_cached, SimConfig};
@@ -124,7 +124,7 @@ pub fn restart_audit(
         let run = if cfg.shards == 0 {
             rt.run(factory())
         } else {
-            rt.run_sharded(cfg.shards, factory)
+            rt.run_concurrent(&ShardedAdapter::new(cfg.shards, factory))
         };
         match run {
             Ok(report) => {
@@ -345,9 +345,9 @@ pub enum ServeFrontend {
     /// One scheduler behind the global lock ([`Runtime::serve`]).
     Global,
     /// Sharded multi-queue with this many policy instances
-    /// ([`Runtime::serve_sharded`]).
+    /// ([`ShardedAdapter`]).
     Sharded(usize),
-    /// Relaxed multi-queue ([`Runtime::serve_relaxed`]).
+    /// Relaxed multi-queue ([`RelaxedMultiQueue`]).
     Relaxed(RelaxedConfig),
 }
 
@@ -402,8 +402,13 @@ pub fn restart_serve_audit(
         let stream = setup(&mut rt);
         let run = match frontend {
             ServeFrontend::Global => rt.serve(factory(), stream_cfg, stream),
-            ServeFrontend::Sharded(n) => rt.serve_sharded(n, factory, stream_cfg, stream),
-            ServeFrontend::Relaxed(rc) => rt.serve_relaxed(rc, stream_cfg, stream),
+            ServeFrontend::Sharded(n) => {
+                rt.serve_concurrent(&ShardedAdapter::new(n, factory), stream_cfg, stream)
+            }
+            ServeFrontend::Relaxed(rc) => {
+                let front = RelaxedMultiQueue::new(platform.worker_count(), rc);
+                rt.serve_concurrent(&front, stream_cfg, stream)
+            }
         };
         match run {
             Ok(report) => {

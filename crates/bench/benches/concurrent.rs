@@ -171,17 +171,26 @@ fn engine_run(workers: usize, layers: usize, width: usize, mode: &str, seed: u64
         }
     }
     let t0 = Instant::now();
-    let report = match mode {
-        "global-lock" => rt.run(make_scheduler("prio")),
-        "sharded" => rt.run_sharded(workers, &|| make_scheduler("prio")),
-        "relaxed-mq" => rt.run_relaxed(RelaxedConfig {
-            queues_per_worker: 2,
-            seed,
-            track_rank: true,
-        }),
+    let (report, rank) = match mode {
+        "global-lock" => (rt.run(make_scheduler("prio")), None),
+        "sharded" => (
+            rt.run_concurrent(&ShardedAdapter::new(workers, &|| make_scheduler("prio"))),
+            None,
+        ),
+        "relaxed-mq" => {
+            let front = RelaxedMultiQueue::new(
+                workers,
+                RelaxedConfig {
+                    queues_per_worker: 2,
+                    seed,
+                    track_rank: true,
+                },
+            );
+            (rt.run_concurrent(&front), front.rank_stats())
+        }
         other => panic!("unknown mode {other}"),
-    }
-    .expect("engine run failed");
+    };
+    let report = report.expect("engine run failed");
     let wall = t0.elapsed();
     assert!(report.error.is_none(), "{mode}: {:?}", report.error);
     EngineRow {
@@ -189,8 +198,8 @@ fn engine_run(workers: usize, layers: usize, width: usize, mode: &str, seed: u64
         front: report.scheduler.clone(),
         wall_ms: wall.as_secs_f64() * 1e3,
         makespan_us: report.makespan_us,
-        rank_mean: report.rank.as_ref().map(|r| r.mean()),
-        rank_max: report.rank.as_ref().map(|r| r.rank_max),
+        rank_mean: rank.as_ref().map(|r| r.mean()),
+        rank_max: rank.as_ref().map(|r| r.rank_max),
     }
 }
 
@@ -221,7 +230,7 @@ fn main() {
             ),
             (
                 // The paper's scheduler through the sharded front-end —
-                // the path `run_sharded` actually serves. Its per-shard
+                // the path the sharded runtime front-end serves. Its per-shard
                 // policies replay the sequenced feedback log, which is
                 // the serialization the relaxed front-end deletes.
                 "sharded-multiprio",

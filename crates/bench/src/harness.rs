@@ -60,7 +60,7 @@ pub fn make_scheduler(name: &str) -> Box<dyn Scheduler> {
 }
 
 /// A factory building fresh instances of the named scheduler, for the
-/// sharded runtime front-end (`Runtime::run_sharded`). MultiPrio
+/// sharded runtime front-end (`ShardedAdapter`). MultiPrio
 /// variants share one [`SharedGainTracker`] across every instance the
 /// factory builds, so per-shard copies agree on the running-max `hd(a)`
 /// term of the gain score (Eq. 1) exactly as a single instance would.

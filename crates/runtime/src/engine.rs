@@ -1,33 +1,43 @@
 //! The threaded execution engine.
 //!
-//! Workers drive a [`ConcurrentScheduler`] front-end directly — either
-//! the [`GlobalLock`] baseline (one mutex around the policy, what
-//! [`Runtime::run`] uses) or the sharded multi-queue
-//! ([`Runtime::run_sharded`]). Idle workers park on an eventcount-style
-//! [`WakeEpoch`]: every push and every completion bumps an epoch and
-//! notifies, and a worker that read the epoch *before* its failed pop
-//! cannot miss a wakeup that raced with it. The only timed sleep left is
-//! a short bounded re-poll when the scheduler holds tasks back
-//! (`pending() > 0` but `pop` returned `None`, e.g. MultiPrio's pop
-//! condition waiting out a busy best-worker).
+//! One worker loop serves both entry points. [`Runtime::run_concurrent`]
+//! executes the submitted DAG: a stream closed from the start, with every
+//! task already admitted. [`Runtime::serve_concurrent`] (see
+//! [`crate::serve`]) runs the same loop while an open-loop driver on the
+//! calling thread commits sub-DAGs into the growing graph. Workers drive
+//! any [`ConcurrentScheduler`] front-end: the [`GlobalLock`] baseline (one
+//! mutex around the policy, what [`Runtime::run`] uses), the sharded
+//! multi-queue or the relaxed multi-queue.
+//!
+//! Graph-coupled state sits behind one `RwLock`. A worker holds one read
+//! guard from pop through start, resolving the kernel and its buffer
+//! guards under it, and one from completion through release; the driver
+//! commits under the write guard, so a commit can never observe (or miss)
+//! half of a completion. Kernels execute outside the guard.
+//!
+//! Idle workers park on an eventcount-style [`WakeEpoch`]: every push and
+//! every completion bumps an epoch and notifies, and a worker that read
+//! the epoch *before* its failed pop cannot miss a wakeup that raced with
+//! it. The only timed sleep left is a short bounded re-poll when the
+//! scheduler holds tasks back (`pending() > 0` but `pop` returned `None`,
+//! e.g. MultiPrio's pop condition waiting out a busy best-worker).
 
 use std::collections::HashMap;
+use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use mp_cache::{CacheEntry, Lookup, ResultCache};
+use mp_cache::{Lookup, PersistStats, ResultCache};
 use mp_dag::access::AccessMode;
 use mp_dag::hash;
-use mp_dag::ids::{DataId, TaskId};
+use mp_dag::ids::{DataId, TaskId, TaskTypeId};
 use mp_dag::stf::StfBuilder;
 use mp_dag::TaskGraph;
 use mp_perfmodel::{DeltaEstimate, Estimator, FallbackWarnings, PerfModel};
 use mp_platform::types::{ArchClass, MemNodeId, Platform, WorkerId};
 use mp_sched::api::{DataLocator, LoadInfo, SchedEvent, SchedView, Scheduler};
-use mp_sched::concurrent::{
-    ConcurrentScheduler, GlobalLock, RelaxedConfig, RelaxedMultiQueue, ShardedAdapter,
-};
+use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 use mp_trace::obs::obs_enabled;
 use mp_trace::{
     Counter, CounterSnapshot, ObsCell, RuntimeEvent, RuntimeEventKind, TaskSpan, Trace,
@@ -35,6 +45,7 @@ use mp_trace::{
 
 use crate::data::{BufRef, TaskCtx};
 use crate::fault::{FaultPlan, RetryPolicy, SkewedModel};
+use crate::serve::TenantLedger;
 
 /// A kernel implementation.
 pub type KernelFn = Arc<dyn Fn(&mut TaskCtx<'_>) + Send + Sync>;
@@ -98,10 +109,28 @@ impl TaskBuilder {
         self.label = l.into();
         self
     }
+
+    /// Register this task's kernel type, with the classes it implements.
+    pub(crate) fn register_type(&self, graph: &mut TaskGraph) -> TaskTypeId {
+        graph.register_type(
+            &self.ttype,
+            self.impls.contains_key(&ArchClass::Cpu),
+            self.impls.contains_key(&ArchClass::Gpu),
+        )
+    }
+
+    /// The trace label, defaulting to the kernel type.
+    pub(crate) fn label_or_type(&self) -> String {
+        if self.label.is_empty() {
+            self.ttype.clone()
+        } else {
+            self.label.clone()
+        }
+    }
 }
 
 /// Unified-memory locality: every handle is resident everywhere.
-pub(crate) struct UnifiedMemory;
+struct UnifiedMemory;
 
 impl DataLocator for UnifiedMemory {
     fn is_on(&self, _d: DataId, _m: MemNodeId) -> bool {
@@ -114,14 +143,14 @@ impl DataLocator for UnifiedMemory {
 }
 
 /// Lock-free busy-until table (µs since run start, f64 bits).
-pub(crate) struct AtomicLoads(Vec<AtomicU64>);
+struct AtomicLoads(Vec<AtomicU64>);
 
 impl AtomicLoads {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self((0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect())
     }
 
-    pub(crate) fn set(&self, w: WorkerId, v: f64) {
+    fn set(&self, w: WorkerId, v: f64) {
         self.0[w.index()].store(v.to_bits(), Ordering::Relaxed);
     }
 }
@@ -140,7 +169,7 @@ impl LoadInfo for AtomicLoads {
 /// [`Self::notify`], which bumps the epoch *before* taking the mutex, so
 /// the pair (read epoch → pop → wait) can never sleep through a push or
 /// completion that happened after the epoch read.
-pub(crate) struct WakeEpoch {
+struct WakeEpoch {
     epoch: AtomicU64,
     /// Workers inside [`Self::wait`]; lets [`Self::notify`] skip the
     /// mutex on the (hot) nobody-parked path.
@@ -150,7 +179,7 @@ pub(crate) struct WakeEpoch {
 }
 
 impl WakeEpoch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             epoch: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),
@@ -159,11 +188,11 @@ impl WakeEpoch {
         }
     }
 
-    pub(crate) fn current(&self) -> u64 {
+    fn current(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn notify(&self) {
+    fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         // SeqCst pairs with the waiter's increment-then-recheck: either
         // the waiter's re-check sees the new epoch, or this load sees the
@@ -179,7 +208,7 @@ impl WakeEpoch {
 
     /// Park until the epoch differs from `seen` (or `bound` elapses, or a
     /// spurious wakeup — callers re-poll in a loop either way).
-    pub(crate) fn wait(&self, seen: u64, bound: Option<Duration>) {
+    fn wait(&self, seen: u64, bound: Option<Duration>) {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let g = self.lock.lock().expect("wake lock poisoned");
         if self.epoch.load(Ordering::SeqCst) == seen {
@@ -195,9 +224,9 @@ impl WakeEpoch {
 /// Bounded park when the scheduler holds work back: MultiPrio's pop
 /// condition compares against wall-clock `busy_until`, so a held-back
 /// task becomes poppable by time passing alone — no event fires.
-pub(crate) const HOLDBACK_REPOLL: Duration = Duration::from_micros(200);
+const HOLDBACK_REPOLL: Duration = Duration::from_micros(200);
 
-/// Typed failure of [`Runtime::run`].
+/// Typed failure of [`Runtime::run`] and [`Runtime::serve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A submitted task has no implementation for any architecture class
@@ -243,6 +272,16 @@ pub enum RunError {
         /// Attempts made.
         attempts: u32,
     },
+    /// A streamed submission names a tenant the stream configuration
+    /// does not have. Detected before any thread spawns.
+    UnknownTenant {
+        /// Index of the submission in the stream.
+        submission: usize,
+        /// The tenant it names.
+        tenant: usize,
+        /// Tenants configured.
+        tenants: usize,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -274,6 +313,14 @@ impl std::fmt::Display for RunError {
             RunError::RetryExhausted { task, attempts } => {
                 write!(f, "{task:?} failed on all {attempts} allowed attempt(s)")
             }
+            RunError::UnknownTenant {
+                submission,
+                tenant,
+                tenants,
+            } => write!(
+                f,
+                "submission {submission} names tenant {tenant}, but the stream has {tenants}"
+            ),
         }
     }
 }
@@ -298,15 +345,12 @@ pub struct RunReport {
     /// [`Runtime::run`] return `Err`.
     pub error: Option<RunError>,
     /// Scheduler/engine observability counters, merged at quiesce.
-    /// All-zero unless built with `--features obs`.
+    /// All-zero unless built with `--features obs`, except the result
+    /// cache's eviction and persistence deltas, which are always folded.
     pub counters: CounterSnapshot,
     /// Worker park/wake timeline. Empty unless built with
     /// `--features obs`.
     pub events: Vec<RuntimeEvent>,
-    /// Rank-error statistics against the exact-priority oracle. `Some`
-    /// only for [`Runtime::run_relaxed`] with
-    /// [`RelaxedConfig::track_rank`] set.
-    pub rank: Option<mp_trace::RankStats>,
 }
 
 impl RunReport {
@@ -316,16 +360,28 @@ impl RunReport {
     }
 }
 
+/// Stream-level counts of one execution, kept with or without `obs`.
+pub(crate) struct Tally {
+    /// Tasks admitted, including those submitted before the run.
+    pub(crate) admitted: usize,
+    /// Tasks completed, cache hits included.
+    pub(crate) completed: usize,
+    /// Completions served from the result cache.
+    pub(crate) cache_hits: u64,
+    /// Cache probes that missed or were invalidated.
+    pub(crate) cache_misses: u64,
+}
+
 /// The runtime: buffers + submitted tasks, executed by [`Runtime::run`].
 pub struct Runtime {
-    pub(crate) platform: Platform,
-    pub(crate) model: Arc<dyn PerfModel>,
-    pub(crate) stf: StfBuilder,
-    pub(crate) buffers: Vec<RwLock<Vec<f64>>>,
-    pub(crate) impls: Vec<HashMap<ArchClass, KernelFn>>,
+    platform: Platform,
+    model: Arc<dyn PerfModel>,
+    stf: StfBuilder,
+    buffers: Vec<RwLock<Vec<f64>>>,
+    impls: Vec<HashMap<ArchClass, KernelFn>>,
     /// First impl-coverage violation found at submit time; reported by
     /// [`Runtime::run`] before any thread spawns.
-    pub(crate) submit_error: Option<RunError>,
+    submit_error: Option<RunError>,
     /// Fault-injection plan applied by the next run (`None` = no faults).
     faults: Option<FaultPlan>,
     /// Retry budget for failed execution attempts (panics, injected
@@ -333,7 +389,7 @@ pub struct Runtime {
     retry: RetryPolicy,
     /// Shared content-addressed result cache (`None` = caching off).
     /// A hit skips execution entirely — see [`Runtime::set_cache`].
-    pub(crate) cache: Option<Arc<ResultCache>>,
+    cache: Option<Arc<ResultCache>>,
     /// Fallback-estimate warnings, deduped per (task type, arch) across
     /// every run of this runtime — a warm re-run never re-prints them,
     /// and cache-hit tasks never reach the estimator at all.
@@ -387,7 +443,7 @@ impl Runtime {
         h
     }
 
-    /// Apply a [`FaultPlan`] to every subsequent run: deterministic slow
+    /// Apply a [`FaultPlan`] to every subsequent run or serve: deterministic slow
     /// and stalled kernels, skewed model estimates, delayed wakeups —
     /// plus worker kills after a fixed completion count and per-attempt
     /// transient execution failures. Used by the validation harness to
@@ -428,7 +484,7 @@ impl Runtime {
     }
 
     /// Architecture classes with at least one worker on this platform.
-    fn platform_classes(&self) -> Vec<ArchClass> {
+    pub(crate) fn platform_classes(&self) -> Vec<ArchClass> {
         let mut classes = Vec::new();
         for a in self.platform.archs() {
             if !classes.contains(&a.class) {
@@ -441,25 +497,13 @@ impl Runtime {
     /// Submit a task; dependencies on earlier submissions are inferred
     /// from the declared accesses (STF). Implementation coverage is
     /// checked against the platform's architecture classes here; a task
-    /// no worker could ever execute makes the eventual [`Self::run`]
-    /// return [`RunError::NoUsableImpl`] instead of deadlocking or
-    /// panicking inside a worker thread.
+    /// no worker could ever execute — including one with no
+    /// implementation at all — makes the eventual [`Self::run`] return
+    /// [`RunError::NoUsableImpl`] instead of deadlocking or panicking
+    /// inside a worker thread.
     pub fn submit(&mut self, tb: TaskBuilder) -> TaskId {
-        assert!(
-            !tb.impls.is_empty(),
-            "task '{}' has no implementation",
-            tb.ttype
-        );
-        let ttype = self.stf.graph_mut().register_type(
-            &tb.ttype,
-            tb.impls.contains_key(&ArchClass::Cpu),
-            tb.impls.contains_key(&ArchClass::Gpu),
-        );
-        let label = if tb.label.is_empty() {
-            tb.ttype.clone()
-        } else {
-            tb.label.clone()
-        };
+        let ttype = tb.register_type(self.stf.graph_mut());
+        let label = tb.label_or_type();
         let t = self
             .stf
             .submit_prio(ttype, tb.accesses, tb.flops, tb.priority, label.clone());
@@ -497,636 +541,707 @@ impl Runtime {
         self.run_concurrent(&front)
     }
 
-    /// Execute under a sharded multi-queue front-end: `shards` policy
-    /// instances built by `factory`, per-worker routing and randomized
-    /// two-choice stealing (see [`ShardedAdapter`]). Stateful policies
-    /// should share score state across the instances the factory builds
-    /// (e.g. `MultiPrioScheduler::with_shared_gain`).
-    pub fn run_sharded(
-        &mut self,
-        shards: usize,
-        factory: &dyn Fn() -> Box<dyn Scheduler>,
-    ) -> Result<RunReport, RunError> {
-        let front = ShardedAdapter::new(shards, factory);
-        self.run_concurrent(&front)
-    }
-
-    /// Execute under the relaxed multi-queue front-end
-    /// ([`RelaxedMultiQueue`]): `cfg.queues_per_worker · workers`
-    /// try-locked sequential queues with two-choice pops over published
-    /// score tops. Ordering is *relaxed* — a pop may return a task that
-    /// is not the current global best — with the bounded rank error
-    /// measurable via [`RelaxedConfig::track_rank`] (reported on
-    /// [`RunReport::rank`]). The policy order is `prio`: descending user
-    /// priority, FIFO within a level.
-    pub fn run_relaxed(&mut self, cfg: RelaxedConfig) -> Result<RunReport, RunError> {
-        let front = RelaxedMultiQueue::new(self.platform.worker_count(), cfg);
-        let mut report = self.run_concurrent(&front)?;
-        report.rank = front.rank_stats();
-        Ok(report)
-    }
-
     /// Execute every submitted task by driving `front` from one thread
-    /// per platform worker.
+    /// per platform worker: a stream with no submissions. Any
+    /// front-end works — [`GlobalLock`], `ShardedAdapter::new(n,
+    /// factory)` or `RelaxedMultiQueue::new(workers, cfg)`, whose
+    /// `rank_stats()` the caller reads afterwards.
     pub fn run_concurrent(
         &mut self,
         front: &dyn ConcurrentScheduler,
     ) -> Result<RunReport, RunError> {
+        self.execute(front, 0, |_| ()).map(|(report, _, ())| report)
+    }
+
+    /// The one execution behind [`Self::run_concurrent`] and
+    /// [`Self::serve_concurrent`]: admit every task submitted so far,
+    /// start one worker thread per platform worker, then run `drive` on
+    /// this thread. The stream closes when `drive` returns, and the
+    /// call returns at quiesce. The graph, kernel table and per-tenant
+    /// ledger (`tenants` entries) are moved into the engine for the
+    /// duration and the grown graph is moved back out.
+    pub(crate) fn execute<D>(
+        &mut self,
+        front: &dyn ConcurrentScheduler,
+        tenants: usize,
+        drive: impl FnOnce(&Engine<'_>) -> D,
+    ) -> Result<(RunReport, Tally, D), RunError> {
         if let Some(err) = self.submit_error.clone() {
             return Err(err);
         }
-        let graph = self.stf.graph().clone();
-        let n = graph.task_count();
-        let nw = self.platform.worker_count();
-        let platform = &self.platform;
         let faults = self.faults.unwrap_or_default();
-        let retry = self.retry;
-        let kills_on = faults.kills_any();
-        let transients_on = faults.transient_fail_prob > 0.0;
         // Estimate skew wraps the model; measured feedback still reaches
         // the real model underneath.
         let skewed: Option<SkewedModel> = (faults.estimate_skew > 0.0)
             .then(|| SkewedModel::new(Arc::clone(&self.model), faults.estimate_skew, faults.seed));
-        let model: &dyn PerfModel = match &skewed {
-            Some(s) => s,
-            None => &*self.model,
+        let nw = self.platform.worker_count();
+        let platform = &self.platform;
+        let cache = self.cache.as_deref();
+        let eng = Engine {
+            platform,
+            model: match &skewed {
+                Some(s) => s,
+                None => &*self.model,
+            },
+            buffers: &self.buffers,
+            front,
+            cache,
+            warned: &self.warned,
+            faults,
+            retry: self.retry,
+            shared: RwLock::new(Shared {
+                stf: mem::take(&mut self.stf),
+                impls: mem::take(&mut self.impls),
+                ..Shared::default()
+            }),
+            ledger: TenantLedger::new(tenants),
+            loads: AtomicLoads::new(nw),
+            wake: WakeEpoch::new(),
+            abort: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+            error: Mutex::new(None),
+            admitted: AtomicUsize::new(0),
+            completed: AtomicUsize::new(0),
+            alive: (0..nw).map(|_| AtomicBool::new(true)).collect(),
+            worker_classes: (0..nw)
+                .map(|wi| {
+                    platform
+                        .arch(platform.worker(WorkerId::from_index(wi)).arch)
+                        .class
+                })
+                .collect(),
+            spans: Mutex::new(Vec::new()),
+            events: Mutex::new(Vec::new()),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            // The shared cache outlives runs: this run's evictions and
+            // persistence traffic are deltas over its lifetime counters.
+            cache_base: cache
+                .map_or_else(Default::default, |rc| (rc.evictions(), rc.persist_stats())),
+            cells: (0..nw).map(|_| ObsCell::new()).collect(),
+            host_obs: ObsCell::new(),
+            start: Instant::now(),
         };
-        let buffers = &self.buffers;
-        let impls = &self.impls;
-        let sched_name = front.name();
+        // Tasks submitted before the run count as already-admitted
+        // tenant-0 work.
+        eng.admit(&mut eng.write(), 0, 0.0);
+        let driven = std::thread::scope(|scope| {
+            for wi in 0..nw {
+                let eng = &eng;
+                scope.spawn(move || eng.worker(wi));
+            }
+            let driven = drive(&eng);
+            eng.closed.store(true, Ordering::Release);
+            eng.wake.notify();
+            driven
+        });
+        let (shared, report, tally) = eng.finish();
+        // Restore the (possibly grown) graph and kernel table:
+        // `graph()`/`buffer()` keep working, and a further run
+        // re-executes every task, streamed ones included.
+        self.stf = shared.stf;
+        self.impls = shared.impls;
+        Ok((report, tally, driven))
+    }
+}
 
-        let loads = AtomicLoads::new(nw);
-        let unified = UnifiedMemory;
-        let start = Instant::now();
-        let now_us = || start.elapsed().as_secs_f64() * 1e6;
+/// Graph-coupled state: grown under the write guard by admission, read
+/// by workers under read guards. Per-task vectors are indexed by task
+/// and append-only; their atomics change under read guards (concurrent
+/// completions), the vectors themselves only under the write guard.
+#[derive(Default)]
+pub(crate) struct Shared {
+    pub(crate) stf: StfBuilder,
+    pub(crate) impls: Vec<HashMap<ArchClass, KernelFn>>,
+    indeg: Vec<AtomicUsize>,
+    done: Vec<AtomicBool>,
+    ready_at: Vec<AtomicU64>,
+    attempts: Vec<AtomicU32>,
+    tenant_of: Vec<u32>,
+}
 
-        let wake = WakeEpoch::new();
-        let abort = AtomicBool::new(false);
-        let error: Mutex<Option<RunError>> = Mutex::new(None);
-        let completed = AtomicUsize::new(0);
-        let indeg: Vec<AtomicUsize> = (0..n)
-            .map(|i| AtomicUsize::new(graph.preds(TaskId::from_index(i)).len()))
-            .collect();
-        let ready_at: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-        let spans = Mutex::new(Vec::<TaskSpan>::new());
-        // --- Worker-failure state (dormant without kill/transient
-        // faults). A worker only dies *between* tasks — after its k-th
-        // completion, before the next pop — so a death never strands an
-        // in-flight task; queued work is re-routed by `worker_disabled`.
-        let alive: Vec<AtomicBool> = (0..nw).map(|_| AtomicBool::new(true)).collect();
-        let attempts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let done_flags: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let worker_classes: Vec<ArchClass> = (0..nw)
-            .map(|wi| {
-                let a = platform.worker(WorkerId::from_index(wi)).arch;
-                platform.arch(a).class
-            })
-            .collect();
-        // Fallback-estimate warnings: once per (task type, arch) per
-        // runtime — warm re-runs stay silent.
-        let warned = &self.warned;
-        let cache = self.cache.clone();
-        // The shared cache outlives runs: this run's capacity evictions
-        // are the delta over its lifetime counter.
-        let cache_evictions_at_start = cache.as_ref().map_or(0, |rc| rc.evictions());
-        let cache_persist_at_start = cache
-            .as_ref()
-            .map_or_else(Default::default, |rc| rc.persist_stats());
-        // Per-worker observability cells (no-ops unless `--features obs`)
-        // plus one for the submitting thread's seed pushes.
-        let cells: Vec<ObsCell> = (0..nw).map(|_| ObsCell::new()).collect();
-        let seed_obs = ObsCell::new();
-        // Park/wake timeline; only locked when obs is compiled in.
-        let park_events: Mutex<Vec<RuntimeEvent>> = Mutex::new(Vec::new());
+impl Shared {
+    /// Per-task state for the tasks the graph gained since the last
+    /// call, owned by `tenant` and ready from `now`. An indegree counts
+    /// only the predecessors that have not completed yet. Returns the
+    /// first new task index.
+    fn grow(&mut self, tenant: usize, now: f64) -> usize {
+        let from = self.indeg.len();
+        let graph = self.stf.graph();
+        for i in from..graph.task_count() {
+            let open = graph
+                .preds(TaskId::from_index(i))
+                .iter()
+                .filter(|p| !self.done[p.index()].load(Ordering::Acquire))
+                .count();
+            self.indeg.push(AtomicUsize::new(open));
+            self.done.push(AtomicBool::new(false));
+            self.ready_at.push(AtomicU64::new(now.to_bits()));
+            self.attempts.push(AtomicU32::new(0));
+            self.tenant_of.push(tenant as u32);
+        }
+        from
+    }
 
-        let make_view = |now: f64| SchedView {
-            est: Estimator::new(&graph, platform, model),
-            loc: &unified,
-            load: &loads,
+    /// The successors of `t` whose last open dependency it was, stamped
+    /// ready at `now`. Each call retires `t` as a dependency, so call it
+    /// once per completion.
+    fn readied(&self, t: TaskId, now: f64) -> impl Iterator<Item = TaskId> + '_ {
+        self.stf.graph().succs(t).iter().copied().filter(move |s| {
+            let last = self.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1;
+            if last {
+                self.ready_at[s.index()].store(now.to_bits(), Ordering::Relaxed);
+            }
+            last
+        })
+    }
+}
+
+/// One execution: the state the workers and the driver share.
+pub(crate) struct Engine<'a> {
+    platform: &'a Platform,
+    model: &'a dyn PerfModel,
+    buffers: &'a [RwLock<Vec<f64>>],
+    front: &'a dyn ConcurrentScheduler,
+    cache: Option<&'a ResultCache>,
+    warned: &'a FallbackWarnings,
+    faults: FaultPlan,
+    retry: RetryPolicy,
+    shared: RwLock<Shared>,
+    pub(crate) ledger: TenantLedger,
+    loads: AtomicLoads,
+    wake: WakeEpoch,
+    abort: AtomicBool,
+    /// Set once the driver has committed its last submission.
+    closed: AtomicBool,
+    error: Mutex<Option<RunError>>,
+    admitted: AtomicUsize,
+    completed: AtomicUsize,
+    /// Worker-failure state (dormant without kill faults). A worker only
+    /// dies *between* tasks — after its k-th completion, before the next
+    /// pop — so a death never strands an in-flight task; queued work is
+    /// re-routed by `worker_disabled`.
+    alive: Vec<AtomicBool>,
+    worker_classes: Vec<ArchClass>,
+    spans: Mutex<Vec<TaskSpan>>,
+    /// Park/wake timeline; only locked when obs is compiled in.
+    events: Mutex<Vec<RuntimeEvent>>,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    /// The cache's lifetime eviction count and persistence counters when
+    /// the execution started.
+    cache_base: (u64, PersistStats),
+    /// Per-worker observability cells (no-ops unless `--features obs`).
+    cells: Vec<ObsCell>,
+    /// The calling thread's cell: admission of the submitted tasks and of
+    /// every commit.
+    host_obs: ObsCell,
+    start: Instant,
+}
+
+impl Engine<'_> {
+    pub(crate) fn now_us(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() * 1e6
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Shared> {
+        self.shared.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Shared> {
+        self.shared.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn view<'s>(&'s self, g: &'s Shared, now: f64) -> SchedView<'s> {
+        SchedView {
+            est: Estimator::new(g.stf.graph(), self.platform, self.model),
+            loc: &UnifiedMemory,
+            load: &self.loads,
             now,
-        };
+        }
+    }
 
-        // Result-cache probe for a newly-ready task (DESIGN.md §12). On
-        // a verified payload-carrying hit the task completes right here:
-        // the memoized buffers are copied back under the write locks,
-        // the completion is published, and newly-ready successors are
-        // probed in turn — the task never reaches the scheduler front,
-        // the estimator, or a kernel. Anything else returns `false` and
-        // the caller pushes the task as before. Runs on the submitting
-        // thread (seeding) and on worker threads (successor release);
-        // every touched piece of state is atomic or lock-guarded, and a
-        // task is probed exactly once (by its unique releaser), so on a
-        // cached run `hits + misses == tasks`.
-        let cache_complete = |t0: TaskId, via: Option<WorkerId>, obs: &ObsCell| -> bool {
-            let Some(rc) = cache.as_deref() else {
-                return false;
-            };
-            let lane = via.map_or(nw, |w| w.index());
-            let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
-                match graph.cache_meta(t).map(|m| rc.lookup(m, true)) {
-                    Some(Lookup::Hit(e)) => return Some(e),
-                    Some(Lookup::Invalidated) => {
+    /// Has the execution been aborted by a typed error?
+    pub(crate) fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Acquire)
+    }
+
+    /// Admitted tasks not yet completed. Exact under the write guard:
+    /// completions only move the counters under read guards.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.admitted.load(Ordering::Acquire) - self.completed.load(Ordering::Acquire)
+    }
+
+    /// Wake parked workers after a commit.
+    pub(crate) fn notify(&self) {
+        self.wake.notify();
+    }
+
+    /// Abort with `err` unless an earlier error already did.
+    fn fail(&self, err: RunError) {
+        let mut e = self.error.lock().unwrap_or_else(|p| p.into_inner());
+        if e.is_none() {
+            *e = Some(err);
+        }
+        drop(e);
+        self.abort.store(true, Ordering::Release);
+        self.wake.notify();
+    }
+
+    /// Record a timeline event (compiled out without `obs`).
+    fn event(&self, worker: usize, kind: RuntimeEventKind) {
+        if obs_enabled() {
+            let at = self.now_us();
+            let mut ev = self.events.lock().unwrap_or_else(|e| e.into_inner());
+            ev.push(RuntimeEvent { worker, at, kind });
+        }
+    }
+
+    /// Admit the tasks the graph gained since the last admission, owned
+    /// by `tenant` and ready from `now`: their per-task state, the
+    /// stream's counts, a capability check, and the release of every
+    /// ready one (cache probe first, then the front-end). Runs on the
+    /// calling thread under the write guard.
+    pub(crate) fn admit(&self, g: &mut Shared, tenant: usize, now: f64) {
+        let from = g.grow(tenant, now);
+        let g: &Shared = g;
+        let n = g.indeg.len() - from;
+        self.admitted.fetch_add(n, Ordering::AcqRel);
+        self.ledger.admit(tenant, n);
+        // A death is swept when the worker dies; this check covers the
+        // tasks committed after it. The sweep's read guard and this
+        // write guard are ordered, so one of the two sees the other.
+        if self.faults.kills_any() {
+            if let Some(t) = self.doomed(g, from) {
+                self.fail(RunError::NoCapableWorker { task: t });
+                return;
+            }
+        }
+        // Snapshot the sources before releasing: a cache hit completes
+        // in place and can drive successors' indegrees to zero, and
+        // those are released by the cascade — the scan must only ever
+        // see true sources.
+        let sources: Vec<TaskId> = (from..g.indeg.len())
+            .filter(|&i| g.indeg[i].load(Ordering::Relaxed) == 0)
+            .map(TaskId::from_index)
+            .collect();
+        self.release(g, sources, None, now, &self.host_obs);
+    }
+
+    /// The first task from index `from` on that has not completed and
+    /// that no surviving worker's class can execute.
+    fn doomed(&self, g: &Shared, from: usize) -> Option<TaskId> {
+        (from..g.impls.len())
+            .find(|&i| {
+                !g.done[i].load(Ordering::Acquire)
+                    && !self
+                        .worker_classes
+                        .iter()
+                        .zip(&self.alive)
+                        .any(|(c, a)| a.load(Ordering::Acquire) && g.impls[i].contains_key(c))
+            })
+            .map(TaskId::from_index)
+    }
+
+    /// Release `ready`, tasks whose dependencies are all met, at `now`.
+    /// Without a result cache each goes straight to the front-end. With
+    /// one, each is probed first (DESIGN.md §12): a verified
+    /// payload-carrying hit completes right here — its memoized buffers
+    /// are copied back under the write locks, the completion is
+    /// published and the successors it readies join the batch — and never
+    /// reaches the front-end, the estimator or a kernel. The misses are
+    /// pushed only after the whole batch was probed: a pushed task can
+    /// run and populate the cache at once, and a sibling with its key
+    /// must still miss, so tasks released together see one cache state.
+    /// Callers hold a `shared` guard, so the graph cannot grow under the
+    /// cascade, and wake the workers once they drop it; a task is
+    /// released exactly once (by its unique releaser), so on a cached run
+    /// `hits + misses == tasks`.
+    fn release(
+        &self,
+        g: &Shared,
+        ready: impl IntoIterator<Item = TaskId>,
+        via: Option<WorkerId>,
+        now: f64,
+        obs: &ObsCell,
+    ) {
+        let Some(rc) = self.cache else {
+            let view = self.view(g, now);
+            for t in ready {
+                self.front.push(t, via, &view);
+                obs.bump(Counter::Pushes);
+            }
+            let _ = self.front.drain_prefetches(); // unified memory: no-op
+            return;
+        };
+        let graph = g.stf.graph();
+        let lane = via.map_or(self.cells.len(), |w| w.index());
+        let mut batch: Vec<TaskId> = ready.into_iter().collect();
+        let mut misses = Vec::new();
+        let mut next = 0;
+        while let Some(&t) = batch.get(next) {
+            next += 1;
+            let entry = match graph.cache_meta(t).map(|m| rc.lookup(m, true)) {
+                Some(Lookup::Hit(e)) => e,
+                other => {
+                    if matches!(other, Some(Lookup::Invalidated)) {
                         obs.bump(Counter::CacheInvalidations);
-                        obs.bump(Counter::CacheMisses);
-                        if obs_enabled() {
-                            let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                            ev.push(RuntimeEvent {
-                                worker: lane,
-                                at: now_us(),
-                                kind: RuntimeEventKind::CacheInvalidated,
-                            });
-                        }
+                        self.event(lane, RuntimeEventKind::CacheInvalidated);
                     }
-                    _ => obs.bump(Counter::CacheMisses),
+                    self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    obs.bump(Counter::CacheMisses);
+                    misses.push(t);
+                    continue;
                 }
-                None
             };
-            let Some(first) = probe(t0) else {
-                return false;
+            // Materialize the payload in the same dedup'd write order
+            // the populate path stored it. The task is ready, so WAR/RAW
+            // edges guarantee no live reader or writer of these buffers
+            // — locking is as safe as executing.
+            let payload = entry
+                .payload
+                .as_ref()
+                .expect("payload-less entry served to the runtime");
+            let mut written: Vec<DataId> = Vec::new();
+            for d in graph.task(t).writes() {
+                if written.contains(&d) {
+                    continue;
+                }
+                let src = &payload[written.len()];
+                written.push(d);
+                let mut buf = self.buffers[d.index()].write().expect("buffer poisoned");
+                buf.clear();
+                buf.extend_from_slice(src);
+            }
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            obs.bump(Counter::CacheHits);
+            obs.add(Counter::BytesMaterialized, entry.bytes);
+            self.event(lane, RuntimeEventKind::CacheHit);
+            g.done[t.index()].store(true, Ordering::Release);
+            self.ledger.complete(g.tenant_of[t.index()] as usize, true);
+            self.completed.fetch_add(1, Ordering::AcqRel);
+            batch.extend(g.readied(t, self.now_us()));
+        }
+        let view = self.view(g, now);
+        for &t in &misses {
+            self.front.push(t, via, &view);
+            obs.bump(Counter::Pushes);
+        }
+        let _ = self.front.drain_prefetches();
+    }
+
+    /// A worker's self-published death: re-route its queued work, and
+    /// abort typed instead of hanging when some remaining task keeps no
+    /// capable surviving worker.
+    fn quarantine(&self, w: WorkerId, obs: &ObsCell) {
+        obs.bump(Counter::WorkerFailures);
+        self.event(w.index(), RuntimeEventKind::WorkerFailed);
+        let g = self.read();
+        self.front.worker_disabled(w, &self.view(&g, self.now_us()));
+        match self.doomed(&g, 0) {
+            Some(t) => self.fail(RunError::NoCapableWorker { task: t }),
+            None => self.wake.notify(),
+        }
+    }
+
+    /// A failed attempt of `t`: abort with `exhausted(attempts)` once the
+    /// retry budget is spent, otherwise back off and re-enter the
+    /// scheduler. Returns whether the worker carries on.
+    fn retry(
+        &self,
+        t: TaskId,
+        w: WorkerId,
+        obs: &ObsCell,
+        exhausted: impl FnOnce(u32) -> RunError,
+    ) -> bool {
+        let made = self.read().attempts[t.index()].fetch_add(1, Ordering::AcqRel) + 1;
+        if made >= self.retry.max_attempts {
+            self.fail(exhausted(made));
+            return false;
+        }
+        obs.bump(Counter::TasksRetried);
+        self.event(w.index(), RuntimeEventKind::TaskRetried);
+        let backoff = self.retry.backoff_for(made);
+        if backoff > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(backoff * 1e-6));
+        }
+        let g = self.read();
+        self.front
+            .push_retry(t, made, &self.view(&g, self.now_us()));
+        drop(g);
+        obs.bump(Counter::Pushes);
+        self.wake.notify();
+        true
+    }
+
+    /// The worker loop of worker `wi`.
+    fn worker(&self, wi: usize) {
+        let w = WorkerId::from_index(wi);
+        let obs = &self.cells[wi];
+        let arch = self.platform.worker(w).arch;
+        let class = self.worker_classes[wi];
+        let kill_after = self.faults.kill_after(wi);
+        // Committed tasks on this worker; read only by its own
+        // kill-threshold check.
+        let mut my_done = 0u32;
+        loop {
+            // Epoch BEFORE the exit check and the pop attempt: any
+            // completion, abort, push or commit bumps it *after* its
+            // state change, so either the check/pop below observes the
+            // change, or wait() sees a moved epoch and returns
+            // immediately. (Reading the epoch after the exit check left
+            // a window where the final completed-increment and its
+            // notify both landed in between: the worker then parked on
+            // the fresh epoch with no notify ever coming — a rare
+            // end-of-run hang.)
+            let seen = self.wake.current();
+            // Fault plan: die after the configured number of completions.
+            // The death is self-published here, between tasks — never
+            // mid-kernel — so nothing is lost in flight.
+            if kill_after.is_some_and(|k| my_done >= k)
+                && self.alive[wi].swap(false, Ordering::AcqRel)
+            {
+                self.quarantine(w, obs);
+                return;
+            }
+            if self.aborted()
+                || (self.closed.load(Ordering::Acquire)
+                    && self.completed.load(Ordering::Acquire)
+                        >= self.admitted.load(Ordering::Acquire))
+            {
+                self.wake.notify();
+                return;
+            }
+
+            // First guard: pop through start.
+            let g = self.read();
+            let popped = self.front.pop(w, &self.view(&g, self.now_us()));
+            let Some(t) = popped else {
+                drop(g);
+                // Nothing for us now. If the scheduler holds tasks back,
+                // poppability can change by time alone — bounded
+                // re-poll; otherwise park until the next push,
+                // completion or commit.
+                let bound = (self.front.pending() > 0).then_some(HOLDBACK_REPOLL);
+                self.event(wi, RuntimeEventKind::Park);
+                self.wake.wait(seen, bound);
+                self.event(wi, RuntimeEventKind::Wake);
+                continue;
             };
-            let mut worklist = vec![(t0, first)];
-            while let Some((t, entry)) = worklist.pop() {
-                // Materialize the payload in the same dedup'd write
-                // order the populate path stored it. The task is ready,
-                // so WAR/RAW edges guarantee no live reader or writer
-                // of these buffers — locking is as safe as executing.
-                let payload = entry
-                    .payload
-                    .as_ref()
-                    .expect("payload-less entry served to the runtime");
+            obs.bump(Counter::Pops);
+            let ti = t.index();
+            // Injected transient failure: the attempt dies before the
+            // kernel runs, so a failed attempt leaves no effect on the
+            // buffers (effectively-once semantics need exactly one
+            // *committed* execution; failed attempts must be pure).
+            if self
+                .faults
+                .transient_fails(ti, g.attempts[ti].load(Ordering::Relaxed))
+            {
+                drop(g);
+                if !self.retry(t, w, obs, |made| RunError::RetryExhausted {
+                    task: t,
+                    attempts: made,
+                }) {
+                    return;
+                }
+                continue;
+            }
+            // Estimate for the load table, then execute. A missing model
+            // entry falls back to an arch mean or the uncalibrated
+            // default instead of silently recording zero load.
+            let graph = g.stf.graph();
+            let delta_est = Estimator::new(graph, self.platform, self.model).delta_or_mean(t, arch);
+            if !delta_est.is_exact() {
+                let tt = graph.task(t).ttype;
+                if self.warned.first(tt, arch) {
+                    let kind = match delta_est {
+                        DeltaEstimate::ArchMean(_) => "arch-class mean",
+                        _ => "uncalibrated default",
+                    };
+                    eprintln!(
+                        "mp-runtime: no calibrated estimate for task type \
+                         '{}' on arch {:?}; using {} of {:.1} µs",
+                        graph.task_type(tt).name,
+                        arch,
+                        kind,
+                        delta_est.us(),
+                    );
+                }
+            }
+            let t_start = self.now_us();
+            self.loads.set(w, t_start + delta_est.us());
+            self.front
+                .feedback(&SchedEvent::TaskStarted { t, w }, &self.view(&g, t_start));
+            // Resolve the kernel before touching buffers; a miss is a
+            // scheduler bug — abort the run with a typed error instead
+            // of panicking in a scoped thread.
+            let Some(kernel) = g.impls[ti].get(&class).cloned() else {
+                self.fail(RunError::MissingKernel { task: t, class });
+                return;
+            };
+            // Lock buffers in access order (deps guarantee no cycles
+            // among concurrent tasks).
+            let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = graph
+                .task(t)
+                .accesses
+                .iter()
+                .map(|a| {
+                    let b = &self.buffers[a.data.index()];
+                    let guard = if a.mode.writes() {
+                        BufRef::W(b.write().expect("buffer poisoned"))
+                    } else {
+                        BufRef::R(b.read().expect("buffer poisoned"))
+                    };
+                    (guard, a.mode)
+                })
+                .unzip();
+            drop(g);
+
+            // Run the kernel behind a panic boundary: a panicking user
+            // kernel must not unwind through the scoped-thread team
+            // (which would poison the span mutex and re-panic the whole
+            // run) — it becomes a typed error with a partial trace.
+            // `ctx` lives outside the closure, so its buffer guards drop
+            // on the normal path and the `RwLock`s are never poisoned.
+            let mut ctx = TaskCtx::new(bufs, modes);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if self.faults.kernel_panics(ti) {
+                    panic!("injected kernel panic ({t:?})");
+                }
+                kernel(&mut ctx);
+            }))
+            .is_err();
+            drop(ctx);
+            if panicked {
+                // A retryable panic leaves the worker alive; the task
+                // re-enters the scheduler after backoff.
+                self.loads.set(w, self.now_us());
+                if !self.retry(t, w, obs, |_| RunError::KernelPanicked { task: t }) {
+                    return;
+                }
+                continue;
+            }
+            // Injected slow-down/stall: sleeps *inside* the measured
+            // window, so history models observe the perturbed duration
+            // like a real hiccup.
+            if let Some(delay) = self.faults.kernel_delay(ti) {
+                std::thread::sleep(delay);
+            }
+            let t_end = self.now_us();
+            self.loads.set(w, t_end);
+
+            // Second guard: completion through release.
+            let g = self.read();
+            let graph = g.stf.graph();
+            let task = graph.task(t);
+            Estimator::new(graph, self.platform, self.model).record(t, arch, t_end - t_start);
+            self.spans
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .push(TaskSpan {
+                    task: t,
+                    ttype: task.ttype,
+                    worker: w,
+                    ready_at: f64::from_bits(g.ready_at[ti].load(Ordering::Relaxed)),
+                    start: t_start,
+                    end: t_end,
+                });
+            // Populate the result cache before releasing successors:
+            // clone the written buffers in dedup'd write order — the
+            // same order a future hit materializes them back — while no
+            // successor can yet be re-writing them.
+            if let (Some(rc), Some(meta)) = (self.cache, graph.cache_meta(t)) {
                 let mut written: Vec<DataId> = Vec::new();
-                for d in graph.task(t).writes() {
+                let mut payload: Vec<Vec<f64>> = Vec::new();
+                let mut bytes = 0u64;
+                for d in task.writes() {
                     if written.contains(&d) {
                         continue;
                     }
-                    let src = &payload[written.len()];
                     written.push(d);
-                    let mut buf = buffers[d.index()].write().expect("buffer poisoned");
-                    buf.clear();
-                    buf.extend_from_slice(src);
+                    let buf = self.buffers[d.index()].read().expect("buffer poisoned");
+                    bytes += (buf.len() * 8) as u64;
+                    payload.push(buf.clone());
                 }
-                obs.bump(Counter::CacheHits);
-                obs.add(Counter::BytesMaterialized, entry.bytes);
-                if obs_enabled() {
-                    let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                    ev.push(RuntimeEvent {
-                        worker: lane,
-                        at: now_us(),
-                        kind: RuntimeEventKind::CacheHit,
-                    });
-                }
-                done_flags[t.index()].store(true, Ordering::Release);
-                completed.fetch_add(1, Ordering::AcqRel);
-                let now = now_us();
-                let view = make_view(now);
-                for &succ in graph.succs(t) {
-                    if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
-                        match probe(succ) {
-                            Some(e) => worklist.push((succ, e)),
-                            None => {
-                                front.push(succ, via, &view);
-                                obs.bump(Counter::Pushes);
-                            }
-                        }
-                    }
-                }
-                let _ = front.drain_prefetches();
+                rc.insert(meta, Some(payload), bytes);
             }
-            wake.notify();
-            true
-        };
-
-        // Seed initial ready tasks. Snapshot the sources before probing:
-        // a cache hit completes in place and can drive successors'
-        // indegrees to zero mid-scan, and those are released inside
-        // `cache_complete` — the outer scan must only ever see true
-        // sources (whose indegree no release can touch).
-        {
-            let view = make_view(0.0);
-            let sources: Vec<TaskId> = (0..n)
-                .map(TaskId::from_index)
-                .filter(|t| indeg[t.index()].load(Ordering::Relaxed) == 0)
-                .collect();
-            for t in sources {
-                if !cache_complete(t, None, &seed_obs) {
-                    front.push(t, None, &view);
-                    seed_obs.bump(Counter::Pushes);
-                }
+            // Release successors and report completion. Events and
+            // pushes reach the front-end in this thread's program order;
+            // the front-end sequences them globally (GlobalLock by its
+            // mutex, the sharded adapter by its event log).
+            self.front.feedback(
+                &SchedEvent::TaskFinished {
+                    t,
+                    w,
+                    elapsed_us: t_end - t_start,
+                },
+                &self.view(&g, t_end),
+            );
+            g.done[ti].store(true, Ordering::Release);
+            self.release(&g, g.readied(t, t_end), Some(w), t_end, obs);
+            self.ledger.complete(g.tenant_of[ti] as usize, false);
+            self.completed.fetch_add(1, Ordering::AcqRel);
+            drop(g);
+            my_done += 1;
+            // Injected wakeup latency: successors were already pushed,
+            // but parked workers learn about it late.
+            if let Some(delay) = self.faults.wake_delay() {
+                std::thread::sleep(delay);
             }
-            let _ = front.drain_prefetches(); // unified memory: no-op
+            // Every push/completion wakes parked workers.
+            self.wake.notify();
         }
+    }
 
-        std::thread::scope(|scope| {
-            for (wi, obs) in cells.iter().enumerate() {
-                let w = WorkerId::from_index(wi);
-                let wake = &wake;
-                let abort = &abort;
-                let error = &error;
-                let completed = &completed;
-                let indeg = &indeg;
-                let ready_at = &ready_at;
-                let spans = &spans;
-                let loads = &loads;
-                let warned = &warned;
-                let graph = &graph;
-                let make_view = &make_view;
-                let park_events = &park_events;
-                let alive = &alive;
-                let attempts = &attempts;
-                let done_flags = &done_flags;
-                let worker_classes = &worker_classes;
-                let cache = &cache;
-                let cache_complete = &cache_complete;
-                scope.spawn(move || {
-                    let arch = platform.worker(w).arch;
-                    let class = platform.arch(arch).class;
-                    // Committed tasks on this worker; read only by its
-                    // own kill-threshold check.
-                    let mut my_done = 0u32;
-                    loop {
-                        // Epoch BEFORE the exit check and the pop attempt:
-                        // any completion, abort or push bumps it *after*
-                        // its state change, so either the check/pop below
-                        // observes the change, or wait() sees a moved
-                        // epoch and returns immediately. (Reading the
-                        // epoch after the exit check left a window where
-                        // the final completed-increment and its notify
-                        // both landed in between: the worker then parked
-                        // on the fresh epoch with no notify ever coming —
-                        // a rare end-of-run hang.)
-                        let seen = wake.current();
-                        // Fault plan: die after the configured number of
-                        // completions. The death is self-published here,
-                        // between tasks — never mid-kernel — so nothing
-                        // is lost in flight; the front-end re-routes any
-                        // work queued for this worker.
-                        if kills_on
-                            && faults.kill_after(wi).is_some_and(|k| my_done >= k)
-                            && alive[wi].swap(false, Ordering::AcqRel)
-                        {
-                            obs.bump(Counter::WorkerFailures);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::WorkerFailed,
-                                });
-                            }
-                            {
-                                let view = make_view(now_us());
-                                front.worker_disabled(w, &view);
-                            }
-                            // The run can only finish if every remaining
-                            // task keeps a capable surviving worker —
-                            // abort typed instead of hanging otherwise.
-                            let mut doomed: Option<TaskId> = None;
-                            for i in 0..n {
-                                if done_flags[i].load(Ordering::Acquire) {
-                                    continue;
-                                }
-                                let capable = (0..nw).any(|xi| {
-                                    alive[xi].load(Ordering::Acquire)
-                                        && impls[i].contains_key(&worker_classes[xi])
-                                });
-                                if !capable {
-                                    doomed = Some(TaskId::from_index(i));
-                                    break;
-                                }
-                            }
-                            if let Some(t) = doomed {
-                                let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                                if e.is_none() {
-                                    *e = Some(RunError::NoCapableWorker { task: t });
-                                }
-                                drop(e);
-                                abort.store(true, Ordering::Release);
-                            }
-                            wake.notify();
-                            return;
-                        }
-                        if completed.load(Ordering::Acquire) >= n || abort.load(Ordering::Acquire) {
-                            wake.notify();
-                            return;
-                        }
-                        let popped = {
-                            let view = make_view(now_us());
-                            front.pop(w, &view)
-                        };
-                        let Some(t) = popped else {
-                            // Nothing for us now. If the scheduler holds
-                            // tasks back, poppability can change by time
-                            // alone — bounded re-poll; otherwise park
-                            // until the next push/completion event.
-                            let bound = if front.pending() > 0 {
-                                Some(HOLDBACK_REPOLL)
-                            } else {
-                                None
-                            };
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::Park,
-                                });
-                            }
-                            wake.wait(seen, bound);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::Wake,
-                                });
-                            }
-                            continue;
-                        };
-                        obs.bump(Counter::Pops);
-
-                        // Injected transient failure: the attempt dies
-                        // before the kernel runs, so a failed attempt
-                        // leaves no effect on the buffers (effectively-
-                        // once semantics need exactly one *committed*
-                        // execution; failed attempts must be pure).
-                        if transients_on
-                            && faults.transient_fails(
-                                t.index(),
-                                attempts[t.index()].load(Ordering::Relaxed),
-                            )
-                        {
-                            let made = attempts[t.index()].fetch_add(1, Ordering::AcqRel) + 1;
-                            if made >= retry.max_attempts {
-                                let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                                if e.is_none() {
-                                    *e = Some(RunError::RetryExhausted {
-                                        task: t,
-                                        attempts: made,
-                                    });
-                                }
-                                drop(e);
-                                abort.store(true, Ordering::Release);
-                                wake.notify();
-                                return;
-                            }
-                            obs.bump(Counter::TasksRetried);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::TaskRetried,
-                                });
-                            }
-                            let backoff = retry.backoff_for(made);
-                            if backoff > 0.0 {
-                                std::thread::sleep(Duration::from_secs_f64(backoff * 1e-6));
-                            }
-                            {
-                                let view = make_view(now_us());
-                                front.push_retry(t, made, &view);
-                            }
-                            obs.bump(Counter::Pushes);
-                            wake.notify();
-                            continue;
-                        }
-
-                        // Estimate for the load table, then execute. A
-                        // missing model entry falls back to an arch mean
-                        // or the uncalibrated default instead of silently
-                        // recording zero load.
-                        let est = Estimator::new(graph, platform, model);
-                        let delta_est = est.delta_or_mean(t, arch);
-                        if !delta_est.is_exact() {
-                            let tt = graph.task(t).ttype;
-                            if warned.first(tt, arch) {
-                                let kind = match delta_est {
-                                    DeltaEstimate::ArchMean(_) => "arch-class mean",
-                                    _ => "uncalibrated default",
-                                };
-                                eprintln!(
-                                    "mp-runtime: no calibrated estimate for task type \
-                                     '{}' on arch {:?}; using {} of {:.1} µs",
-                                    graph.task_type(tt).name,
-                                    arch,
-                                    kind,
-                                    delta_est.us(),
-                                );
-                            }
-                        }
-                        let t_start = now_us();
-                        loads.set(w, t_start + delta_est.us());
-                        {
-                            let view = make_view(t_start);
-                            front.feedback(&SchedEvent::TaskStarted { t, w }, &view);
-                        }
-                        // Resolve the kernel before touching buffers; a
-                        // miss is a scheduler bug — abort the run with a
-                        // typed error instead of panicking in a scoped
-                        // thread.
-                        let Some(kernel) = impls[t.index()].get(&class).cloned() else {
-                            let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                            if e.is_none() {
-                                *e = Some(RunError::MissingKernel { task: t, class });
-                            }
-                            drop(e);
-                            abort.store(true, Ordering::Release);
-                            wake.notify();
-                            return;
-                        };
-                        // Lock buffers in access order (deps guarantee
-                        // no cycles among concurrent tasks).
-                        let task = graph.task(t);
-                        let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = task
-                            .accesses
-                            .iter()
-                            .map(|a| {
-                                let b = &buffers[a.data.index()];
-                                let g = if a.mode.writes() {
-                                    BufRef::W(b.write().expect("buffer poisoned"))
-                                } else {
-                                    BufRef::R(b.read().expect("buffer poisoned"))
-                                };
-                                (g, a.mode)
-                            })
-                            .unzip();
-                        // Run the kernel behind a panic boundary: a
-                        // panicking user kernel must not unwind through
-                        // the scoped-thread team (which would poison the
-                        // span mutex and re-panic the whole run) — it
-                        // becomes a typed error with a partial trace.
-                        // `ctx` lives outside the closure, so its buffer
-                        // guards drop on the normal path and the `RwLock`s
-                        // are never poisoned.
-                        let mut ctx = TaskCtx::new(bufs, modes);
-                        let panicked =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if faults.kernel_panics(t.index()) {
-                                    panic!("injected kernel panic ({t:?})");
-                                }
-                                kernel(&mut ctx);
-                            }))
-                            .is_err();
-                        drop(ctx);
-                        if panicked {
-                            let made = attempts[t.index()].fetch_add(1, Ordering::AcqRel) + 1;
-                            if made >= retry.max_attempts {
-                                let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                                if e.is_none() {
-                                    *e = Some(RunError::KernelPanicked { task: t });
-                                }
-                                drop(e);
-                                abort.store(true, Ordering::Release);
-                                wake.notify();
-                                return;
-                            }
-                            // Retryable panic: the worker survives; the
-                            // task re-enters the scheduler after backoff.
-                            obs.bump(Counter::TasksRetried);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::TaskRetried,
-                                });
-                            }
-                            loads.set(w, now_us());
-                            let backoff = retry.backoff_for(made);
-                            if backoff > 0.0 {
-                                std::thread::sleep(Duration::from_secs_f64(backoff * 1e-6));
-                            }
-                            {
-                                let view = make_view(now_us());
-                                front.push_retry(t, made, &view);
-                            }
-                            obs.bump(Counter::Pushes);
-                            wake.notify();
-                            continue;
-                        }
-                        // Injected slow-down/stall: sleeps *inside* the
-                        // measured window, so history models observe the
-                        // perturbed duration like a real hiccup.
-                        if let Some(delay) = faults.kernel_delay(t.index()) {
-                            std::thread::sleep(delay);
-                        }
-                        let t_end = now_us();
-                        loads.set(w, t_end);
-                        est.record(t, arch, t_end - t_start);
-                        spans
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .push(TaskSpan {
-                                task: t,
-                                ttype: task.ttype,
-                                worker: w,
-                                ready_at: f64::from_bits(
-                                    ready_at[t.index()].load(Ordering::Relaxed),
-                                ),
-                                start: t_start,
-                                end: t_end,
-                            });
-                        // Populate the result cache: clone the written
-                        // buffers in dedup'd write order — the same
-                        // order a future hit materializes them back.
-                        if let Some(rc) = cache.as_deref() {
-                            if let Some(meta) = graph.cache_meta(t) {
-                                let mut written: Vec<DataId> = Vec::new();
-                                let mut payload: Vec<Vec<f64>> = Vec::new();
-                                let mut bytes = 0u64;
-                                for d in task.writes() {
-                                    if written.contains(&d) {
-                                        continue;
-                                    }
-                                    written.push(d);
-                                    let buf = buffers[d.index()].read().expect("buffer poisoned");
-                                    bytes += (buf.len() * 8) as u64;
-                                    payload.push(buf.clone());
-                                }
-                                rc.insert(meta, Some(payload), bytes);
-                            }
-                        }
-
-                        // Release successors and report completion. Events
-                        // and pushes reach the front-end in this thread's
-                        // program order; the front-end sequences them
-                        // globally (GlobalLock by its mutex, the sharded
-                        // adapter by its event log).
-                        {
-                            let view = make_view(t_end);
-                            front.feedback(
-                                &SchedEvent::TaskFinished {
-                                    t,
-                                    w,
-                                    elapsed_us: t_end - t_start,
-                                },
-                                &view,
-                            );
-                            for &succ in graph.succs(t) {
-                                if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    if cache_complete(succ, Some(w), obs) {
-                                        continue;
-                                    }
-                                    ready_at[succ.index()]
-                                        .store(t_end.to_bits(), Ordering::Relaxed);
-                                    front.push(succ, Some(w), &view);
-                                    obs.bump(Counter::Pushes);
-                                }
-                            }
-                            let _ = front.drain_prefetches();
-                        }
-                        done_flags[t.index()].store(true, Ordering::Release);
-                        completed.fetch_add(1, Ordering::AcqRel);
-                        my_done += 1;
-                        // Injected wakeup latency: successors were already
-                        // pushed, but parked workers learn about it late.
-                        if let Some(delay) = faults.wake_delay() {
-                            std::thread::sleep(delay);
-                        }
-                        // Every push/completion wakes parked workers.
-                        wake.notify();
-                    }
-                });
-            }
-        });
-
+    /// Quiesce: hand the graph state back and fold everything the
+    /// execution recorded into one report.
+    fn finish(self) -> (Shared, RunReport, Tally) {
         // Mid-run failures surface on the report next to the partial
-        // trace — `Err` is reserved for submit-time NoUsableImpl above.
-        let run_error = error.lock().unwrap_or_else(|p| p.into_inner()).take();
-        let makespan_us = now_us();
-        let mut trace = Trace::new(nw);
-        trace.tasks = spans.into_inner().unwrap_or_else(|p| p.into_inner());
+        // trace — `Err` is reserved for checks made before the start.
+        let makespan_us = self.now_us();
+        let error = self.error.into_inner().unwrap_or_else(|p| p.into_inner());
+        let mut trace = Trace::new(self.cells.len());
+        trace.tasks = self.spans.into_inner().unwrap_or_else(|p| p.into_inner());
         // Wall-clock ties are real under coarse timers: break them by
         // task id so the span order (and every downstream export) is
         // deterministic.
         trace
             .tasks
             .sort_by(|a, b| a.end.total_cmp(&b.end).then(a.task.cmp(&b.task)));
-        let mut counters = front.counters();
-        seed_obs.drain_into(&mut counters);
-        for c in &cells {
+        let mut counters = self.front.counters();
+        self.host_obs.drain_into(&mut counters);
+        for c in &self.cells {
             c.drain_into(&mut counters);
         }
-        if let Some(rc) = &cache {
-            counters.cache_evictions += rc.evictions() - cache_evictions_at_start;
+        if let Some(rc) = self.cache {
+            let (evictions, base) = self.cache_base;
+            counters.cache_evictions += rc.evictions() - evictions;
             let ps = rc.persist_stats();
-            counters.cache_persist_writes += ps.writes - cache_persist_at_start.writes;
-            counters.cache_loaded += ps.loaded - cache_persist_at_start.loaded;
-            counters.cache_load_rejects += ps.load_rejects - cache_persist_at_start.load_rejects;
-            counters.cache_compactions += ps.compactions - cache_persist_at_start.compactions;
+            counters.cache_persist_writes += ps.writes - base.writes;
+            counters.cache_loaded += ps.loaded - base.loaded;
+            counters.cache_load_rejects += ps.load_rejects - base.load_rejects;
+            counters.cache_compactions += ps.compactions - base.compactions;
         }
-        let mut events = park_events.into_inner().unwrap_or_else(|p| p.into_inner());
+        self.ledger.fold(&mut counters);
+        let mut events = self.events.into_inner().unwrap_or_else(|p| p.into_inner());
         events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.worker.cmp(&b.worker)));
-        Ok(RunReport {
+        let report = RunReport {
             makespan_us,
             trace,
-            scheduler: sched_name,
-            error: run_error,
+            scheduler: self.front.name(),
+            error,
             counters,
             events,
-            rank: None,
-        })
+        };
+        let tally = Tally {
+            admitted: self.admitted.into_inner(),
+            completed: self.completed.into_inner(),
+            cache_hits: self.cache_hits.into_inner(),
+            cache_misses: self.cache_misses.into_inner(),
+        };
+        let shared = self.shared.into_inner().unwrap_or_else(|e| e.into_inner());
+        (shared, report, tally)
     }
 }
 
@@ -1135,6 +1250,7 @@ mod tests {
     use super::*;
     use mp_perfmodel::{TableModel, TimeFn};
     use mp_platform::presets::homogeneous;
+    use mp_sched::concurrent::{RelaxedConfig, RelaxedMultiQueue, ShardedAdapter};
     use mp_sched::FifoScheduler;
 
     fn model() -> Arc<dyn PerfModel> {
@@ -1225,9 +1341,8 @@ mod tests {
                     .flops(64.0),
             );
         }
-        let report = rt
-            .run_sharded(4, &|| Box::new(FifoScheduler::new()))
-            .expect("run failed");
+        let front = ShardedAdapter::new(4, &|| Box::new(FifoScheduler::new()));
+        let report = rt.run_concurrent(&front).expect("run failed");
         assert_eq!(report.trace.tasks.len(), 4);
         assert!(report.trace.validate().is_ok());
         assert!(report.scheduler.contains("sharded"));
@@ -1333,8 +1448,9 @@ mod tests {
                 .cpu(|ctx| ctx.w(0)[0] += 1.0)
                 .flops(1.0),
         );
+        let front = ShardedAdapter::new(4, &|| Box::new(FifoScheduler::new()));
         let report = rt
-            .run_sharded(4, &|| Box::new(FifoScheduler::new()))
+            .run_concurrent(&front)
             .expect("panic is contained, not returned as Err");
         assert_eq!(report.error, Some(RunError::KernelPanicked { task: bad }));
         assert!(!report.is_complete());
@@ -1363,8 +1479,9 @@ mod tests {
                 .cpu(|ctx| ctx.w(0)[0] += 1.0)
                 .flops(1.0),
         );
+        let front = RelaxedMultiQueue::new(4, RelaxedConfig::default());
         let report = rt
-            .run_relaxed(RelaxedConfig::default())
+            .run_concurrent(&front)
             .expect("panic is contained, not returned as Err");
         assert_eq!(report.error, Some(RunError::KernelPanicked { task: bad }));
         assert!(!report.is_complete());
@@ -1602,14 +1719,14 @@ mod tests {
         let cache = Arc::new(ResultCache::new());
         let (mut cold, _, _) = cached_pipeline(1.0);
         cold.set_cache(Arc::clone(&cache));
-        cold.run_sharded(2, &|| Box::new(FifoScheduler::new()))
+        cold.run_concurrent(&ShardedAdapter::new(2, &|| Box::new(FifoScheduler::new())))
             .expect("cold run");
         let digest = cold.buffers_digest();
 
         let (mut warm, _, _) = cached_pipeline(1.0);
         warm.set_cache(Arc::clone(&cache));
         let report = warm
-            .run_sharded(2, &|| Box::new(FifoScheduler::new()))
+            .run_concurrent(&ShardedAdapter::new(2, &|| Box::new(FifoScheduler::new())))
             .expect("warm run");
         assert!(report.is_complete());
         assert!(report.trace.tasks.is_empty());
@@ -1661,6 +1778,20 @@ mod tests {
             }) => {
                 assert_eq!(task, t);
                 assert_eq!(platform_classes, vec![ArchClass::Cpu]);
+            }
+            other => panic!("expected NoUsableImpl, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn task_without_any_implementation_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let x = rt.register(vec![0.0], "x");
+        let t = rt.submit(TaskBuilder::new("AXPY").access(x, AccessMode::Read));
+        match rt.run(Box::new(FifoScheduler::new())) {
+            Err(RunError::NoUsableImpl { task, label, .. }) => {
+                assert_eq!(task, t);
+                assert_eq!(label, "AXPY");
             }
             other => panic!("expected NoUsableImpl, got {other:?}"),
         }

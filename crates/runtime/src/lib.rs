@@ -10,8 +10,11 @@
 //!   "CPU codelet" / "GPU codelet" pair of a StarPU task);
 //! * worker threads bound to the platform's workers, parked on an
 //!   eventcount-style wake epoch and woken on every PUSH/completion;
-//! * two scheduler front-ends: a global-lock baseline and a sharded
-//!   multi-queue with randomized two-choice stealing
+//! * one worker loop behind two entry points: a closed run
+//!   ([`Runtime::run_concurrent`]) and open-loop serving
+//!   ([`Runtime::serve_concurrent`]), each taking any concurrent
+//!   scheduler front-end — a global-lock baseline, a sharded multi-queue
+//!   with randomized two-choice stealing, or the relaxed multi-queue
 //!   ([`mp_sched::concurrent`]);
 //! * measured execution times fed back into the performance model
 //!   (closing StarPU's calibration loop for history-based models);
@@ -37,5 +40,7 @@ pub use fault::{FaultPlan, KillSpec, RetryPolicy};
 pub use mp_cache::{
     BitFlip, LoadReport, Lookup, PersistConfig, PersistFaultPlan, PersistStats, ResultCache,
 };
-pub use mp_sched::concurrent::{RelaxedConfig, RelaxedMultiQueue, RelaxedSeqScheduler};
+pub use mp_sched::concurrent::{
+    RelaxedConfig, RelaxedMultiQueue, RelaxedSeqScheduler, ShardedAdapter,
+};
 pub use serve::{StreamConfig, StreamReport, Submission};

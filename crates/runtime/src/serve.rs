@@ -2,8 +2,13 @@
 //!
 //! [`Runtime::serve`] is the wall-clock twin of `mp_serve::serve_sim`:
 //! an **open-loop driver** feeds sub-DAG submissions into the runtime
-//! *while worker threads are executing earlier ones*. Each submission is
-//! staged through [`mp_dag::SubmissionStage`], so
+//! *while worker threads are executing earlier ones*. The workers run the
+//! one engine of [`crate::engine`] — the same loop a closed
+//! [`Runtime::run`] uses, with its fault injection, retries, worker
+//! quarantine and result cache — so this module holds only what serving
+//! adds: the stream's configuration and report, the driver and the tenant
+//! ledger. Each submission is staged through
+//! [`mp_dag::SubmissionStage`], so
 //!
 //! * cross-submission dependencies resolve by data identity against the
 //!   last **admitted** writer of each handle (a rejected stage is
@@ -19,52 +24,30 @@
 //!   ([`StreamConfig::arrival_gap_us`]) — never by wall time, so the
 //!   boost a given arrival/completion interleaving produces is
 //!   reproducible;
-//! * when a [`mp_cache::ResultCache`] is installed
-//!   ([`Runtime::set_cache`]), every released task is probed before it
-//!   reaches the front-end: a verified payload-carrying hit
-//!   materializes the memoized buffers under the write locks and
-//!   completes in place — never pushed, popped or estimated — with the
-//!   cascade of all-hit successors drained in the same step, exactly as
-//!   the batch engine's cache path. A warm resubmission of an identical
-//!   sub-DAG therefore costs no scheduler or queue capacity at all.
+//! * a committed task is released like any other: with a
+//!   [`mp_cache::ResultCache`] installed ([`Runtime::set_cache`]) a
+//!   verified hit completes in place, cascading through all-hit
+//!   successors, so a warm resubmission of an identical sub-DAG costs no
+//!   scheduler or queue capacity at all.
 //!
-//! The driver runs on the calling thread; workers drive any
-//! [`ConcurrentScheduler`] front-end (global-lock, sharded, relaxed).
-//! Graph growth is synchronized with one `RwLock`: workers pop, start
-//! and complete under read guards, the driver commits each admitted
-//! sub-DAG under the write guard, so a completion can never race the
-//! indegree snapshot of a commit. Kernels execute outside the guard.
-//!
-//! Unlike the batch paths, serving does not retry or fault-inject: a
-//! kernel panic or a misrouted task aborts the stream with a typed
-//! error and a partial trace.
+//! The driver runs on the calling thread and commits each admitted
+//! sub-DAG under the engine's graph write guard, so a completion can
+//! never race the indegree snapshot of a commit. A commit also checks
+//! that every new task keeps a capable surviving worker, so a worker
+//! killed before the commit ends the stream with
+//! [`RunError::NoCapableWorker`] instead of a hang.
 
-use std::collections::HashMap;
-use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use mp_cache::{CacheEntry, Lookup};
-use mp_dag::access::AccessMode;
-use mp_dag::ids::{DataId, TaskId, TaskTypeId};
-use mp_dag::stf::StfBuilder;
-use mp_perfmodel::{Estimator, PerfModel};
-use mp_platform::types::{ArchClass, WorkerId};
-use mp_sched::api::{SchedEvent, SchedView, Scheduler};
-use mp_sched::concurrent::{
-    ConcurrentScheduler, GlobalLock, RelaxedConfig, RelaxedMultiQueue, ShardedAdapter,
-};
+use mp_dag::ids::TaskId;
+use mp_sched::api::Scheduler;
+use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
 
 use mp_serve::effective_priority;
-use mp_trace::{Counter, CounterSnapshot, ObsCell, TaskSpan, Trace};
+use mp_trace::{CounterSnapshot, Trace};
 
-use crate::data::{BufRef, TaskCtx};
-use crate::engine::{
-    AtomicLoads, KernelFn, RunError, Runtime, TaskBuilder, UnifiedMemory, WakeEpoch,
-    HOLDBACK_REPOLL,
-};
+use crate::engine::{Engine, RunError, Runtime, TaskBuilder};
 
 /// Tenancy and admission knobs of one streaming run.
 #[derive(Clone, Debug)]
@@ -151,28 +134,56 @@ impl StreamReport {
     }
 }
 
-/// Graph-coupled state the driver grows under the write guard and
-/// workers read under read guards. Per-task vectors are indexed by task
-/// index and append-only; the atomics inside them are shared-mutable
-/// under read guards (concurrent completions), the `Vec`s themselves
-/// only change under the write guard.
-struct Shared {
-    stf: StfBuilder,
-    impls: Vec<HashMap<ArchClass, KernelFn>>,
-    indeg: Vec<AtomicUsize>,
-    done: Vec<AtomicBool>,
-    ready_at: Vec<AtomicU64>,
-    tenant_of: Vec<u32>,
+/// Per-tenant counts of one execution. The driver admits and rejects;
+/// every completion, executed or served from the cache, retires one
+/// in-flight task. A closed run has no tenants, and a task whose tenant
+/// is out of range is not counted.
+pub(crate) struct TenantLedger(Vec<TenantCounts>);
+
+#[derive(Default)]
+struct TenantCounts {
+    in_flight: AtomicUsize,
+    admitted: AtomicU64,
+    rejected: AtomicU64,
+    completed: AtomicU64,
+    cache_hits: AtomicU64,
 }
 
-/// One streamed task after type registration, ready to stage.
-struct Prepared {
-    ttype: TaskTypeId,
-    accesses: Vec<(mp_dag::ids::DataId, AccessMode)>,
-    flops: f64,
-    prio: i64,
-    label: String,
-    impls: HashMap<ArchClass, KernelFn>,
+impl TenantLedger {
+    pub(crate) fn new(tenants: usize) -> Self {
+        Self((0..tenants).map(|_| TenantCounts::default()).collect())
+    }
+
+    pub(crate) fn admit(&self, tenant: usize, n: usize) {
+        if let Some(c) = self.0.get(tenant) {
+            c.in_flight.fetch_add(n, Ordering::AcqRel);
+            c.admitted.fetch_add(n as u64, Ordering::AcqRel);
+        }
+    }
+
+    pub(crate) fn complete(&self, tenant: usize, cache_hit: bool) {
+        if let Some(c) = self.0.get(tenant) {
+            c.in_flight.fetch_sub(1, Ordering::AcqRel);
+            c.completed.fetch_add(1, Ordering::AcqRel);
+            if cache_hit {
+                c.cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Copy the per-tenant counts into `counters`.
+    pub(crate) fn fold(&self, counters: &mut CounterSnapshot) {
+        let load = |f: fn(&TenantCounts) -> &AtomicU64| -> Vec<u64> {
+            self.0
+                .iter()
+                .map(|c| f(c).load(Ordering::Relaxed))
+                .collect()
+        };
+        counters.tenant_admitted = load(|c| &c.admitted);
+        counters.tenant_rejected = load(|c| &c.rejected);
+        counters.tenant_completed = load(|c| &c.completed);
+        counters.tenant_cache_hits = load(|c| &c.cache_hits);
+    }
 }
 
 impl Runtime {
@@ -188,651 +199,164 @@ impl Runtime {
         self.serve_concurrent(&front, cfg, stream)
     }
 
-    /// Serve `stream` under the sharded multi-queue front-end.
-    pub fn serve_sharded(
-        &mut self,
-        shards: usize,
-        factory: &dyn Fn() -> Box<dyn Scheduler>,
-        cfg: &StreamConfig,
-        stream: Vec<Submission>,
-    ) -> Result<StreamReport, RunError> {
-        let front = ShardedAdapter::new(shards, factory);
-        self.serve_concurrent(&front, cfg, stream)
-    }
-
-    /// Serve `stream` under the relaxed multi-queue front-end.
-    pub fn serve_relaxed(
-        &mut self,
-        rc: RelaxedConfig,
-        cfg: &StreamConfig,
-        stream: Vec<Submission>,
-    ) -> Result<StreamReport, RunError> {
-        let front = RelaxedMultiQueue::new(self.platform.worker_count(), rc);
-        self.serve_concurrent(&front, cfg, stream)
-    }
-
     /// Serve `stream` by driving `front` from one thread per platform
-    /// worker while this thread plays the open-loop driver.
+    /// worker while this thread plays the open-loop driver. Any
+    /// front-end works, as for [`Runtime::run_concurrent`].
+    ///
+    /// The stream is checked before any thread spawns: a submission
+    /// naming a tenant `cfg` does not have is
+    /// [`RunError::UnknownTenant`], and a task no platform class can
+    /// execute is [`RunError::NoUsableImpl`], reported with the id the
+    /// task would get with every earlier submission admitted.
     pub fn serve_concurrent(
         &mut self,
         front: &dyn ConcurrentScheduler,
         cfg: &StreamConfig,
         stream: Vec<Submission>,
     ) -> Result<StreamReport, RunError> {
-        if let Some(err) = self.submit_error.clone() {
-            return Err(err);
-        }
-        assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
-        let classes: Vec<ArchClass> = {
-            let mut cs = Vec::new();
-            for a in self.platform.archs() {
-                if !cs.contains(&a.class) {
-                    cs.push(a.class);
-                }
+        let classes = self.platform_classes();
+        let mut prospective = self.graph().task_count();
+        for (si, sub) in stream.iter().enumerate() {
+            if sub.tenant >= cfg.tenants.len() {
+                return Err(RunError::UnknownTenant {
+                    submission: si,
+                    tenant: sub.tenant,
+                    tenants: cfg.tenants.len(),
+                });
             }
-            cs
-        };
-        // Coverage is checked up front, like `run` does at submit time:
-        // a task no worker class could execute fails the whole stream
-        // before any thread spawns. The reported id is the index the
-        // task would get with every earlier submission admitted.
-        let pre = self.stf.graph().task_count();
-        let mut prospective = pre;
-        for sub in &stream {
-            assert!(
-                sub.tenant < cfg.tenants.len(),
-                "submission names tenant {} of {}",
-                sub.tenant,
-                cfg.tenants.len()
-            );
             for tb in &sub.tasks {
-                assert!(
-                    !tb.impls.is_empty(),
-                    "streamed task '{}' has no implementation",
-                    tb.ttype
-                );
                 if !classes.iter().any(|c| tb.impls.contains_key(c)) {
                     return Err(RunError::NoUsableImpl {
                         task: TaskId::from_index(prospective),
-                        label: if tb.label.is_empty() {
-                            tb.ttype.clone()
-                        } else {
-                            tb.label.clone()
-                        },
+                        label: tb.label_or_type(),
                         platform_classes: classes,
                     });
                 }
                 prospective += 1;
             }
         }
-
-        let nw = self.platform.worker_count();
-        let nt = cfg.tenants.len();
-        let platform = &self.platform;
-        let model: &dyn PerfModel = &*self.model;
-        let buffers = &self.buffers;
-        let sched_name = front.name();
-        let cache = self.cache.clone();
-
-        let shared = RwLock::new(Shared {
-            indeg: (0..pre)
-                .map(|i| AtomicUsize::new(self.stf.graph().preds(TaskId::from_index(i)).len()))
-                .collect(),
-            done: (0..pre).map(|_| AtomicBool::new(false)).collect(),
-            ready_at: (0..pre).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            tenant_of: vec![0; pre],
-            stf: mem::replace(&mut self.stf, StfBuilder::new()),
-            impls: mem::take(&mut self.impls),
-        });
-
-        let loads = AtomicLoads::new(nw);
-        let unified = UnifiedMemory;
-        let wake = WakeEpoch::new();
-        let abort = AtomicBool::new(false);
-        let stream_closed = AtomicBool::new(false);
-        let error: Mutex<Option<RunError>> = Mutex::new(None);
-        // Pre-existing tasks count as already-admitted tenant-0 work.
-        let admitted_tasks = AtomicUsize::new(pre);
-        let completed_tasks = AtomicUsize::new(0);
-        let tenant_in_flight: Vec<AtomicUsize> = (0..nt).map(|_| AtomicUsize::new(0)).collect();
-        let tenant_admitted: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        let tenant_completed: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        let tenant_cache_hits: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        let cache_hits_n = AtomicU64::new(0);
-        let cache_misses_n = AtomicU64::new(0);
-        tenant_in_flight[0].fetch_add(pre, Ordering::Relaxed);
-        tenant_admitted[0].fetch_add(pre as u64, Ordering::Relaxed);
-        let spans = Mutex::new(Vec::<TaskSpan>::new());
-        let cells: Vec<ObsCell> = (0..nw).map(|_| ObsCell::new()).collect();
-        let driver_obs = ObsCell::new();
-
-        let start = Instant::now();
-        let now_us = || start.elapsed().as_secs_f64() * 1e6;
-
-        // Result-cache probe for a released task, mirroring the batch
-        // engine's `cache_complete`: on a verified payload-carrying hit
-        // the memoized buffers are copied back under the buffer write
-        // locks, the completion (tenant ledger included) is published,
-        // and newly-ready successors are probed in turn — the task
-        // never reaches the front-end, the estimator or a kernel.
-        // Returns `false` on a miss and the caller pushes as before.
-        // Callers hold a `shared` guard: a read guard on workers, the
-        // write guard on the driver — either way the graph cannot grow
-        // under the cascade, and a released task's WAR/RAW edges
-        // guarantee no live reader or writer of its written buffers.
-        let cache_complete =
-            |g: &Shared, t0: TaskId, via: Option<WorkerId>, obs: &ObsCell| -> bool {
-                let Some(rc) = cache.as_deref() else {
-                    return false;
-                };
-                let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
-                    match g.stf.graph().cache_meta(t).map(|m| rc.lookup(m, true)) {
-                        Some(Lookup::Hit(e)) => return Some(e),
-                        Some(Lookup::Invalidated) => {
-                            cache_misses_n.fetch_add(1, Ordering::Relaxed);
-                            obs.bump(Counter::CacheInvalidations);
-                            obs.bump(Counter::CacheMisses);
-                        }
-                        _ => {
-                            cache_misses_n.fetch_add(1, Ordering::Relaxed);
-                            obs.bump(Counter::CacheMisses);
-                        }
-                    }
-                    None
-                };
-                let Some(first) = probe(t0) else {
-                    return false;
-                };
-                let mut worklist = vec![(t0, first)];
-                while let Some((t, entry)) = worklist.pop() {
-                    // Materialize the payload in the same dedup'd write
-                    // order the populate path stored it.
-                    let payload = entry
-                        .payload
-                        .as_ref()
-                        .expect("payload-less entry served to the runtime");
-                    let mut written: Vec<DataId> = Vec::new();
-                    for d in g.stf.graph().task(t).writes() {
-                        if written.contains(&d) {
-                            continue;
-                        }
-                        let src = &payload[written.len()];
-                        written.push(d);
-                        let mut buf = buffers[d.index()].write().expect("buffer poisoned");
-                        buf.clear();
-                        buf.extend_from_slice(src);
-                    }
-                    cache_hits_n.fetch_add(1, Ordering::Relaxed);
-                    obs.bump(Counter::CacheHits);
-                    obs.add(Counter::BytesMaterialized, entry.bytes);
-                    g.done[t.index()].store(true, Ordering::Release);
-                    let ti = g.tenant_of[t.index()] as usize;
-                    tenant_in_flight[ti].fetch_sub(1, Ordering::AcqRel);
-                    tenant_completed[ti].fetch_add(1, Ordering::AcqRel);
-                    tenant_cache_hits[ti].fetch_add(1, Ordering::Relaxed);
-                    completed_tasks.fetch_add(1, Ordering::AcqRel);
-                    let now = now_us();
-                    let view = SchedView {
-                        est: Estimator::new(g.stf.graph(), platform, model),
-                        loc: &unified,
-                        load: &loads,
-                        now,
-                    };
-                    for &succ in g.stf.graph().succs(t) {
-                        if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            g.ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
-                            match probe(succ) {
-                                Some(e) => worklist.push((succ, e)),
-                                None => {
-                                    front.push(succ, via, &view);
-                                    obs.bump(Counter::Pushes);
-                                }
-                            }
-                        }
-                    }
-                    let _ = front.drain_prefetches();
-                }
-                wake.notify();
-                true
-            };
-
-        // Seed pre-existing sources before any worker spawns. Snapshot
-        // the sources first: a cache hit completes in place and can
-        // drive successors' indegrees to zero mid-scan, and those are
-        // released inside `cache_complete` — the outer scan must only
-        // ever see true sources.
-        {
-            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-            let view = SchedView {
-                est: Estimator::new(g.stf.graph(), platform, model),
-                loc: &unified,
-                load: &loads,
-                now: 0.0,
-            };
-            let sources: Vec<TaskId> = (0..pre)
-                .map(TaskId::from_index)
-                .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
-                .collect();
-            for t in sources {
-                if cache_complete(&g, t, None, &driver_obs) {
-                    continue;
-                }
-                front.push(t, None, &view);
-                driver_obs.bump(Counter::Pushes);
-            }
-            let _ = front.drain_prefetches();
-        }
-
-        let mut admitted: Vec<Option<Vec<TaskId>>> = Vec::with_capacity(stream.len());
-        let mut rejections: Vec<(usize, AdmitError)> = Vec::new();
-
-        std::thread::scope(|scope| {
-            for (wi, obs) in cells.iter().enumerate() {
-                let w = WorkerId::from_index(wi);
-                let shared = &shared;
-                let wake = &wake;
-                let abort = &abort;
-                let stream_closed = &stream_closed;
-                let error = &error;
-                let admitted_tasks = &admitted_tasks;
-                let completed_tasks = &completed_tasks;
-                let tenant_in_flight = &tenant_in_flight;
-                let tenant_completed = &tenant_completed;
-                let spans = &spans;
-                let loads = &loads;
-                let unified = &unified;
-                let cache = &cache;
-                let cache_complete = &cache_complete;
-                scope.spawn(move || {
-                    let arch = platform.worker(w).arch;
-                    let class = platform.arch(arch).class;
-                    loop {
-                        // Epoch before the exit check and pop: the same
-                        // missed-wake protocol as the batch engine.
-                        let seen = wake.current();
-                        if abort.load(Ordering::Acquire)
-                            || (stream_closed.load(Ordering::Acquire)
-                                && completed_tasks.load(Ordering::Acquire)
-                                    >= admitted_tasks.load(Ordering::Acquire))
-                        {
-                            wake.notify();
-                            return;
-                        }
-                        let popped = {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let view = SchedView {
-                                est: Estimator::new(g.stf.graph(), platform, model),
-                                loc: unified,
-                                load: loads,
-                                now: now_us(),
-                            };
-                            front.pop(w, &view)
-                        };
-                        let Some(t) = popped else {
-                            // Hold-backs become poppable by time alone;
-                            // otherwise park until the next push,
-                            // completion or stream event.
-                            let bound = if front.pending() > 0 {
-                                Some(HOLDBACK_REPOLL)
-                            } else {
-                                None
-                            };
-                            wake.wait(seen, bound);
-                            continue;
-                        };
-                        obs.bump(Counter::Pops);
-                        // Snapshot what execution needs, then drop the
-                        // guard — kernels must not block the driver.
-                        let (kernel, accesses, ttype, est_us) = {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let task = g.stf.graph().task(t);
-                            let est = Estimator::new(g.stf.graph(), platform, model);
-                            (
-                                g.impls[t.index()].get(&class).cloned(),
-                                task.accesses.clone(),
-                                task.ttype,
-                                est.delta_or_mean(t, arch).us(),
-                            )
-                        };
-                        let Some(kernel) = kernel else {
-                            let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                            if e.is_none() {
-                                *e = Some(RunError::MissingKernel { task: t, class });
-                            }
-                            drop(e);
-                            abort.store(true, Ordering::Release);
-                            wake.notify();
-                            return;
-                        };
-                        let t_start = now_us();
-                        loads.set(w, t_start + est_us);
-                        {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let view = SchedView {
-                                est: Estimator::new(g.stf.graph(), platform, model),
-                                loc: unified,
-                                load: loads,
-                                now: t_start,
-                            };
-                            front.feedback(&SchedEvent::TaskStarted { t, w }, &view);
-                        }
-                        // Buffer locks in access order, kernel behind a
-                        // panic boundary — as in the batch engine.
-                        let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = accesses
-                            .iter()
-                            .map(|a| {
-                                let b = &buffers[a.data.index()];
-                                let gbuf = if a.mode.writes() {
-                                    BufRef::W(b.write().expect("buffer poisoned"))
-                                } else {
-                                    BufRef::R(b.read().expect("buffer poisoned"))
-                                };
-                                (gbuf, a.mode)
-                            })
-                            .unzip();
-                        let mut ctx = TaskCtx::new(bufs, modes);
-                        let panicked =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                kernel(&mut ctx);
-                            }))
-                            .is_err();
-                        drop(ctx);
-                        if panicked {
-                            let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                            if e.is_none() {
-                                *e = Some(RunError::KernelPanicked { task: t });
-                            }
-                            drop(e);
-                            abort.store(true, Ordering::Release);
-                            wake.notify();
-                            return;
-                        }
-                        let t_end = now_us();
-                        loads.set(w, t_end);
-                        // Completion happens entirely under one read
-                        // guard: the driver's write-guarded commit can
-                        // therefore never observe (or miss) half of it.
-                        {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let est = Estimator::new(g.stf.graph(), platform, model);
-                            est.record(t, arch, t_end - t_start);
-                            spans
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .push(TaskSpan {
-                                    task: t,
-                                    ttype,
-                                    worker: w,
-                                    ready_at: f64::from_bits(
-                                        g.ready_at[t.index()].load(Ordering::Relaxed),
-                                    ),
-                                    start: t_start,
-                                    end: t_end,
-                                });
-                            let view = SchedView {
-                                est: Estimator::new(g.stf.graph(), platform, model),
-                                loc: unified,
-                                load: loads,
-                                now: t_end,
-                            };
-                            front.feedback(
-                                &SchedEvent::TaskFinished {
-                                    t,
-                                    w,
-                                    elapsed_us: t_end - t_start,
-                                },
-                                &view,
-                            );
-                            // Populate the result cache before releasing
-                            // successors: clone the written buffers in
-                            // dedup'd write order — the same order a
-                            // future hit materializes them back — while
-                            // no successor can yet be re-writing them.
-                            if let Some(rc) = cache.as_deref() {
-                                if let Some(meta) = g.stf.graph().cache_meta(t) {
-                                    let mut written: Vec<DataId> = Vec::new();
-                                    let mut payload: Vec<Vec<f64>> = Vec::new();
-                                    let mut bytes = 0u64;
-                                    for d in g.stf.graph().task(t).writes() {
-                                        if written.contains(&d) {
-                                            continue;
-                                        }
-                                        written.push(d);
-                                        let buf =
-                                            buffers[d.index()].read().expect("buffer poisoned");
-                                        bytes += (buf.len() * 8) as u64;
-                                        payload.push(buf.clone());
-                                    }
-                                    rc.insert(meta, Some(payload), bytes);
-                                }
-                            }
-                            g.done[t.index()].store(true, Ordering::Release);
-                            for &succ in g.stf.graph().succs(t) {
-                                if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    g.ready_at[succ.index()]
-                                        .store(t_end.to_bits(), Ordering::Relaxed);
-                                    if cache_complete(&g, succ, Some(w), obs) {
-                                        continue;
-                                    }
-                                    front.push(succ, Some(w), &view);
-                                    obs.bump(Counter::Pushes);
-                                }
-                            }
-                            let _ = front.drain_prefetches();
-                            let ti = g.tenant_of[t.index()] as usize;
-                            tenant_in_flight[ti].fetch_sub(1, Ordering::AcqRel);
-                            tenant_completed[ti].fetch_add(1, Ordering::AcqRel);
-                            completed_tasks.fetch_add(1, Ordering::AcqRel);
-                        }
-                        wake.notify();
-                    }
-                });
-            }
-
-            // ---- The open-loop driver (this thread). Submissions are
-            // processed in order as fast as admission allows; a
-            // rejection drops the stage and moves on — no waiting.
-            //
-            // Starvation aging runs on the driver's virtual arrival
-            // clock: submission `si` arrives at `si * arrival_gap_us`,
-            // and a tenant's progress is read off the completion ledger
-            // — the boost depends only on the arrival/completion
-            // interleaving, never on wall time.
-            let mut last_progress_v = vec![0.0f64; nt];
-            let mut last_completed_seen = vec![0u64; nt];
-            for (si, sub) in stream.into_iter().enumerate() {
-                if abort.load(Ordering::Acquire) {
-                    admitted.push(None);
-                    continue;
-                }
-                let ti = sub.tenant;
-                let spec = &cfg.tenants[ti];
-                let staged_n = sub.tasks.len();
-                let mut g = shared.write().unwrap_or_else(|e| e.into_inner());
-                let boost = if cfg.arrival_gap_us > 0.0 {
-                    let vnow = si as f64 * cfg.arrival_gap_us;
-                    let done_now = tenant_completed[ti].load(Ordering::Acquire);
-                    if done_now != last_completed_seen[ti]
-                        || tenant_in_flight[ti].load(Ordering::Acquire) == 0
-                    {
-                        // The ledger moved (or the tenant is idle):
-                        // progress, reset the drought.
-                        last_completed_seen[ti] = done_now;
-                        last_progress_v[ti] = vnow;
-                        0
-                    } else {
-                        cfg.fairness.aging_boost(vnow - last_progress_v[ti])
-                    }
-                } else {
-                    0
-                };
-                // Workers only mutate the counters under read guards, so
-                // this in-flight snapshot is exact while we hold write.
-                let in_flight = admitted_tasks.load(Ordering::Acquire)
-                    - completed_tasks.load(Ordering::Acquire);
-                let decision = cfg.admission.check(
-                    ti,
-                    staged_n,
-                    in_flight,
-                    tenant_in_flight[ti].load(Ordering::Acquire),
-                );
-                // Register types first (idempotent), then stage every
-                // task — the stage is dropped on rejection, which must
-                // leave graph, flows and versions untouched.
-                let prepared: Vec<Prepared> = sub
-                    .tasks
-                    .into_iter()
-                    .map(|tb| Prepared {
-                        ttype: g.stf.graph_mut().register_type(
-                            &tb.ttype,
-                            tb.impls.contains_key(&ArchClass::Cpu),
-                            tb.impls.contains_key(&ArchClass::Gpu),
-                        ),
-                        prio: effective_priority(
-                            spec.base_priority.saturating_add(tb.priority),
-                            spec.weight,
-                            &cfg.fairness,
-                            boost,
-                        ),
-                        label: if tb.label.is_empty() {
-                            tb.ttype.clone()
-                        } else {
-                            tb.label
-                        },
-                        accesses: tb.accesses,
-                        flops: tb.flops,
-                        impls: tb.impls,
-                    })
-                    .collect();
-                let mut impls_of: Vec<HashMap<ArchClass, KernelFn>> =
-                    Vec::with_capacity(prepared.len());
-                let mut stage = g.stf.begin_submission();
-                for p in prepared {
-                    stage.submit_prio(p.ttype, p.accesses, p.flops, p.prio, p.label);
-                    impls_of.push(p.impls);
-                }
-                if let Err(err) = decision {
-                    drop(stage);
-                    drop(g);
-                    rejections.push((si, err));
-                    admitted.push(None);
-                    continue;
-                }
-                let ids = stage.commit();
-                let now = now_us();
-                for (&t, im) in ids.iter().zip(impls_of) {
-                    let open = g
-                        .stf
-                        .graph()
-                        .preds(t)
-                        .iter()
-                        .filter(|p| !g.done[p.index()].load(Ordering::Acquire))
-                        .count();
-                    g.indeg.push(AtomicUsize::new(open));
-                    g.done.push(AtomicBool::new(false));
-                    g.ready_at.push(AtomicU64::new(now.to_bits()));
-                    g.tenant_of.push(ti as u32);
-                    g.impls.push(im);
-                }
-                admitted_tasks.fetch_add(ids.len(), Ordering::AcqRel);
-                tenant_in_flight[ti].fetch_add(ids.len(), Ordering::AcqRel);
-                tenant_admitted[ti].fetch_add(ids.len() as u64, Ordering::AcqRel);
-                let view = SchedView {
-                    est: Estimator::new(g.stf.graph(), platform, model),
-                    loc: &unified,
-                    load: &loads,
-                    now,
-                };
-                // Snapshot the sources before probing: a cache hit
-                // cascade completes successors in place, and those must
-                // not be re-seen by this scan.
-                let sources: Vec<TaskId> = ids
-                    .iter()
-                    .copied()
-                    .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
-                    .collect();
-                for t in sources {
-                    if cache_complete(&g, t, None, &driver_obs) {
-                        continue;
-                    }
-                    front.push(t, None, &view);
-                    driver_obs.bump(Counter::Pushes);
-                }
-                let _ = front.drain_prefetches();
-                drop(g);
-                admitted.push(Some(ids));
-                wake.notify();
-            }
-            stream_closed.store(true, Ordering::Release);
-            wake.notify();
-        });
-
-        // Restore the grown graph and kernel table: `graph()`/`buffer()`
-        // keep working after the stream, and further batch runs see the
-        // streamed tasks as already-submitted work.
-        let sh = shared.into_inner().unwrap_or_else(|e| e.into_inner());
-        self.stf = sh.stf;
-        self.impls = sh.impls;
-
-        let run_error = error.lock().unwrap_or_else(|p| p.into_inner()).take();
-        let makespan_us = now_us();
-        let mut trace = Trace::new(nw);
-        trace.tasks = spans.into_inner().unwrap_or_else(|p| p.into_inner());
-        trace
-            .tasks
-            .sort_by(|a, b| a.end.total_cmp(&b.end).then(a.task.cmp(&b.task)));
-        let mut counters = front.counters();
-        driver_obs.drain_into(&mut counters);
-        for c in &cells {
-            c.drain_into(&mut counters);
-        }
-        counters.tenant_admitted = tenant_admitted
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        counters.tenant_completed = tenant_completed
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        counters.tenant_cache_hits = tenant_cache_hits
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        let mut tenant_rejected = vec![0u64; nt];
-        let subdags_admitted = admitted.iter().filter(|a| a.is_some()).count() as u64;
-        for (_, err) in &rejections {
-            let ti = match err {
-                AdmitError::Backpressure { tenant, .. }
-                | AdmitError::TenantBackpressure { tenant, .. } => *tenant,
-            };
-            tenant_rejected[ti] += 1;
-        }
-        counters.tenant_rejected = tenant_rejected;
+        let (run, tally, (admitted, rejections)) =
+            self.execute(front, cfg.tenants.len(), |eng| drive(eng, cfg, stream))?;
         Ok(StreamReport {
-            scheduler: sched_name,
-            makespan_us,
-            trace,
-            subdags_admitted,
+            scheduler: run.scheduler,
+            makespan_us: run.makespan_us,
+            trace: run.trace,
+            subdags_admitted: admitted.iter().filter(|a| a.is_some()).count() as u64,
             subdags_rejected: rejections.len() as u64,
             admitted,
             rejections,
-            tasks_admitted: admitted_tasks.load(Ordering::Relaxed),
-            tasks_completed: completed_tasks.load(Ordering::Relaxed),
-            cache_hits: cache_hits_n.load(Ordering::Relaxed),
-            cache_misses: cache_misses_n.load(Ordering::Relaxed),
-            counters,
-            error: run_error,
+            tasks_admitted: tally.admitted,
+            tasks_completed: tally.completed,
+            cache_hits: tally.cache_hits,
+            cache_misses: tally.cache_misses,
+            counters: run.counters,
+            error: run.error,
         })
     }
+}
+
+/// Per submission the committed ids (`None` if not admitted), and every
+/// rejection.
+type Decisions = (Vec<Option<Vec<TaskId>>>, Vec<(usize, AdmitError)>);
+
+/// The open-loop driver. Submissions are processed in order as fast as
+/// admission allows; a rejection drops the stage and moves on — no
+/// waiting. Once the engine aborts, the remaining submissions are
+/// neither admitted nor rejected.
+///
+/// Starvation aging runs on the driver's virtual arrival clock:
+/// submission `si` arrives at `si * arrival_gap_us`, and a tenant's
+/// progress is read off the completion ledger — the boost depends only
+/// on the arrival/completion interleaving, never on wall time.
+fn drive(eng: &Engine<'_>, cfg: &StreamConfig, stream: Vec<Submission>) -> Decisions {
+    let nt = cfg.tenants.len();
+    let mut admitted = Vec::with_capacity(stream.len());
+    let mut rejections = Vec::new();
+    let mut last_progress_v = vec![0.0f64; nt];
+    let mut last_completed_seen = vec![0u64; nt];
+    for (si, sub) in stream.into_iter().enumerate() {
+        if eng.aborted() {
+            admitted.push(None);
+            continue;
+        }
+        let ti = sub.tenant;
+        let spec = &cfg.tenants[ti];
+        let counts = &eng.ledger.0[ti];
+        let mut g = eng.write();
+        let boost = if cfg.arrival_gap_us > 0.0 {
+            let vnow = si as f64 * cfg.arrival_gap_us;
+            let done_now = counts.completed.load(Ordering::Acquire);
+            if done_now != last_completed_seen[ti] || counts.in_flight.load(Ordering::Acquire) == 0
+            {
+                // The ledger moved (or the tenant is idle): progress,
+                // reset the drought.
+                last_completed_seen[ti] = done_now;
+                last_progress_v[ti] = vnow;
+                0
+            } else {
+                cfg.fairness.aging_boost(vnow - last_progress_v[ti])
+            }
+        } else {
+            0
+        };
+        // Completions only move the counters under read guards, so this
+        // in-flight snapshot is exact while we hold the write guard.
+        let decision = cfg.admission.check(
+            ti,
+            sub.tasks.len(),
+            eng.in_flight(),
+            counts.in_flight.load(Ordering::Acquire),
+        );
+        // Register types first (idempotent), then stage every task — the
+        // stage is dropped on rejection, which must leave graph, flows
+        // and versions untouched.
+        let typed: Vec<_> = sub
+            .tasks
+            .into_iter()
+            .map(|tb| (tb.register_type(g.stf.graph_mut()), tb))
+            .collect();
+        let mut impls = Vec::with_capacity(typed.len());
+        let mut stage = g.stf.begin_submission();
+        for (ttype, tb) in typed {
+            let prio = effective_priority(
+                spec.base_priority.saturating_add(tb.priority),
+                spec.weight,
+                &cfg.fairness,
+                boost,
+            );
+            let label = tb.label_or_type();
+            stage.submit_prio(ttype, tb.accesses, tb.flops, prio, label);
+            impls.push(tb.impls);
+        }
+        if let Err(err) = decision {
+            drop(stage);
+            drop(g);
+            counts.rejected.fetch_add(1, Ordering::Relaxed);
+            rejections.push((si, err));
+            admitted.push(None);
+            continue;
+        }
+        let ids = stage.commit();
+        g.impls.extend(impls);
+        let now = eng.now_us();
+        eng.admit(&mut g, ti, now);
+        drop(g);
+        eng.notify();
+        admitted.push(Some(ids));
+    }
+    (admitted, rejections)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    use mp_perfmodel::{TableModel, TimeFn};
+    use mp_dag::access::AccessMode;
+    use mp_perfmodel::{PerfModel, TableModel, TimeFn};
     use mp_platform::presets::homogeneous;
+    use mp_platform::types::ArchClass;
     use mp_sched::EagerPrioScheduler;
 
     fn model() -> Arc<dyn PerfModel> {

@@ -31,9 +31,11 @@
 //!   re-executes only its dirty cone.
 //!
 //! The threaded counterpart (`mp_runtime::Runtime::serve`) reuses the
-//! tenant/admission/arrival vocabulary defined here and executes real
-//! kernels; there, determinism is not required — correctness
-//! (exactly-once, per-sub-DAG precedence) is audited instead.
+//! tenant/admission/fairness vocabulary defined here and executes real
+//! kernels on the same worker loop as a closed threaded run, fault
+//! injection and retries included; there, determinism is not required —
+//! correctness (exactly-once, per-sub-DAG precedence) is audited
+//! instead.
 
 pub mod admission;
 pub mod arrival;

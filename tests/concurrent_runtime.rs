@@ -11,7 +11,9 @@ use multiprio_suite::dag::{AccessMode, DataId, TaskId};
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
 use multiprio_suite::platform::presets::homogeneous;
 use multiprio_suite::platform::types::ArchClass;
-use multiprio_suite::runtime::{RelaxedConfig, RunReport, Runtime, TaskBuilder};
+use multiprio_suite::runtime::{
+    RelaxedConfig, RelaxedMultiQueue, RunReport, Runtime, ShardedAdapter, TaskBuilder,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -94,7 +96,7 @@ fn run_and_check(layers: usize, width: usize, workers: usize, shards: usize, see
     let mut rt = Runtime::new(homogeneous(workers), model());
     let n = submit_random_dag(&mut rt, layers, width, seed);
     let report = rt
-        .run_sharded(shards, &|| make_scheduler("fifo"))
+        .run_concurrent(&ShardedAdapter::new(shards, &|| make_scheduler("fifo")))
         .expect("sharded run failed");
     check_invariants(&rt, &report, n);
     // Each task adds 1.0 to its own buffer once: values prove effects
@@ -112,18 +114,17 @@ fn run_and_check(layers: usize, width: usize, workers: usize, shards: usize, see
     // unconditional.
     let mut rt = Runtime::new(homogeneous(workers), model());
     let n = submit_random_dag(&mut rt, layers, width, seed);
-    let report = rt
-        .run_relaxed(RelaxedConfig {
+    let front = RelaxedMultiQueue::new(
+        workers,
+        RelaxedConfig {
             queues_per_worker: 1 + (shards % 3),
             seed,
             track_rank: true,
-        })
-        .expect("relaxed run failed");
+        },
+    );
+    let report = rt.run_concurrent(&front).expect("relaxed run failed");
     check_invariants(&rt, &report, n);
-    let rank = report
-        .rank
-        .as_ref()
-        .expect("relaxed run reports rank stats");
+    let rank = front.rank_stats().expect("relaxed run reports rank stats");
     assert_eq!(rank.pops as usize, n);
     for i in 0..width {
         let b = rt.buffer(DataId::from_index(i));
@@ -166,18 +167,25 @@ fn stress_many_workers_many_tasks() {
     let mut rt = Runtime::new(homogeneous(8), model());
     let n = submit_random_dag(&mut rt, layers, width, 42);
     let report = rt
-        .run_sharded(8, &*make_scheduler_factory("multiprio"))
+        .run_concurrent(&ShardedAdapter::new(
+            8,
+            &*make_scheduler_factory("multiprio"),
+        ))
         .expect("multiprio sharded run failed");
     check_invariants(&rt, &report, n);
     // Relaxed front-end at full width and c=4 (32 queues, 8 workers).
     let mut rt = Runtime::new(homogeneous(8), model());
     let n = submit_random_dag(&mut rt, layers, width, 42);
-    let report = rt
-        .run_relaxed(RelaxedConfig {
+    let front = RelaxedMultiQueue::new(
+        8,
+        RelaxedConfig {
             queues_per_worker: 4,
             seed: 42,
             track_rank: false,
-        })
+        },
+    );
+    let report = rt
+        .run_concurrent(&front)
         .expect("relaxed stress run failed");
     check_invariants(&rt, &report, n);
 }

@@ -25,11 +25,12 @@ use std::sync::Arc;
 use multiprio_suite::audit::{streaming_audit, streaming_audit_cached};
 use multiprio_suite::dag::AccessMode;
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
-use multiprio_suite::platform::presets::homogeneous;
+use multiprio_suite::platform::presets::{homogeneous, simple};
 use multiprio_suite::platform::types::ArchClass;
 use multiprio_suite::runtime::serve::TenantSpec;
 use multiprio_suite::runtime::{
-    RelaxedConfig, ResultCache, Runtime, StreamConfig, Submission, TaskBuilder,
+    FaultPlan, RelaxedConfig, RelaxedMultiQueue, ResultCache, RetryPolicy, RunError, Runtime,
+    ShardedAdapter, StreamConfig, StreamReport, Submission, TaskBuilder,
 };
 use multiprio_suite::sched::EagerPrioScheduler;
 use proptest::prelude::*;
@@ -50,6 +51,9 @@ impl Mix {
         (self.next() % n as u64) as usize
     }
 }
+
+/// Workers of every serving platform in this file.
+const WORKERS: usize = 3;
 
 fn model() -> Arc<dyn PerfModel> {
     Arc::new(
@@ -78,6 +82,31 @@ fn subdag(tenant: usize, handle: multiprio_suite::dag::DataId, width: usize) -> 
     Submission { tenant, tasks }
 }
 
+/// Serve `stream` through front-end `front`: 0 the global lock, 1 two
+/// sharded `prio` instances, anything else the relaxed multi-queue over
+/// the platform's `workers` workers.
+fn serve_on(
+    rt: &mut Runtime,
+    front: usize,
+    workers: usize,
+    cfg: &StreamConfig,
+    stream: Vec<Submission>,
+) -> Result<StreamReport, RunError> {
+    match front {
+        0 => rt.serve(Box::new(EagerPrioScheduler::new()), cfg, stream),
+        1 => rt.serve_concurrent(
+            &ShardedAdapter::new(2, &|| Box::new(EagerPrioScheduler::new())),
+            cfg,
+            stream,
+        ),
+        _ => rt.serve_concurrent(
+            &RelaxedMultiQueue::new(workers, RelaxedConfig::default()),
+            cfg,
+            stream,
+        ),
+    }
+}
+
 /// Run one random stream through the chosen front-end and check every
 /// serving invariant.
 fn check_stream(
@@ -89,7 +118,7 @@ fn check_stream(
     per_tenant_cap: Option<usize>,
     front: usize,
 ) {
-    let mut rt = Runtime::new(homogeneous(3), model());
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
     let roots: Vec<_> = (0..handles)
         .map(|i| rt.register(vec![0.0], &format!("h{i}")))
         .collect();
@@ -111,12 +140,7 @@ fn check_stream(
         })
         .collect();
 
-    let report = match front {
-        0 => rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream),
-        1 => rt.serve_sharded(2, &|| Box::new(EagerPrioScheduler::new()), &cfg, stream),
-        _ => rt.serve_relaxed(RelaxedConfig::default(), &cfg, stream),
-    }
-    .expect("serve failed");
+    let report = serve_on(&mut rt, front, WORKERS, &cfg, stream).expect("serve failed");
 
     // Every admitted task completed; the stream never stalled.
     assert!(report.is_complete(), "error: {:?}", report.error);
@@ -193,7 +217,7 @@ fn check_cached_stream(
     front: usize,
 ) {
     let run = |cached: bool| -> (u64, u64, Vec<u64>) {
-        let mut rt = Runtime::new(homogeneous(3), model());
+        let mut rt = Runtime::new(homogeneous(WORKERS), model());
         if cached {
             rt.set_cache(Arc::new(ResultCache::new()));
         }
@@ -217,12 +241,7 @@ fn check_cached_stream(
                 mixed_subdag(mix.below(tenants), counts[h], warms[h], mix.below(3) + 1)
             })
             .collect();
-        let report = match front {
-            0 => rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream),
-            1 => rt.serve_sharded(2, &|| Box::new(EagerPrioScheduler::new()), &cfg, stream),
-            _ => rt.serve_relaxed(RelaxedConfig::default(), &cfg, stream),
-        }
-        .expect("serve failed");
+        let report = serve_on(&mut rt, front, WORKERS, &cfg, stream).expect("serve failed");
         assert!(report.is_complete(), "error: {:?}", report.error);
         // Generous default admission: identical graphs on both runs.
         assert_eq!(report.subdags_rejected, 0);
@@ -344,7 +363,7 @@ proptest! {
         max_in_flight in 6usize..16,
     ) {
         let cache = Arc::new(ResultCache::new());
-        let mut rt = Runtime::new(homogeneous(3), model());
+        let mut rt = Runtime::new(homogeneous(WORKERS), model());
         rt.set_cache(Arc::clone(&cache));
         let counts: Vec<_> = (0..handles)
             .map(|i| rt.register(vec![0.0], &format!("c{i}")))
@@ -380,5 +399,295 @@ proptest! {
             .map(|m| m.key)
             .collect();
         prop_assert_eq!(cache.len(), committed_keys.len());
+    }
+}
+
+/// A fixed stream of `n` counting fork-join sub-DAGs over `handles`
+/// roots, round-robin over two tenants.
+fn fixed_stream(roots: &[multiprio_suite::dag::DataId], n: usize) -> Vec<Submission> {
+    (0..n)
+        .map(|i| subdag(i % 2, roots[i % roots.len()], 1 + i % 3))
+        .collect()
+}
+
+/// Serve `n` fixed sub-DAGs on a fresh runtime under `plan`/`retry`
+/// through front-end `front`; returns the runtime and the report.
+fn serve_fixed(
+    front: usize,
+    n: usize,
+    plan: Option<FaultPlan>,
+    retry: RetryPolicy,
+) -> (Runtime, StreamReport) {
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let roots: Vec<_> = (0..3)
+        .map(|i| rt.register(vec![0.0], &format!("h{i}")))
+        .collect();
+    if let Some(plan) = plan {
+        rt.set_faults(plan);
+    }
+    rt.set_retry_policy(retry);
+    let cfg = StreamConfig::new(TenantSpec::equal(2));
+    let stream = fixed_stream(&roots, n);
+    let report = serve_on(&mut rt, front, WORKERS, &cfg, stream).expect("serve failed");
+    (rt, report)
+}
+
+/// Serving retries injected transient failures like a closed run: the
+/// stream completes, every task commits exactly once, and the counting
+/// kernels leave the buffers of a fault-free serve.
+#[test]
+fn fault_transient_failures_are_retried_while_serving() {
+    for front in 0..3 {
+        let (clean_rt, clean) = serve_fixed(front, 40, None, RetryPolicy::default());
+        assert!(clean.is_complete(), "front {front}: {:?}", clean.error);
+        let plan = FaultPlan {
+            seed: 11,
+            transient_fail_prob: 0.3,
+            ..FaultPlan::default()
+        };
+        let (rt, report) = serve_fixed(front, 40, Some(plan), RetryPolicy::new(16, 0.0));
+        assert!(report.is_complete(), "front {front}: {:?}", report.error);
+        assert_eq!(report.subdags_admitted, 40, "front {front}");
+        let findings = streaming_audit(rt.graph(), &report.trace);
+        assert!(findings.is_empty(), "front {front}: {findings:?}");
+        assert_eq!(
+            rt.buffers_digest(),
+            clean_rt.buffers_digest(),
+            "front {front}: failed attempts left an effect"
+        );
+    }
+}
+
+/// A stream whose every attempt fails ends typed once the retry budget
+/// is spent, instead of serving the failing tasks anyway.
+#[test]
+fn fault_exhausted_retries_end_the_stream_typed() {
+    for front in 0..3 {
+        let plan = FaultPlan {
+            seed: 3,
+            transient_fail_prob: 1.0,
+            ..FaultPlan::default()
+        };
+        let (_, report) = serve_fixed(front, 40, Some(plan), RetryPolicy::new(3, 0.0));
+        assert!(
+            matches!(
+                report.error,
+                Some(RunError::RetryExhausted { attempts: 3, .. })
+            ),
+            "front {front}: got {:?}",
+            report.error
+        );
+        assert!(!report.is_complete());
+        assert!(report.trace.tasks.is_empty(), "front {front}: a task ran");
+    }
+}
+
+/// A worker killed mid-stream is quarantined: it commits at most the one
+/// task its kill threshold allows, and the survivors finish the stream.
+#[test]
+fn fault_killed_worker_is_quarantined_while_serving() {
+    for front in 0..3 {
+        let plan = FaultPlan::default().kill_worker(0, 1);
+        let (rt, report) = serve_fixed(front, 40, Some(plan), RetryPolicy::default());
+        assert!(report.is_complete(), "front {front}: {:?}", report.error);
+        let on_killed = report
+            .trace
+            .tasks
+            .iter()
+            .filter(|s| s.worker.index() == 0)
+            .count();
+        assert!(
+            on_killed <= 1,
+            "front {front}: {on_killed} spans on the killed worker"
+        );
+        let findings = streaming_audit(rt.graph(), &report.trace);
+        assert!(findings.is_empty(), "front {front}: {findings:?}");
+    }
+}
+
+/// Killing the only GPU worker while the stream still holds a GPU-only
+/// task ends the stream with `NoCapableWorker`, whichever of the kill
+/// and the task's commit comes first: a task committed before the death
+/// is caught by the kill-time sweep, one committed after it by the
+/// commit-time check. The worker dies before its first pop. A task
+/// submitted before the stream is committed before any worker starts;
+/// one streamed behind 64 CPU sub-DAGs almost always commits after the
+/// death. The watchdog turns a hang into a failure.
+#[test]
+fn fault_killing_the_only_capable_worker_mid_stream_is_typed() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let model: Arc<dyn PerfModel> = Arc::new(
+            TableModel::builder()
+                .set("K", ArchClass::Cpu, TimeFn::Const(2.0))
+                .set("G", ArchClass::Gpu, TimeFn::Const(2.0))
+                .build(),
+        );
+        for round in 0..40 {
+            for front in 0..3 {
+                let streamed = round % 2 == 1;
+                // simple(1, 1): worker 0 is the CPU, worker 1 the GPU.
+                let mut rt = Runtime::new(simple(1, 1), Arc::clone(&model));
+                let cpu_h = rt.register(vec![0.0], "cpu");
+                let gpu_h = rt.register(vec![0.0], "gpu");
+                let gpu_only = || {
+                    TaskBuilder::new("G")
+                        .access(gpu_h, AccessMode::ReadWrite)
+                        .gpu(|ctx| ctx.w(0)[0] += 1.0)
+                };
+                let early = (!streamed).then(|| rt.submit(gpu_only()));
+                rt.set_faults(FaultPlan::default().kill_worker(1, 0));
+                let mut stream: Vec<Submission> = (0..64).map(|_| subdag(0, cpu_h, 1)).collect();
+                if streamed {
+                    stream.push(Submission {
+                        tenant: 0,
+                        tasks: vec![gpu_only()],
+                    });
+                }
+                let cfg = StreamConfig::new(TenantSpec::equal(1));
+                let report = serve_on(&mut rt, front, 2, &cfg, stream).expect("serve failed");
+                let doomed = early.unwrap_or_else(|| {
+                    report
+                        .admitted
+                        .last()
+                        .cloned()
+                        .flatten()
+                        .expect("GPU task committed")[0]
+                });
+                assert_eq!(
+                    report.error,
+                    Some(RunError::NoCapableWorker { task: doomed }),
+                    "round {round}, front {front}"
+                );
+                assert!(!report.is_complete());
+            }
+        }
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a stream with a doomed task hung instead of ending typed");
+}
+
+/// A serve over a byte-capped, persisting cache reports the cache's
+/// evictions and persisted records in its counters, as a closed run does.
+#[test]
+fn serving_reports_cache_evictions_and_persist_writes() {
+    let dir = std::env::temp_dir().join(format!("mp-serve-evict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(ResultCache::with_capacity(300));
+    cache.persist_to(&dir).expect("persist dir");
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    rt.set_cache(Arc::clone(&cache));
+    let handles: Vec<_> = (0..40)
+        .map(|i| rt.register(vec![0.0; 4], &format!("w{i}")))
+        .collect();
+    let evictions_before = cache.evictions();
+    let writes_before = cache.persist_stats().writes;
+    // 40 distinct 32-byte results against a 300-byte budget.
+    let stream: Vec<Submission> = handles
+        .iter()
+        .enumerate()
+        .map(|(i, &h)| Submission {
+            tenant: 0,
+            tasks: vec![TaskBuilder::new("K")
+                .access(h, AccessMode::Write)
+                .cpu(move |ctx| ctx.w(0).fill(i as f64))
+                .flops(4.0)],
+        })
+        .collect();
+    let cfg = StreamConfig::new(TenantSpec::equal(1));
+    let report = rt
+        .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+        .expect("serve failed");
+    assert!(report.is_complete(), "{:?}", report.error);
+    let evicted = cache.evictions() - evictions_before;
+    let written = cache.persist_stats().writes - writes_before;
+    assert!(evicted > 0, "the byte cap never evicted");
+    assert!(written > 0, "nothing was persisted");
+    assert_eq!(report.counters.cache_evictions, evicted);
+    assert_eq!(report.counters.cache_persist_writes, written);
+    drop(rt);
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A submission naming a tenant the stream does not have is a typed
+/// error before anything runs.
+#[test]
+fn unknown_tenant_is_a_typed_error() {
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let h = rt.register(vec![0.0], "h");
+    let cfg = StreamConfig::new(TenantSpec::equal(2));
+    let stream = vec![subdag(1, h, 1), subdag(5, h, 1)];
+    let err = rt
+        .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+        .expect_err("tenant 5 of 2 was served");
+    assert_eq!(
+        err,
+        RunError::UnknownTenant {
+            submission: 1,
+            tenant: 5,
+            tenants: 2
+        }
+    );
+    assert_eq!(rt.graph().task_count(), 0, "nothing was committed");
+    assert_eq!(rt.buffer(h)[0], 0.0);
+}
+
+/// With no tenants, a non-empty stream names an unknown tenant, while an
+/// empty one is a closed run of the tasks submitted before it.
+#[test]
+fn empty_tenant_list_serves_only_an_empty_stream() {
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let h = rt.register(vec![0.0], "h");
+    let cfg = StreamConfig::new(Vec::new());
+    let err = rt
+        .serve(
+            Box::new(EagerPrioScheduler::new()),
+            &cfg,
+            vec![subdag(0, h, 1)],
+        )
+        .expect_err("a tenant-less stream was served");
+    assert_eq!(
+        err,
+        RunError::UnknownTenant {
+            submission: 0,
+            tenant: 0,
+            tenants: 0
+        }
+    );
+    rt.submit(
+        TaskBuilder::new("K")
+            .access(h, AccessMode::ReadWrite)
+            .cpu(|ctx| ctx.w(0)[0] += 1.0),
+    );
+    let report = rt
+        .serve(Box::new(EagerPrioScheduler::new()), &cfg, Vec::new())
+        .expect("an empty stream needs no tenants");
+    assert!(report.is_complete(), "{:?}", report.error);
+    assert_eq!(report.tasks_completed, 1);
+    assert_eq!(rt.buffer(h)[0], 1.0);
+}
+
+/// A streamed task with no implementation at all is a typed error,
+/// reported with the id it would have had.
+#[test]
+fn streamed_task_without_an_implementation_is_a_typed_error() {
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let h = rt.register(vec![0.0], "h");
+    let cfg = StreamConfig::new(TenantSpec::equal(1));
+    let stream = vec![
+        subdag(0, h, 2),
+        Submission {
+            tenant: 0,
+            tasks: vec![TaskBuilder::new("K").access(h, AccessMode::Read)],
+        },
+    ];
+    match rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream) {
+        Err(RunError::NoUsableImpl { task, label, .. }) => {
+            assert_eq!(task.index(), 3, "three tasks precede it");
+            assert_eq!(label, "K");
+        }
+        other => panic!("expected NoUsableImpl, got {other:?}"),
     }
 }
