@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use crate::access::AccessMode;
 use crate::ids::{DataId, TaskId, TaskTypeId};
+use crate::stf::Draft;
 use crate::task::{Access, Task, TaskType};
 
 /// A data handle: a named, sized piece of application data (a tile, a
@@ -154,6 +155,30 @@ impl TaskGraph {
         self.preds.push(Vec::new());
         self.succs.push(Vec::new());
         self.cache_meta.resize(self.tasks.len(), None);
+        id
+    }
+
+    /// Append an inferred task: its record, its cache metadata and an
+    /// edge from each predecessor (see [`crate::stf::StfState::infer`]).
+    /// Drafts must be linked in the order they were inferred, with no
+    /// other task added in between.
+    pub fn link(&mut self, draft: Draft) -> TaskId {
+        let Draft { task, meta, preds } = draft;
+        let id = task.id;
+        assert_eq!(
+            id.index(),
+            self.tasks.len(),
+            "draft linked out of inference order"
+        );
+        for p in &preds {
+            self.succs[p.index()].push(id);
+        }
+        self.edge_count += preds.len();
+        self.tasks.push(task);
+        self.preds.push(preds);
+        self.succs.push(Vec::new());
+        self.cache_meta.resize(id.index(), None);
+        self.cache_meta.push(Some(meta));
         id
     }
 

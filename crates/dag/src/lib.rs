@@ -28,5 +28,5 @@ pub use access::AccessMode;
 pub use analysis::{bottom_levels, critical_path, topological_order, width_profile, CriticalPath};
 pub use graph::{CacheMeta, DataDesc, GraphStats, TaskGraph};
 pub use ids::{DataId, TaskId, TaskTypeId};
-pub use stf::{StfBuilder, SubmissionStage};
+pub use stf::{Draft, StfBuilder, StfState, SubmissionStage};
 pub use task::{Task, TaskType};

@@ -10,6 +10,15 @@
 //!
 //! Because every inferred edge points from an earlier submission to a
 //! later one, the resulting graph is acyclic by construction.
+//!
+//! A submission runs in two steps. *Inference* ([`StfState::infer`])
+//! reads the per-handle flows and data versions, derives the task's
+//! predecessors and cache fingerprint, and yields a [`Draft`]; it only
+//! reads the graph. *Linking* ([`TaskGraph::link`]) appends the draft's
+//! task, cache metadata and edges. [`StfBuilder::submit`] does both at
+//! once; a caller that splits the builder with [`StfBuilder::into_parts`]
+//! can infer several tasks ahead of linking them, as long as it links
+//! every draft in inference order.
 
 use std::collections::HashMap;
 
@@ -17,6 +26,7 @@ use crate::access::AccessMode;
 use crate::graph::{CacheMeta, TaskGraph};
 use crate::hash;
 use crate::ids::{DataId, TaskId, TaskTypeId};
+use crate::task::{Access, Task};
 
 /// Per-data bookkeeping for inference.
 #[derive(Default, Clone, Debug)]
@@ -43,6 +53,14 @@ struct DataFlow {
 #[derive(Default, Clone, Debug)]
 pub struct StfBuilder {
     graph: TaskGraph,
+    state: StfState,
+}
+
+/// The inference half of an [`StfBuilder`]: the flow of every data
+/// handle (its last writer and the readers since) and its current data
+/// version.
+#[derive(Default, Clone, Debug)]
+pub struct StfState {
     flows: HashMap<DataId, DataFlow>,
     /// Current data version of every handle, updated on each write. A
     /// handle that was never written (and never seeded through
@@ -50,6 +68,16 @@ pub struct StfBuilder {
     /// initial version, so rebuilding the same program yields the same
     /// versions — and the same cache keys.
     versions: HashMap<DataId, u64>,
+}
+
+/// A task whose predecessors and cache metadata are inferred but which
+/// is not yet part of its graph. [`TaskGraph::link`] appends it.
+#[derive(Clone, Debug)]
+pub struct Draft {
+    pub(crate) task: Task,
+    pub(crate) meta: CacheMeta,
+    /// Distinct predecessors, in first-inferred order.
+    pub(crate) preds: Vec<TaskId>,
 }
 
 impl StfBuilder {
@@ -61,11 +89,18 @@ impl StfBuilder {
     /// Wrap an existing (possibly pre-populated) graph. Inference state
     /// starts empty: only tasks submitted through this builder get edges.
     pub fn from_graph(graph: TaskGraph) -> Self {
-        Self {
-            graph,
-            flows: HashMap::new(),
-            versions: HashMap::new(),
-        }
+        Self::from_parts(graph, StfState::default())
+    }
+
+    /// Reassemble a builder from a graph and the inference state that
+    /// names its tasks (see [`Self::into_parts`]).
+    pub fn from_parts(graph: TaskGraph, state: StfState) -> Self {
+        Self { graph, state }
+    }
+
+    /// Split the builder into its graph and its inference state.
+    pub fn into_parts(self) -> (TaskGraph, StfState) {
+        (self.graph, self.state)
     }
 
     /// Access the underlying graph (to register types / data).
@@ -87,39 +122,7 @@ impl StfBuilder {
         flops: f64,
         label: impl Into<String>,
     ) -> TaskId {
-        let t = self.graph.add_task(ttype, accesses.clone(), flops, label);
-        let meta = self.derive_cache_meta(ttype, &accesses, flops);
-        self.graph.set_cache_meta(t, meta);
-        for (d, mode) in accesses {
-            let flow = self.flows.entry(d).or_default();
-            if mode.reads() {
-                // RAW: depend on the last producer of the value we read.
-                if let Some(w) = flow.last_writer {
-                    self.graph.add_edge(w, t);
-                }
-            }
-            if mode.writes() {
-                // WAR: wait for every reader of the previous value...
-                for &r in &flow.readers_since_write {
-                    if r != t {
-                        self.graph.add_edge(r, t);
-                    }
-                }
-                // WAW: ...and for the previous writer (needed when there
-                // were no intervening readers).
-                if let Some(w) = flow.last_writer {
-                    if w != t {
-                        self.graph.add_edge(w, t);
-                    }
-                }
-                flow.last_writer = Some(t);
-                flow.readers_since_write.clear();
-            }
-            if mode.reads() && !mode.writes() {
-                flow.readers_since_write.push(t);
-            }
-        }
-        t
+        self.submit_prio(ttype, accesses, flops, 0, label)
     }
 
     /// Same as [`Self::submit`] but also sets the user priority.
@@ -131,9 +134,11 @@ impl StfBuilder {
         prio: i64,
         label: impl Into<String>,
     ) -> TaskId {
-        let t = self.submit(ttype, accesses, flops, label);
-        self.graph.set_user_priority(t, prio);
-        t
+        let id = TaskId::from_index(self.graph.task_count());
+        let draft = self
+            .state
+            .infer(&self.graph, id, ttype, accesses, flops, prio, label);
+        self.graph.link(draft)
     }
 
     /// Open a staged submission: a batch of tasks recorded *without*
@@ -161,30 +166,103 @@ impl StfBuilder {
     /// Must be called before the first task touching `d` is submitted to
     /// affect that task's key.
     pub fn set_data_version(&mut self, d: DataId, version: u64) {
-        self.versions.insert(d, version);
+        self.state.versions.insert(d, version);
     }
 
     /// The current version of `d` (as the next reader would observe it).
     pub fn data_version(&mut self, d: DataId) -> u64 {
-        let init = self.initial_version(d);
+        self.state.data_version(&self.graph, d)
+    }
+
+    /// Finish and return the inferred DAG.
+    pub fn finish(self) -> TaskGraph {
+        self.graph
+    }
+}
+
+impl StfState {
+    /// Infer the task that becomes `id` of `graph` once every earlier
+    /// draft is linked: its task record, its RAW/WAR/WAW predecessors and
+    /// its cache metadata. The flows and versions advance as if the task
+    /// were submitted, so the next inference sees it as a writer or
+    /// reader. `graph` supplies type names and handle sizes only.
+    ///
+    /// # Panics
+    /// On a type or data handle `graph` does not have.
+    #[allow(clippy::too_many_arguments)]
+    pub fn infer(
+        &mut self,
+        graph: &TaskGraph,
+        id: TaskId,
+        ttype: TaskTypeId,
+        accesses: Vec<(DataId, AccessMode)>,
+        flops: f64,
+        prio: i64,
+        label: impl Into<String>,
+    ) -> Draft {
+        assert!(
+            ttype.index() < graph.types().len(),
+            "unknown task type {ttype:?}"
+        );
+        let accesses: Vec<Access> = accesses
+            .into_iter()
+            .map(|(data, mode)| {
+                assert!(
+                    data.index() < graph.data_count(),
+                    "unknown data handle {data:?}"
+                );
+                Access { data, mode }
+            })
+            .collect();
+        let meta = self.derive_cache_meta(graph, ttype, &accesses, flops);
+        let mut preds = Vec::new();
+        let mut after = |p: TaskId| {
+            if p != id && !preds.contains(&p) {
+                preds.push(p);
+            }
+        };
+        for a in &accesses {
+            let flow = self.flows.entry(a.data).or_default();
+            if a.mode.reads() {
+                // RAW: depend on the last producer of the value we read.
+                if let Some(w) = flow.last_writer {
+                    after(w);
+                }
+            }
+            if a.mode.writes() {
+                // WAR: wait for every reader of the previous value...
+                for &r in &flow.readers_since_write {
+                    after(r);
+                }
+                // WAW: ...and for the previous writer (needed when there
+                // were no intervening readers).
+                if let Some(w) = flow.last_writer {
+                    after(w);
+                }
+                flow.last_writer = Some(id);
+                flow.readers_since_write.clear();
+            } else {
+                flow.readers_since_write.push(id);
+            }
+        }
+        Draft {
+            task: Task {
+                id,
+                ttype,
+                accesses,
+                user_priority: prio,
+                flops,
+                label: label.into(),
+            },
+            meta,
+            preds,
+        }
+    }
+
+    /// The current version of `d` (as the next reader would observe it).
+    fn data_version(&mut self, graph: &TaskGraph, d: DataId) -> u64 {
+        let init = initial_version(graph, d);
         *self.versions.entry(d).or_insert(init)
-    }
-
-    /// Deterministic initial version for a never-written handle, derived
-    /// from its identity (dense id + size) so a rebuilt program sees the
-    /// same versions.
-    fn initial_version(&self, d: DataId) -> u64 {
-        let desc = self.graph.data_desc(d);
-        hash::mix64(hash::fnv1a_words(&[d.index() as u64, desc.size]))
-    }
-
-    /// Stable identity word for a handle, independent of its (mutable)
-    /// data version. Included in fingerprints for *written* handles so
-    /// two otherwise-identical tasks initializing different tiles get
-    /// distinct keys, without making write-only tasks inherit dirtiness
-    /// from values they never read.
-    fn identity_word(&self, d: DataId) -> u64 {
-        hash::mix64(self.initial_version(d) ^ 0x5157_4944_454e_5449)
     }
 
     /// Compute the content-address metadata for a task about to be
@@ -200,34 +278,33 @@ impl StfBuilder {
     /// incremental resubmission.
     fn derive_cache_meta(
         &mut self,
+        graph: &TaskGraph,
         ttype: TaskTypeId,
-        accesses: &[(DataId, AccessMode)],
+        accesses: &[Access],
         flops: f64,
     ) -> CacheMeta {
         let mut fingerprint = Vec::with_capacity(2 + 3 * accesses.len());
-        fingerprint.push(hash::fnv1a_bytes(
-            self.graph.task_type(ttype).name.as_bytes(),
-        ));
+        fingerprint.push(hash::fnv1a_bytes(graph.task_type(ttype).name.as_bytes()));
         fingerprint.push(flops.to_bits());
-        for &(d, mode) in accesses {
-            let code = match mode {
+        for a in accesses {
+            let code = match a.mode {
                 AccessMode::Read => 1u64,
                 AccessMode::Write => 2,
                 AccessMode::ReadWrite => 3,
             };
             fingerprint.push(code);
-            fingerprint.push(self.identity_word(d));
-            if mode.reads() {
-                let v = self.data_version(d);
+            fingerprint.push(identity_word(graph, a.data));
+            if a.mode.reads() {
+                let v = self.data_version(graph, a.data);
                 fingerprint.push(v);
             }
         }
         let key = hash::fnv1a_words(&fingerprint);
         let mut out_versions = Vec::new();
-        for (i, &(d, mode)) in accesses.iter().enumerate() {
-            if mode.writes() {
+        for (i, a) in accesses.iter().enumerate() {
+            if a.mode.writes() {
                 let v = hash::mix64(key ^ hash::mix64(i as u64 + 1));
-                self.versions.insert(d, v);
+                self.versions.insert(a.data, v);
                 out_versions.push(v);
             }
         }
@@ -237,11 +314,23 @@ impl StfBuilder {
             out_versions,
         }
     }
+}
 
-    /// Finish and return the inferred DAG.
-    pub fn finish(self) -> TaskGraph {
-        self.graph
-    }
+/// Deterministic initial version for a never-written handle, derived
+/// from its identity (dense id + size) so a rebuilt program sees the
+/// same versions.
+fn initial_version(graph: &TaskGraph, d: DataId) -> u64 {
+    let desc = graph.data_desc(d);
+    hash::mix64(hash::fnv1a_words(&[d.index() as u64, desc.size]))
+}
+
+/// Stable identity word for a handle, independent of its (mutable)
+/// data version. Included in fingerprints for *written* handles so
+/// two otherwise-identical tasks initializing different tiles get
+/// distinct keys, without making write-only tasks inherit dirtiness
+/// from values they never read.
+fn identity_word(graph: &TaskGraph, d: DataId) -> u64 {
+    hash::mix64(initial_version(graph, d) ^ 0x5157_4944_454e_5449)
 }
 
 /// One task of a staged (not yet committed) submission.
@@ -635,6 +724,63 @@ mod tests {
                 direct.task(t.id).user_priority,
                 staged.task(t.id).user_priority
             );
+        }
+    }
+
+    #[test]
+    fn inferring_ahead_of_linking_matches_direct_submission() {
+        use AccessMode::{Read, ReadWrite, Write};
+        // Three sub-DAGs; `a` is written, read, and rewritten across them.
+        let program = |a: DataId, b: DataId| {
+            vec![
+                vec![
+                    (vec![(a, Write)], 1.0, 0),
+                    (vec![(a, Read), (b, Write)], 2.0, 3),
+                ],
+                vec![
+                    (vec![(a, Read)], 3.0, 1),
+                    (vec![(a, Read), (b, ReadWrite)], 4.0, 0),
+                ],
+                vec![
+                    (vec![(a, Write)], 5.0, 2),
+                    (vec![(a, Read), (b, Read)], 6.0, 7),
+                ],
+            ]
+        };
+        let mut direct = {
+            let (mut stf, k, a, b) = setup();
+            for (accesses, flops, prio) in program(a, b).into_iter().flatten() {
+                stf.submit_prio(k, accesses, flops, prio, "t");
+            }
+            stf
+        };
+        let mut ahead = {
+            let (stf, k, a, b) = setup();
+            let (mut graph, mut state) = stf.into_parts();
+            let mut drafts = Vec::new();
+            for (accesses, flops, prio) in program(a, b).into_iter().flatten() {
+                let id = TaskId::from_index(graph.task_count() + drafts.len());
+                drafts.push(state.infer(&graph, id, k, accesses, flops, prio, "t"));
+            }
+            assert_eq!(graph.task_count(), 0, "inference leaves the graph alone");
+            for d in drafts {
+                graph.link(d);
+            }
+            StfBuilder::from_parts(graph, state)
+        };
+        let (g0, g1) = (direct.graph(), ahead.graph());
+        assert_eq!(g0.task_count(), 6);
+        assert_eq!(g0.task_count(), g1.task_count());
+        assert_eq!(g0.edge_count(), g1.edge_count());
+        for t in g0.tasks() {
+            assert_eq!(g0.preds(t.id), g1.preds(t.id), "{:?}", t.id);
+            assert_eq!(g0.succs(t.id), g1.succs(t.id), "{:?}", t.id);
+            assert_eq!(g0.cache_meta(t.id), g1.cache_meta(t.id), "{:?}", t.id);
+            assert_eq!(t.user_priority, g1.task(t.id).user_priority);
+            assert_eq!(t.accesses, g1.task(t.id).accesses);
+        }
+        for d in [DataId(0), DataId(1)] {
+            assert_eq!(direct.data_version(d), ahead.data_version(d));
         }
     }
 

@@ -4,16 +4,17 @@
 //! executes the submitted DAG: a stream closed from the start, with every
 //! task already admitted. [`Runtime::serve_concurrent`] (see
 //! [`crate::serve`]) runs the same loop while an open-loop driver on the
-//! calling thread commits sub-DAGs into the growing graph. Workers drive
+//! calling thread links sub-DAGs into the growing graph. Workers drive
 //! any [`ConcurrentScheduler`] front-end: the [`GlobalLock`] baseline (one
 //! mutex around the policy, what [`Runtime::run`] uses), the sharded
 //! multi-queue or the relaxed multi-queue.
 //!
 //! Graph-coupled state sits behind one `RwLock`. A worker holds one read
 //! guard from pop through start, resolving the kernel and its buffer
-//! guards under it, and one from completion through release; the driver
-//! commits under the write guard, so a commit can never observe (or miss)
-//! half of a completion. Kernels execute outside the guard.
+//! guards under it, and one from completion through release. The driver
+//! infers dependencies under a read guard too and only links and admits
+//! under the write guard, so a link can never observe (or miss) half of a
+//! completion. Kernels execute outside the guard.
 //!
 //! Idle workers park on an eventcount-style [`WakeEpoch`]: every push and
 //! every completion bumps an epoch and notifies, and a worker that read
@@ -25,14 +26,14 @@
 use std::collections::HashMap;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use mp_cache::{Lookup, PersistStats, ResultCache};
 use mp_dag::access::AccessMode;
 use mp_dag::hash;
 use mp_dag::ids::{DataId, TaskId, TaskTypeId};
-use mp_dag::stf::StfBuilder;
+use mp_dag::stf::{StfBuilder, StfState};
 use mp_dag::TaskGraph;
 use mp_perfmodel::{DeltaEstimate, Estimator, FallbackWarnings, PerfModel};
 use mp_platform::types::{ArchClass, MemNodeId, Platform, WorkerId};
@@ -110,13 +111,18 @@ impl TaskBuilder {
         self
     }
 
-    /// Register this task's kernel type, with the classes it implements.
-    pub(crate) fn register_type(&self, graph: &mut TaskGraph) -> TaskTypeId {
-        graph.register_type(
-            &self.ttype,
+    /// Whether this task implements the CPU and the GPU class.
+    pub(crate) fn impl_set(&self) -> (bool, bool) {
+        (
             self.impls.contains_key(&ArchClass::Cpu),
             self.impls.contains_key(&ArchClass::Gpu),
         )
+    }
+
+    /// Register this task's kernel type, with the classes it implements.
+    pub(crate) fn register_type(&self, graph: &mut TaskGraph) -> TaskTypeId {
+        let (cpu, gpu) = self.impl_set();
+        graph.register_type(&self.ttype, cpu, gpu)
     }
 
     /// The trace label, defaulting to the kernel type.
@@ -282,6 +288,29 @@ pub enum RunError {
         /// Tenants configured.
         tenants: usize,
     },
+    /// A streamed task's kernel type is already registered, before the
+    /// stream or by an earlier streamed task, with another set of
+    /// implementation classes. Detected before any thread spawns.
+    TypeMismatch {
+        /// The id the task would get with every earlier submission
+        /// admitted.
+        task: TaskId,
+        /// Its kernel type.
+        ttype: String,
+        /// The classes the type is registered with.
+        registered: Vec<ArchClass>,
+        /// The classes the task implements.
+        provided: Vec<ArchClass>,
+    },
+    /// A streamed task accesses a data handle this runtime never
+    /// registered. Detected before any thread spawns.
+    UnknownData {
+        /// The id the task would get with every earlier submission
+        /// admitted.
+        task: TaskId,
+        /// The unregistered handle.
+        data: DataId,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -321,6 +350,22 @@ impl std::fmt::Display for RunError {
                 f,
                 "submission {submission} names tenant {tenant}, but the stream has {tenants}"
             ),
+            RunError::TypeMismatch {
+                task,
+                ttype,
+                registered,
+                provided,
+            } => write!(
+                f,
+                "task {task:?} implements type '{ttype}' for {provided:?}, \
+                 but the type is registered for {registered:?}"
+            ),
+            RunError::UnknownData { task, data } => {
+                write!(
+                    f,
+                    "task {task:?} accesses unregistered data handle {data:?}"
+                )
+            }
         }
     }
 }
@@ -376,7 +421,7 @@ pub(crate) struct Tally {
 pub struct Runtime {
     platform: Platform,
     model: Arc<dyn PerfModel>,
-    stf: StfBuilder,
+    pub(crate) stf: StfBuilder,
     buffers: Vec<RwLock<Vec<f64>>>,
     impls: Vec<HashMap<ArchClass, KernelFn>>,
     /// First impl-coverage violation found at submit time; reported by
@@ -550,21 +595,24 @@ impl Runtime {
         &mut self,
         front: &dyn ConcurrentScheduler,
     ) -> Result<RunReport, RunError> {
-        self.execute(front, 0, |_| ()).map(|(report, _, ())| report)
+        self.execute(front, 0, |_, _| ())
+            .map(|(report, _, ())| report)
     }
 
     /// The one execution behind [`Self::run_concurrent`] and
     /// [`Self::serve_concurrent`]: admit every task submitted so far,
     /// start one worker thread per platform worker, then run `drive` on
-    /// this thread. The stream closes when `drive` returns, and the
-    /// call returns at quiesce. The graph, kernel table and per-tenant
-    /// ledger (`tenants` entries) are moved into the engine for the
-    /// duration and the grown graph is moved back out.
+    /// this thread. The stream closes when `drive` returns or unwinds,
+    /// and the call returns at quiesce (or re-raises the driver's
+    /// panic once the workers have exited). The graph, kernel table and
+    /// per-tenant ledger (`tenants` entries) are moved into the engine
+    /// for the duration and the grown graph is moved back out; `drive`
+    /// owns the STF inference state meanwhile.
     pub(crate) fn execute<D>(
         &mut self,
         front: &dyn ConcurrentScheduler,
         tenants: usize,
-        drive: impl FnOnce(&Engine<'_>) -> D,
+        drive: impl FnOnce(&Engine<'_>, &mut StfState) -> D,
     ) -> Result<(RunReport, Tally, D), RunError> {
         if let Some(err) = self.submit_error.clone() {
             return Err(err);
@@ -576,6 +624,7 @@ impl Runtime {
             .then(|| SkewedModel::new(Arc::clone(&self.model), faults.estimate_skew, faults.seed));
         let nw = self.platform.worker_count();
         let platform = &self.platform;
+        let (graph, mut stf) = mem::take(&mut self.stf).into_parts();
         let cache = self.cache.as_deref();
         let eng = Engine {
             platform,
@@ -590,7 +639,7 @@ impl Runtime {
             faults,
             retry: self.retry,
             shared: RwLock::new(Shared {
-                stf: mem::take(&mut self.stf),
+                graph,
                 impls: mem::take(&mut self.impls),
                 ..Shared::default()
             }),
@@ -630,28 +679,43 @@ impl Runtime {
                 let eng = &eng;
                 scope.spawn(move || eng.worker(wi));
             }
-            let driven = drive(&eng);
-            eng.closed.store(true, Ordering::Release);
-            eng.wake.notify();
-            driven
+            let _close = CloseOnDrop(&eng);
+            drive(&eng, &mut stf)
         });
         let (shared, report, tally) = eng.finish();
         // Restore the (possibly grown) graph and kernel table:
         // `graph()`/`buffer()` keep working, and a further run
         // re-executes every task, streamed ones included.
-        self.stf = shared.stf;
+        self.stf = StfBuilder::from_parts(shared.graph, stf);
         self.impls = shared.impls;
         Ok((report, tally, driven))
     }
 }
 
-/// Graph-coupled state: grown under the write guard by admission, read
-/// by workers under read guards. Per-task vectors are indexed by task
-/// and append-only; their atomics change under read guards (concurrent
-/// completions), the vectors themselves only under the write guard.
+/// Closes the stream when the driver returns or unwinds. An unwinding
+/// driver also aborts the execution, so the workers exit instead of
+/// waiting for submissions that will never come, and the thread scope
+/// joins them and re-raises the panic.
+struct CloseOnDrop<'e, 'a>(&'e Engine<'a>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort.store(true, Ordering::Release);
+        }
+        self.0.closed.store(true, Ordering::Release);
+        self.0.wake.notify();
+    }
+}
+
+/// Graph-coupled state: grown under the write guard by linking and
+/// admission, read by workers (and by the driver's inference) under read
+/// guards. Per-task vectors are indexed by task and append-only; their
+/// atomics change under read guards (concurrent completions), the
+/// vectors themselves only under the write guard.
 #[derive(Default)]
 pub(crate) struct Shared {
-    pub(crate) stf: StfBuilder,
+    pub(crate) graph: TaskGraph,
     pub(crate) impls: Vec<HashMap<ArchClass, KernelFn>>,
     indeg: Vec<AtomicUsize>,
     done: Vec<AtomicBool>,
@@ -667,7 +731,7 @@ impl Shared {
     /// first new task index.
     fn grow(&mut self, tenant: usize, now: f64) -> usize {
         let from = self.indeg.len();
-        let graph = self.stf.graph();
+        let graph = &self.graph;
         for i in from..graph.task_count() {
             let open = graph
                 .preds(TaskId::from_index(i))
@@ -687,7 +751,7 @@ impl Shared {
     /// ready at `now`. Each call retires `t` as a dependency, so call it
     /// once per completion.
     fn readied(&self, t: TaskId, now: f64) -> impl Iterator<Item = TaskId> + '_ {
-        self.stf.graph().succs(t).iter().copied().filter(move |s| {
+        self.graph.succs(t).iter().copied().filter(move |s| {
             let last = self.indeg[s.index()].fetch_sub(1, Ordering::AcqRel) == 1;
             if last {
                 self.ready_at[s.index()].store(now.to_bits(), Ordering::Relaxed);
@@ -712,7 +776,7 @@ pub(crate) struct Engine<'a> {
     loads: AtomicLoads,
     wake: WakeEpoch,
     abort: AtomicBool,
-    /// Set once the driver has committed its last submission.
+    /// Set once the driver has linked its last submission (or unwound).
     closed: AtomicBool,
     error: Mutex<Option<RunError>>,
     admitted: AtomicUsize,
@@ -734,7 +798,7 @@ pub(crate) struct Engine<'a> {
     /// Per-worker observability cells (no-ops unless `--features obs`).
     cells: Vec<ObsCell>,
     /// The calling thread's cell: admission of the submitted tasks and of
-    /// every commit.
+    /// every linked sub-DAG.
     host_obs: ObsCell,
     start: Instant,
 }
@@ -744,7 +808,7 @@ impl Engine<'_> {
         self.start.elapsed().as_secs_f64() * 1e6
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Shared> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Shared> {
         self.shared.read().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -752,9 +816,18 @@ impl Engine<'_> {
         self.shared.write().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The write guard if no one holds the lock right now.
+    pub(crate) fn try_write(&self) -> Option<RwLockWriteGuard<'_, Shared>> {
+        match self.shared.try_write() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     fn view<'s>(&'s self, g: &'s Shared, now: f64) -> SchedView<'s> {
         SchedView {
-            est: Estimator::new(g.stf.graph(), self.platform, self.model),
+            est: Estimator::new(&g.graph, self.platform, self.model),
             loc: &UnifiedMemory,
             load: &self.loads,
             now,
@@ -766,13 +839,14 @@ impl Engine<'_> {
         self.abort.load(Ordering::Acquire)
     }
 
-    /// Admitted tasks not yet completed. Exact under the write guard:
-    /// completions only move the counters under read guards.
+    /// Admitted tasks not yet completed. Only admission raises it, and
+    /// only on the calling thread under the write guard; completions
+    /// lower it concurrently.
     pub(crate) fn in_flight(&self) -> usize {
         self.admitted.load(Ordering::Acquire) - self.completed.load(Ordering::Acquire)
     }
 
-    /// Wake parked workers after a commit.
+    /// Wake parked workers after a link.
     pub(crate) fn notify(&self) {
         self.wake.notify();
     }
@@ -809,7 +883,7 @@ impl Engine<'_> {
         self.admitted.fetch_add(n, Ordering::AcqRel);
         self.ledger.admit(tenant, n);
         // A death is swept when the worker dies; this check covers the
-        // tasks committed after it. The sweep's read guard and this
+        // tasks linked after it. The sweep's read guard and this
         // write guard are ordered, so one of the two sees the other.
         if self.faults.kills_any() {
             if let Some(t) = self.doomed(g, from) {
@@ -874,7 +948,7 @@ impl Engine<'_> {
             let _ = self.front.drain_prefetches(); // unified memory: no-op
             return;
         };
-        let graph = g.stf.graph();
+        let graph = &g.graph;
         let lane = via.map_or(self.cells.len(), |w| w.index());
         let mut batch: Vec<TaskId> = ready.into_iter().collect();
         let mut misses = Vec::new();
@@ -1050,7 +1124,7 @@ impl Engine<'_> {
             // Estimate for the load table, then execute. A missing model
             // entry falls back to an arch mean or the uncalibrated
             // default instead of silently recording zero load.
-            let graph = g.stf.graph();
+            let graph = &g.graph;
             let delta_est = Estimator::new(graph, self.platform, self.model).delta_or_mean(t, arch);
             if !delta_est.is_exact() {
                 let tt = graph.task(t).ttype;
@@ -1133,7 +1207,7 @@ impl Engine<'_> {
 
             // Second guard: completion through release.
             let g = self.read();
-            let graph = g.stf.graph();
+            let graph = &g.graph;
             let task = graph.task(t);
             Estimator::new(graph, self.platform, self.model).record(t, arch, t_end - t_start);
             self.spans

@@ -7,13 +7,12 @@
 //! [`Runtime::run`] uses, with its fault injection, retries, worker
 //! quarantine and result cache — so this module holds only what serving
 //! adds: the stream's configuration and report, the driver and the tenant
-//! ledger. Each submission is staged through
-//! [`mp_dag::SubmissionStage`], so
+//! ledger. Each submission is decided before it is inferred, so
 //!
 //! * cross-submission dependencies resolve by data identity against the
-//!   last **admitted** writer of each handle (a rejected stage is
-//!   dropped before touching the graph, and can therefore never strand a
-//!   dependency of admitted work);
+//!   last **admitted** writer of each handle (a rejected submission never
+//!   reaches STF inference or the graph, and can therefore never strand
+//!   a dependency of admitted work);
 //! * admission ([`AdmissionConfig`]) bounds in-flight tasks globally and
 //!   per tenant, rejecting overflowing submissions whole with a typed
 //!   [`AdmitError`];
@@ -30,16 +29,26 @@
 //!   successors, so a warm resubmission of an identical sub-DAG costs no
 //!   scheduler or queue capacity at all.
 //!
-//! The driver runs on the calling thread and commits each admitted
-//! sub-DAG under the engine's graph write guard, so a completion can
-//! never race the indegree snapshot of a commit. A commit also checks
-//! that every new task keeps a capable surviving worker, so a worker
-//! killed before the commit ends the stream with
-//! [`RunError::NoCapableWorker`] instead of a hang.
+//! The driver runs on the calling thread and owns the STF inference
+//! state ([`mp_dag::StfState`]) for the whole execution. It admits and
+//! infers each submission under a graph *read* guard, so workers keep
+//! running, and stages the resulting drafts. After each submission it
+//! tries the write guard without blocking, and under it links and admits
+//! every staged sub-DAG in turn; at stream end (and after an abort) it
+//! waits for the guard. A staged sub-DAG therefore waits at most until
+//! the guard is free or the stream ends. Staged tasks count as in flight
+//! at admission, so the batch stays within the in-flight bounds. Linking
+//! under the write guard means a completion can never race the indegree
+//! snapshot of a link, and each link checks that every new task keeps a
+//! capable surviving worker, so a worker killed before the link ends the
+//! stream with [`RunError::NoCapableWorker`] instead of a hang.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use mp_dag::ids::TaskId;
+use mp_dag::{Draft, StfState};
+use mp_platform::types::ArchClass;
 use mp_sched::api::Scheduler;
 use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
@@ -47,7 +56,7 @@ pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
 use mp_serve::effective_priority;
 use mp_trace::{CounterSnapshot, Trace};
 
-use crate::engine::{Engine, RunError, Runtime, TaskBuilder};
+use crate::engine::{Engine, KernelFn, RunError, Runtime, Shared, TaskBuilder};
 
 /// Tenancy and admission knobs of one streaming run.
 #[derive(Clone, Debug)]
@@ -203,40 +212,29 @@ impl Runtime {
     /// worker while this thread plays the open-loop driver. Any
     /// front-end works, as for [`Runtime::run_concurrent`].
     ///
-    /// The stream is checked before any thread spawns: a submission
-    /// naming a tenant `cfg` does not have is
-    /// [`RunError::UnknownTenant`], and a task no platform class can
-    /// execute is [`RunError::NoUsableImpl`], reported with the id the
-    /// task would get with every earlier submission admitted.
+    /// The stream is checked before any thread spawns, naming each task
+    /// by the id it would get with every earlier submission admitted: a
+    /// submission naming a tenant `cfg` does not have is
+    /// [`RunError::UnknownTenant`], a task no platform class can execute
+    /// is [`RunError::NoUsableImpl`], an access to a handle this runtime
+    /// never registered is [`RunError::UnknownData`], and a task whose
+    /// type is already registered with other implementation classes is
+    /// [`RunError::TypeMismatch`]. Then every streamed type is
+    /// registered, so the driver never changes the type table.
     pub fn serve_concurrent(
         &mut self,
         front: &dyn ConcurrentScheduler,
         cfg: &StreamConfig,
         stream: Vec<Submission>,
     ) -> Result<StreamReport, RunError> {
-        let classes = self.platform_classes();
-        let mut prospective = self.graph().task_count();
-        for (si, sub) in stream.iter().enumerate() {
-            if sub.tenant >= cfg.tenants.len() {
-                return Err(RunError::UnknownTenant {
-                    submission: si,
-                    tenant: sub.tenant,
-                    tenants: cfg.tenants.len(),
-                });
-            }
-            for tb in &sub.tasks {
-                if !classes.iter().any(|c| tb.impls.contains_key(c)) {
-                    return Err(RunError::NoUsableImpl {
-                        task: TaskId::from_index(prospective),
-                        label: tb.label_or_type(),
-                        platform_classes: classes,
-                    });
-                }
-                prospective += 1;
-            }
+        self.check_stream(cfg, &stream)?;
+        for tb in stream.iter().flat_map(|sub| &sub.tasks) {
+            tb.register_type(self.stf.graph_mut());
         }
         let (run, tally, (admitted, rejections)) =
-            self.execute(front, cfg.tenants.len(), |eng| drive(eng, cfg, stream))?;
+            self.execute(front, cfg.tenants.len(), |eng, stf| {
+                drive(eng, stf, cfg, stream)
+            })?;
         Ok(StreamReport {
             scheduler: run.scheduler,
             makespan_us: run.makespan_us,
@@ -253,27 +251,131 @@ impl Runtime {
             error: run.error,
         })
     }
+
+    /// The up-front checks of [`Self::serve_concurrent`].
+    fn check_stream(&self, cfg: &StreamConfig, stream: &[Submission]) -> Result<(), RunError> {
+        let classes = self.platform_classes();
+        let graph = self.graph();
+        // Implementation sets of the types the stream introduces.
+        let mut introduced: HashMap<&str, (bool, bool)> = HashMap::new();
+        let mut next = graph.task_count();
+        for (si, sub) in stream.iter().enumerate() {
+            if sub.tenant >= cfg.tenants.len() {
+                return Err(RunError::UnknownTenant {
+                    submission: si,
+                    tenant: sub.tenant,
+                    tenants: cfg.tenants.len(),
+                });
+            }
+            for tb in &sub.tasks {
+                let task = TaskId::from_index(next);
+                next += 1;
+                if !classes.iter().any(|c| tb.impls.contains_key(c)) {
+                    return Err(RunError::NoUsableImpl {
+                        task,
+                        label: tb.label_or_type(),
+                        platform_classes: classes,
+                    });
+                }
+                if let Some(&(data, _)) = tb
+                    .accesses
+                    .iter()
+                    .find(|(d, _)| d.index() >= graph.data_count())
+                {
+                    return Err(RunError::UnknownData { task, data });
+                }
+                let provided = tb.impl_set();
+                let registered = match graph.type_id(&tb.ttype) {
+                    Some(id) => {
+                        let ty = graph.task_type(id);
+                        (ty.cpu_impl, ty.gpu_impl)
+                    }
+                    None => *introduced.entry(&tb.ttype).or_insert(provided),
+                };
+                if registered != provided {
+                    let named = |(cpu, gpu): (bool, bool)| {
+                        [(cpu, ArchClass::Cpu), (gpu, ArchClass::Gpu)]
+                            .into_iter()
+                            .filter_map(|(has, c)| has.then_some(c))
+                            .collect()
+                    };
+                    return Err(RunError::TypeMismatch {
+                        task,
+                        ttype: tb.ttype.clone(),
+                        registered: named(registered),
+                        provided: named(provided),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per submission the committed ids (`None` if not admitted), and every
 /// rejection.
 type Decisions = (Vec<Option<Vec<TaskId>>>, Vec<(usize, AdmitError)>);
 
+/// Sub-DAGs admitted and inferred but not yet linked, in stream order.
+struct Staged {
+    /// Per sub-DAG: its tenant and its task count.
+    subdags: Vec<(usize, usize)>,
+    drafts: Vec<Draft>,
+    impls: Vec<HashMap<ArchClass, KernelFn>>,
+    /// Staged tasks per tenant.
+    by_tenant: Vec<usize>,
+}
+
+impl Staged {
+    /// Link and admit every staged sub-DAG, each in turn, under the write
+    /// guard `g`. Linking the whole batch first would let a cache-hit
+    /// cascade in one sub-DAG reach successors that have no per-task
+    /// state yet.
+    fn link(&mut self, eng: &Engine<'_>, g: &mut Shared, admission: &AdmissionConfig) {
+        let mut drafts = self.drafts.drain(..);
+        let mut impls = self.impls.drain(..);
+        for (tenant, n) in self.subdags.drain(..) {
+            for draft in drafts.by_ref().take(n) {
+                g.graph.link(draft);
+            }
+            g.impls.extend(impls.by_ref().take(n));
+            eng.admit(g, tenant, eng.now_us());
+            debug_assert!(eng.in_flight() <= admission.max_in_flight);
+            debug_assert!(admission.max_tenant_in_flight.is_none_or(|cap| {
+                eng.ledger.0[tenant].in_flight.load(Ordering::Acquire) <= cap
+            }));
+        }
+        self.by_tenant.fill(0);
+    }
+}
+
 /// The open-loop driver. Submissions are processed in order as fast as
-/// admission allows; a rejection drops the stage and moves on — no
+/// admission allows; a rejection drops the submission and moves on — no
 /// waiting. Once the engine aborts, the remaining submissions are
-/// neither admitted nor rejected.
+/// neither admitted nor rejected, and whatever is staged is still
+/// linked, so `stf` never names a task the graph lacks.
 ///
 /// Starvation aging runs on the driver's virtual arrival clock:
 /// submission `si` arrives at `si * arrival_gap_us`, and a tenant's
 /// progress is read off the completion ledger — the boost depends only
 /// on the arrival/completion interleaving, never on wall time.
-fn drive(eng: &Engine<'_>, cfg: &StreamConfig, stream: Vec<Submission>) -> Decisions {
+fn drive(
+    eng: &Engine<'_>,
+    stf: &mut StfState,
+    cfg: &StreamConfig,
+    stream: Vec<Submission>,
+) -> Decisions {
     let nt = cfg.tenants.len();
     let mut admitted = Vec::with_capacity(stream.len());
     let mut rejections = Vec::new();
     let mut last_progress_v = vec![0.0f64; nt];
     let mut last_completed_seen = vec![0u64; nt];
+    let mut staged = Staged {
+        subdags: Vec::new(),
+        drafts: Vec::new(),
+        impls: Vec::new(),
+        by_tenant: vec![0; nt],
+    };
     for (si, sub) in stream.into_iter().enumerate() {
         if eng.aborted() {
             admitted.push(None);
@@ -282,12 +384,16 @@ fn drive(eng: &Engine<'_>, cfg: &StreamConfig, stream: Vec<Submission>) -> Decis
         let ti = sub.tenant;
         let spec = &cfg.tenants[ti];
         let counts = &eng.ledger.0[ti];
-        let mut g = eng.write();
+        let g = eng.read();
+        // Staged tasks count as in flight. Only this thread raises the
+        // counts, under the write guard, and completions only lower
+        // them, so a submission admitted on this snapshot is still
+        // admissible when it is linked.
+        let tenant_in_flight = counts.in_flight.load(Ordering::Acquire) + staged.by_tenant[ti];
         let boost = if cfg.arrival_gap_us > 0.0 {
             let vnow = si as f64 * cfg.arrival_gap_us;
             let done_now = counts.completed.load(Ordering::Acquire);
-            if done_now != last_completed_seen[ti] || counts.in_flight.load(Ordering::Acquire) == 0
-            {
+            if done_now != last_completed_seen[ti] || tenant_in_flight == 0 {
                 // The ledger moved (or the tenant is idle): progress,
                 // reset the drought.
                 last_completed_seen[ti] = done_now;
@@ -299,50 +405,56 @@ fn drive(eng: &Engine<'_>, cfg: &StreamConfig, stream: Vec<Submission>) -> Decis
         } else {
             0
         };
-        // Completions only move the counters under read guards, so this
-        // in-flight snapshot is exact while we hold the write guard.
         let decision = cfg.admission.check(
             ti,
             sub.tasks.len(),
-            eng.in_flight(),
-            counts.in_flight.load(Ordering::Acquire),
+            eng.in_flight() + staged.drafts.len(),
+            tenant_in_flight,
         );
-        // Register types first (idempotent), then stage every task — the
-        // stage is dropped on rejection, which must leave graph, flows
-        // and versions untouched.
-        let typed: Vec<_> = sub
-            .tasks
-            .into_iter()
-            .map(|tb| (tb.register_type(g.stf.graph_mut()), tb))
-            .collect();
-        let mut impls = Vec::with_capacity(typed.len());
-        let mut stage = g.stf.begin_submission();
-        for (ttype, tb) in typed {
-            let prio = effective_priority(
-                spec.base_priority.saturating_add(tb.priority),
-                spec.weight,
-                &cfg.fairness,
-                boost,
-            );
-            let label = tb.label_or_type();
-            stage.submit_prio(ttype, tb.accesses, tb.flops, prio, label);
-            impls.push(tb.impls);
-        }
         if let Err(err) = decision {
-            drop(stage);
             drop(g);
             counts.rejected.fetch_add(1, Ordering::Relaxed);
             rejections.push((si, err));
             admitted.push(None);
             continue;
         }
-        let ids = stage.commit();
-        g.impls.extend(impls);
-        let now = eng.now_us();
-        eng.admit(&mut g, ti, now);
+        let first = g.graph.task_count() + staged.drafts.len();
+        let n = sub.tasks.len();
+        for (i, tb) in sub.tasks.into_iter().enumerate() {
+            let ttype = g
+                .graph
+                .type_id(&tb.ttype)
+                .expect("streamed types are registered before the drive");
+            let prio = effective_priority(
+                spec.base_priority.saturating_add(tb.priority),
+                spec.weight,
+                &cfg.fairness,
+                boost,
+            );
+            let label = if tb.label.is_empty() {
+                tb.ttype
+            } else {
+                tb.label
+            };
+            let id = TaskId::from_index(first + i);
+            staged
+                .drafts
+                .push(stf.infer(&g.graph, id, ttype, tb.accesses, tb.flops, prio, label));
+            staged.impls.push(tb.impls);
+        }
         drop(g);
+        staged.subdags.push((ti, n));
+        staged.by_tenant[ti] += n;
+        admitted.push(Some((first..first + n).map(TaskId::from_index).collect()));
+        if let Some(mut g) = eng.try_write() {
+            staged.link(eng, &mut g, &cfg.admission);
+            drop(g);
+            eng.notify();
+        }
+    }
+    if !staged.subdags.is_empty() {
+        staged.link(eng, &mut eng.write(), &cfg.admission);
         eng.notify();
-        admitted.push(Some(ids));
     }
     (admitted, rejections)
 }

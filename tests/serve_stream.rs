@@ -20,19 +20,22 @@
 //! cache entry.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use multiprio_suite::audit::{streaming_audit, streaming_audit_cached};
-use multiprio_suite::dag::AccessMode;
+use multiprio_suite::dag::{AccessMode, DataId, TaskId};
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
 use multiprio_suite::platform::presets::{homogeneous, simple};
-use multiprio_suite::platform::types::ArchClass;
+use multiprio_suite::platform::types::{ArchClass, WorkerId};
 use multiprio_suite::runtime::serve::TenantSpec;
 use multiprio_suite::runtime::{
     FaultPlan, RelaxedConfig, RelaxedMultiQueue, ResultCache, RetryPolicy, RunError, Runtime,
     ShardedAdapter, StreamConfig, StreamReport, Submission, TaskBuilder,
 };
-use multiprio_suite::sched::EagerPrioScheduler;
+use multiprio_suite::sched::api::{PrefetchReq, SchedEvent, SchedView, Scheduler};
+use multiprio_suite::sched::{ConcurrentScheduler, EagerPrioScheduler, GlobalLock};
 use proptest::prelude::*;
 
 /// Tiny deterministic generator (splitmix64) for shaping streams.
@@ -690,4 +693,267 @@ fn streamed_task_without_an_implementation_is_a_typed_error() {
         }
         other => panic!("expected NoUsableImpl, got {other:?}"),
     }
+}
+
+/// A streamed task whose type is already registered with another
+/// implementation set is a typed error, whether the type came from a
+/// task submitted before the stream or from an earlier streamed task.
+#[test]
+fn type_registered_with_other_implementations_is_a_typed_error() {
+    let cfg = StreamConfig::new(TenantSpec::equal(1));
+    let both = |ttype: &str, h| {
+        TaskBuilder::new(ttype)
+            .access(h, AccessMode::Read)
+            .cpu(|_| {})
+            .gpu(|_| {})
+    };
+
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let h = rt.register(vec![0.0], "h");
+    rt.submit(
+        TaskBuilder::new("K")
+            .access(h, AccessMode::ReadWrite)
+            .cpu(|ctx| ctx.w(0)[0] += 1.0),
+    );
+    let stream = vec![
+        subdag(0, h, 1),
+        Submission {
+            tenant: 0,
+            tasks: vec![both("K", h)],
+        },
+    ];
+    let err = rt
+        .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+        .expect_err("a CPU-only type was re-registered for the GPU");
+    assert_eq!(
+        err,
+        RunError::TypeMismatch {
+            task: TaskId::from_index(3),
+            ttype: "K".into(),
+            registered: vec![ArchClass::Cpu],
+            provided: vec![ArchClass::Cpu, ArchClass::Gpu],
+        }
+    );
+    assert_eq!(rt.graph().task_count(), 1, "nothing was committed");
+
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let h = rt.register(vec![0.0], "h");
+    let stream = vec![
+        Submission {
+            tenant: 0,
+            tasks: vec![TaskBuilder::new("G")
+                .access(h, AccessMode::Write)
+                .cpu(|_| {})],
+        },
+        Submission {
+            tenant: 0,
+            tasks: vec![both("G", h)],
+        },
+    ];
+    let err = rt
+        .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+        .expect_err("a streamed type changed its implementations");
+    assert_eq!(
+        err,
+        RunError::TypeMismatch {
+            task: TaskId::from_index(1),
+            ttype: "G".into(),
+            registered: vec![ArchClass::Cpu],
+            provided: vec![ArchClass::Cpu, ArchClass::Gpu],
+        }
+    );
+    assert_eq!(rt.graph().type_id("G"), None, "nothing was registered");
+}
+
+/// A streamed access to a handle the runtime never registered is a typed
+/// error, reported with the id the task would have had.
+#[test]
+fn access_to_an_unregistered_handle_is_a_typed_error() {
+    let mut rt = Runtime::new(homogeneous(WORKERS), model());
+    let h = rt.register(vec![0.0], "h");
+    let foreign = DataId::from_index(7);
+    let cfg = StreamConfig::new(TenantSpec::equal(1));
+    let stream = vec![subdag(0, h, 1), subdag(0, foreign, 0)];
+    let err = rt
+        .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+        .expect_err("an unregistered handle was served");
+    assert_eq!(
+        err,
+        RunError::UnknownData {
+            task: TaskId::from_index(2),
+            data: foreign,
+        }
+    );
+    assert_eq!(rt.graph().task_count(), 0, "nothing was committed");
+}
+
+/// `prio`, except that a push without a releaser panics. With nothing
+/// submitted before the stream, only the driver pushes that way.
+struct PanicsOnDriverPush(EagerPrioScheduler);
+
+impl Scheduler for PanicsOnDriverPush {
+    fn name(&self) -> &'static str {
+        "panics-on-driver-push"
+    }
+
+    fn push(&mut self, t: TaskId, releaser: Option<WorkerId>, view: &SchedView<'_>) {
+        assert!(releaser.is_some(), "the driver released {t:?}");
+        self.0.push(t, releaser, view);
+    }
+
+    fn pop(&mut self, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
+        self.0.pop(w, view)
+    }
+
+    fn pending(&self) -> usize {
+        self.0.pending()
+    }
+}
+
+/// A panic on the driver thread ends the serve with that panic once the
+/// workers have exited, instead of leaving them waiting for a stream
+/// that never closes. The watchdog turns a hang into a failure.
+#[test]
+fn driver_panic_ends_the_serve_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut rt = Runtime::new(homogeneous(WORKERS), model());
+        let h = rt.register(vec![0.0], "h");
+        let cfg = StreamConfig::new(TenantSpec::equal(1));
+        let stream: Vec<Submission> = (0..8).map(|_| subdag(0, h, 2)).collect();
+        let policy = Box::new(PanicsOnDriverPush(EagerPrioScheduler::new()));
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.serve(policy, &cfg, stream)
+        }));
+        let _ = tx.send(served.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a panicking driver hung the serve");
+    assert!(panicked, "the driver's panic did not reach the caller");
+}
+
+/// Spin until `flag` is set, for at most 5 s.
+fn await_flag(flag: &AtomicBool) {
+    let start = Instant::now();
+    while !flag.load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(5) {
+        std::thread::yield_now();
+    }
+}
+
+/// The global-lock front-end, except that the first pop sets `entered`
+/// and then waits for `open` while it holds the worker's graph read
+/// guard. The driver cannot link meanwhile, so its submissions pile up
+/// staged.
+struct FirstPopWaits {
+    inner: GlobalLock,
+    entered: Arc<AtomicBool>,
+    open: Arc<AtomicBool>,
+}
+
+impl ConcurrentScheduler for FirstPopWaits {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn push(&self, t: TaskId, releaser: Option<WorkerId>, view: &SchedView<'_>) {
+        self.inner.push(t, releaser, view);
+    }
+
+    fn pop(&self, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
+        if !self.entered.swap(true, Ordering::AcqRel) {
+            await_flag(&self.open);
+        }
+        self.inner.pop(w, view)
+    }
+
+    fn feedback(&self, ev: &SchedEvent, view: &SchedView<'_>) {
+        self.inner.feedback(ev, view);
+    }
+
+    fn worker_disabled(&self, w: WorkerId, view: &SchedView<'_>) {
+        self.inner.worker_disabled(w, view);
+    }
+
+    fn push_retry(&self, t: TaskId, attempt: u32, view: &SchedView<'_>) {
+        self.inner.push_retry(t, attempt, view);
+    }
+
+    fn pending(&self) -> usize {
+        self.inner.pending()
+    }
+
+    fn drain_prefetches(&self) -> Vec<PrefetchReq> {
+        self.inner.drain_prefetches()
+    }
+}
+
+/// Held by a kernel; acts when the driver drops the kernel, which it
+/// does when it rejects the kernel's submission.
+enum OnDrop {
+    /// Wait for the flag.
+    Await(Arc<AtomicBool>),
+    /// Set the flag.
+    Set(Arc<AtomicBool>),
+}
+
+impl Drop for OnDrop {
+    fn drop(&mut self) {
+        match self {
+            OnDrop::Await(flag) => await_flag(flag),
+            OnDrop::Set(flag) => flag.store(true, Ordering::Release),
+        }
+    }
+}
+
+/// Inferred but unlinked tasks count as in flight. The first submission
+/// is too large to admit; dropping it holds the driver until the lone
+/// worker sits in its first pop with its read guard held. From then on
+/// nothing completes and the driver can only stage, yet admission must
+/// stop at `max_in_flight`. The last submission, rejected in turn, lets
+/// the pop go on.
+#[test]
+fn staged_tasks_count_against_admission() {
+    const MAX: usize = 8;
+    const SUBMISSIONS: usize = 1000;
+    let entered = Arc::new(AtomicBool::new(false));
+    let open = Arc::new(AtomicBool::new(false));
+    let mut rt = Runtime::new(homogeneous(1), model());
+    let h = rt.register(vec![0.0], "h");
+    let mut cfg = StreamConfig::new(TenantSpec::equal(2));
+    cfg.admission.max_in_flight = MAX;
+    let reader = |hook: Option<OnDrop>| {
+        TaskBuilder::new("K")
+            .access(h, AccessMode::Read)
+            .cpu(move |_| {
+                let _keep = &hook;
+            })
+    };
+    let mut stream = vec![Submission {
+        tenant: 0,
+        tasks: (0..=MAX)
+            .map(|j| reader((j == 0).then(|| OnDrop::Await(Arc::clone(&entered)))))
+            .collect(),
+    }];
+    stream.extend((1..SUBMISSIONS).map(|i| Submission {
+        tenant: i % 2,
+        tasks: vec![reader(
+            (i + 1 == SUBMISSIONS).then(|| OnDrop::Set(Arc::clone(&open))),
+        )],
+    }));
+    let front = FirstPopWaits {
+        inner: GlobalLock::new(Box::new(EagerPrioScheduler::new())),
+        entered,
+        open,
+    };
+    let report = rt
+        .serve_concurrent(&front, &cfg, stream)
+        .expect("serve failed");
+    assert!(report.is_complete(), "{:?}", report.error);
+    assert_eq!(report.tasks_admitted, MAX, "admitted past max_in_flight");
+    assert_eq!(report.subdags_admitted, MAX as u64);
+    assert!(report.admitted[1..=MAX].iter().all(Option::is_some));
+    assert_eq!(report.rejections[0].0, 0);
+    let findings = streaming_audit(rt.graph(), &report.trace);
+    assert!(findings.is_empty(), "{findings:?}");
 }
