@@ -1,8 +1,10 @@
 //! Serving-mode bench: sustained scheduling throughput and latency of
-//! the open-loop multi-tenant streaming front-end (`mp_serve::serve_sim`)
-//! in **virtual time** — decisions per second, p50/p99 scheduling
-//! latency (ready → popped) — at 16/32/64 workers under Poisson and
-//! bursty arrivals (quick mode drops the 64-worker point).
+//! open-loop multi-tenant streaming on the simulator's one event loop
+//! (`mp_sim::serve_sim`) in **virtual time** — decisions per second,
+//! p50/p99 scheduling latency (ready → popped) — at 16/32/64 workers
+//! under Poisson and bursty arrivals (quick mode drops the 64-worker
+//! point). Decisions per second are a scheduling-quality figure of the
+//! virtual schedule, not host throughput.
 //!
 //! Every configuration runs twice and the run is rejected unless the
 //! two schedule hashes are bit-identical: the serving layer must be a
@@ -13,7 +15,7 @@
 //! A second sweep benchmarks **warm serving**: the same open-loop
 //! stream under a 20×-overload arrival process, cache off (cold) vs a
 //! fresh [`mp_cache::ResultCache`] (warm), at mutation fractions 0 and
-//! 0.25 ([`mp_serve::SubDagShape::mutation_frac`]). With mutation 0
+//! 0.25 ([`mp_sim::SubDagShape::mutation_frac`]). With mutation 0
 //! every resubmission past the pool-warmup rounds is served from the
 //! cache, so the gate requires ≥95 % hit rate and a ≥5× served-tasks
 //! throughput speedup over cold; warm runs must stay bit-deterministic
@@ -33,7 +35,8 @@ use mp_cache::ResultCache;
 use mp_perfmodel::{PerfModel, TableModel, TimeFn};
 use mp_platform::presets::homogeneous;
 use mp_platform::types::ArchClass;
-use mp_serve::{serve_sim, serve_sim_cached, ArrivalProcess, ServeConfig, ServeReport, TenantSpec};
+use mp_serve::{ArrivalProcess, TenantSpec};
+use mp_sim::{serve_sim, serve_sim_cached, ServeConfig, ServeReport};
 
 /// Per-task service time in virtual µs (every task of the fork-join).
 const TASK_US: f64 = 25.0;

@@ -47,7 +47,8 @@
 //! torn-write recovery (a cold-degraded prefix, never wrong data).
 //!
 //! `--serve` runs the open-loop multi-tenant serving mode (DESIGN.md
-//! §13) in virtual time: sub-DAGs stream in from `--tenants N` clients
+//! §13) in virtual time, on the simulator's one event loop
+//! (`mp_sim::serve_sim`): sub-DAGs stream in from `--tenants N` clients
 //! (graded fair-share weights N..1) under `--arrivals` (default: a
 //! Poisson process at ~80% of the platform's task throughput), with
 //! bounded-queue admission control. Prints sustained decisions/sec,
@@ -542,8 +543,8 @@ fn cache_demo(
 
 /// Open-loop serving demo (DESIGN.md §13): `--tenants N` clients with
 /// graded fair-share weights `N..1` stream fork-join sub-DAGs at the
-/// given arrival process through the bounded-admission serving engine,
-/// entirely in virtual time. Reports throughput (decisions/sec),
+/// given arrival process through bounded admission into the
+/// simulator's event loop, entirely in virtual time. Reports throughput (decisions/sec),
 /// scheduling latency (p50/p99: ready → popped), the admission ledger
 /// and the per-tenant fairness breakdown.
 fn serve_demo(
@@ -556,7 +557,8 @@ fn serve_demo(
     use mp_bench::make_scheduler;
     use mp_perfmodel::{TableModel, TimeFn};
     use mp_platform::types::ArchClass;
-    use mp_serve::{serve_sim, ArrivalProcess, ServeConfig, TenantSpec};
+    use mp_serve::{ArrivalProcess, TenantSpec};
+    use mp_sim::{serve_sim, ServeConfig};
 
     /// Per-task virtual service time (µs) under the demo model.
     const TASK_US: f64 = 25.0;
@@ -635,8 +637,8 @@ fn serve_cache_demo(
     use mp_bench::make_scheduler;
     use mp_perfmodel::{TableModel, TimeFn};
     use mp_platform::types::ArchClass;
-    use mp_serve::{serve_sim_cached, ArrivalProcess, ServeConfig, TenantSpec};
-    use mp_sim::ResultCache;
+    use mp_serve::{ArrivalProcess, TenantSpec};
+    use mp_sim::{serve_sim_cached, ResultCache, ServeConfig};
 
     /// Per-task virtual service time (µs) under the demo model.
     const TASK_US: f64 = 25.0;
@@ -663,7 +665,7 @@ fn serve_cache_demo(
     let model = TableModel::builder()
         .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
         .build();
-    let served_per_sec = |r: &mp_serve::ServeReport| {
+    let served_per_sec = |r: &mp_sim::ServeReport| {
         if r.makespan_us <= 0.0 {
             return 0.0;
         }

@@ -1,6 +1,6 @@
 //! Streaming ("serving-mode") execution on the threaded runtime.
 //!
-//! [`Runtime::serve`] is the wall-clock twin of `mp_serve::serve_sim`:
+//! [`Runtime::serve`] is the wall-clock twin of `mp_sim::serve_sim`:
 //! an **open-loop driver** feeds sub-DAG submissions into the runtime
 //! *while worker threads are executing earlier ones*. The workers run the
 //! one engine of [`crate::engine`] — the same loop a closed

@@ -6,9 +6,9 @@
 //! tasks — globally and optionally per tenant. A submission that would
 //! overflow either bound is rejected *whole* with a typed error; its
 //! staged sub-DAG is discarded before touching the graph
-//! ([`mp_dag::SubmissionStage`] drop semantics), so a rejection can
+//! (`mp_dag::SubmissionStage` drop semantics), so a rejection can
 //! never strand a dependency of something already admitted. Decisions
-//! use only counters of virtual-time state, so under `serve_sim` the
+//! use only counters of virtual-time state, so under `mp_sim::serve_sim` the
 //! accept/reject sequence is bit-deterministic.
 
 use std::fmt;

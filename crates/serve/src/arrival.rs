@@ -44,29 +44,51 @@ impl ArrivalProcess {
             .ok_or_else(|| format!("arrival spec '{s}' is missing a rate"))?
             .parse()
             .map_err(|_| format!("arrival spec '{s}' has a non-numeric rate"))?;
-        if rate.is_nan() || rate <= 0.0 {
-            return Err(format!("arrival spec '{s}' needs a positive rate"));
-        }
-        match kind {
-            "poisson" => Ok(ArrivalProcess::Poisson { rate_per_sec: rate }),
-            "bursty" => {
-                let burst = match parts.next() {
+        let process = match kind {
+            "poisson" => ArrivalProcess::Poisson { rate_per_sec: rate },
+            "bursty" => ArrivalProcess::Bursty {
+                rate_per_sec: rate,
+                burst: match parts.next() {
                     Some(b) => b
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&b| b >= 1)
-                        .ok_or_else(|| format!("arrival spec '{s}' has a bad burst size"))?,
+                        .parse()
+                        .map_err(|_| format!("arrival spec '{s}' has a bad burst size"))?,
                     None => 8,
-                };
-                Ok(ArrivalProcess::Bursty {
-                    rate_per_sec: rate,
-                    burst,
-                })
+                },
+            },
+            _ => {
+                return Err(format!(
+                    "unknown arrival process '{kind}' (expected poisson|bursty)"
+                ))
             }
-            _ => Err(format!(
-                "unknown arrival process '{kind}' (expected poisson|bursty)"
-            )),
+        };
+        process.check().map(|()| process)
+    }
+
+    /// Can this process generate arrivals? Its rate must be finite and
+    /// positive — a zero rate puts every arrival at infinity — and a
+    /// burst must release at least one submission, or [`Self::times_us`]
+    /// never fills.
+    pub fn check(&self) -> Result<(), String> {
+        let (rate, burst) = match *self {
+            ArrivalProcess::Poisson { rate_per_sec } => (rate_per_sec, 1),
+            ArrivalProcess::Bursty {
+                rate_per_sec,
+                burst,
+            } => (rate_per_sec, burst),
+        };
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!(
+                "arrival process '{}' needs a finite positive rate",
+                self.label()
+            ));
         }
+        if burst == 0 {
+            return Err(format!(
+                "arrival process '{}' needs a burst of at least 1",
+                self.label()
+            ));
+        }
+        Ok(())
     }
 
     /// Canonical spec string (round-trips through [`Self::parse`]).
@@ -81,7 +103,8 @@ impl ArrivalProcess {
     }
 
     /// The first `n` arrival instants in virtual µs, strictly
-    /// non-decreasing, deterministic in `(self, seed)`.
+    /// non-decreasing, deterministic in `(self, seed)`. The process must
+    /// pass [`Self::check`].
     pub fn times_us(&self, n: usize, seed: u64) -> Vec<f64> {
         let mut out = Vec::with_capacity(n);
         match *self {
@@ -139,6 +162,8 @@ mod tests {
         );
         assert!(ArrivalProcess::parse("uniform:1").is_err());
         assert!(ArrivalProcess::parse("poisson:-3").is_err());
+        assert!(ArrivalProcess::parse("poisson:0").is_err());
+        assert!(ArrivalProcess::parse("poisson:inf").is_err());
         assert!(ArrivalProcess::parse("poisson").is_err());
         assert!(ArrivalProcess::parse("bursty:10:0").is_err());
     }

@@ -1,11 +1,14 @@
-//! The discrete-event engine.
+//! The discrete-event engine: the one virtual-time loop behind
+//! [`simulate`] (a closed graph) and [`crate::serve_sim`] (an open-loop
+//! stream whose graph grows while it runs).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use mp_cache::{Lookup, ResultCache};
+use mp_cache::{Lookup, PersistStats, ResultCache};
 use mp_dag::graph::TaskGraph;
 use mp_dag::ids::{DataId, TaskId};
+use mp_dag::stf::StfBuilder;
 use mp_dag::task::Task;
 use mp_perfmodel::{Estimator, PerfModel};
 use mp_platform::types::{MemNodeId, Platform, WorkerId};
@@ -21,23 +24,24 @@ use crate::config::SimConfig;
 use crate::data::DataStore;
 use crate::error::SimError;
 use crate::result::{SimResult, SimStats};
+use crate::serve::Stream;
 
 /// What an event means when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EvKind {
+    /// Submission `k` arrives: link what it adds to the graph.
+    Arrival(usize),
     /// Task `t` finishes executing on worker `w`.
-    Finish,
+    Finish { w: WorkerId, t: TaskId },
     /// Task `t`'s retry backoff expires: hand it back to the scheduler.
-    Retry,
+    Retry { t: TaskId },
 }
 
-/// Queue entry: task `t` / worker `w` at `time`.
+/// Queue entry: `kind` fires at `time`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Event {
     time: f64,
     seq: u64,
-    w: WorkerId,
-    t: TaskId,
     kind: EvKind,
 }
 
@@ -85,58 +89,6 @@ impl LoadInfo for Loads {
 // -------------------------------------------------------------------
 // Staging helpers (module-level so the error paths are unit-testable).
 // -------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn run_prefetches(
-    scheduler: &mut dyn Scheduler,
-    store: &mut DataStore,
-    platform: &Platform,
-    cfg: &SimConfig,
-    now: f64,
-    trace: &mut Trace,
-    stats: &mut SimStats,
-    drained: &mut Vec<PrefetchReq>,
-    obs: &ObsCell,
-) {
-    drained.clear();
-    scheduler.drain_prefetches_into(drained);
-    for &req in drained.iter() {
-        if !cfg.enable_prefetch {
-            obs.bump(Counter::PrefetchesCancelled);
-            continue;
-        }
-        if store.replica(req.data, req.node).is_some() {
-            obs.bump(Counter::PrefetchesCancelled);
-            continue;
-        }
-        let size = store.size(req.data);
-        // Prefetches may evict clean LRU replicas but never force
-        // write-backs; when that is not enough, skip the request.
-        if !make_room_clean_only(store, req.node, size, platform, stats) {
-            obs.bump(Counter::PrefetchesCancelled);
-            continue;
-        }
-        let Some((src, start, end)) = pick_source(store, platform, req.data, req.node, now) else {
-            obs.bump(Counter::PrefetchesCancelled);
-            continue;
-        };
-        obs.bump(Counter::PrefetchesIssued);
-        store.set_link_busy(src, req.node, end);
-        store.allocate(req.data, req.node, end, false);
-        stats.prefetch_bytes += size;
-        if cfg.record_trace {
-            trace.transfers.push(TransferSpan {
-                data: req.data,
-                from: src,
-                to: req.node,
-                bytes: size,
-                start,
-                end,
-                kind: TransferKind::Prefetch,
-            });
-        }
-    }
-}
 
 /// Clean-only eviction for prefetch: true when the space is available.
 fn make_room_clean_only(
@@ -521,6 +473,968 @@ fn assert_precedence(trace: &Trace, graph: &TaskGraph, cached: bool, done: &[boo
     }
 }
 
+/// Pipeline depth of accelerator workers (StarPU's CUDA default).
+const GPU_LOOKAHEAD: usize = 2;
+
+/// Bounded re-poll of a stream whose scheduler holds back every pending
+/// task with no event left: virtual time advances by this quantum per
+/// attempt, for at most `MAX_REPOLLS` attempts.
+const REPOLL_US: f64 = 100.0;
+const MAX_REPOLLS: usize = 100_000;
+
+/// Where the loop's tasks come from.
+pub(crate) enum Feed<'g> {
+    /// A closed graph, linked whole by its one submission.
+    Closed(&'g TaskGraph),
+    /// A serving stream's graph, grown by each admitted arrival.
+    Open(&'g mut StfBuilder),
+}
+
+impl Feed<'_> {
+    fn graph(&self) -> &TaskGraph {
+        match self {
+            Feed::Closed(g) => g,
+            Feed::Open(stf) => stf.graph(),
+        }
+    }
+}
+
+/// The scheduler's view of the engine state at `$now`. A macro, not a
+/// method, so the view borrows only the fields it reads while the
+/// scheduler is borrowed mutably beside it.
+macro_rules! view {
+    ($eng:expr, $g:expr, $now:expr) => {
+        SchedView {
+            est: Estimator::new($g, $eng.platform, $eng.model),
+            loc: &$eng.store,
+            load: &$eng.loads,
+            now: $now,
+        }
+    };
+}
+
+/// One run's state. The graph is not part of it: every step takes it as
+/// an argument, because a serving stream grows it between events.
+///
+/// StarPU's accelerator workers run a depth-2 pipeline: while a task
+/// executes, the worker already pops its *next* task and stages that
+/// task's input transfers, overlapping PCIe traffic with computation
+/// (STARPU_CUDA_PIPELINE). We reproduce that for GPU-class workers:
+/// `next_slot[w]` holds the staged tasks; the next begins executing the
+/// moment the current one finishes (or when its transfers land,
+/// whichever is later). CPU workers on the RAM node pop only when idle,
+/// as in StarPU.
+pub(crate) struct Engine<'a> {
+    platform: &'a Platform,
+    model: &'a dyn PerfModel,
+    scheduler: &'a mut dyn Scheduler,
+    cfg: SimConfig,
+    cache: Option<&'a ResultCache>,
+    store: DataStore,
+    loads: Loads,
+    events: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    rng: StdRng,
+    // --- Per task, grown as submissions link ---
+    indeg: Vec<usize>,
+    pushed_at: Vec<f64>,
+    done: Vec<bool>,
+    /// Tasks handed out by the scheduler so far: a second pop of the same
+    /// task is rejected as a typed error before it can corrupt state.
+    popped: Vec<bool>,
+    /// Failed attempts per task.
+    attempts: Vec<u32>,
+    recomputing: Vec<bool>,
+    /// Recompute-order indegree.
+    rindeg: Vec<u32>,
+    /// Execution start per task.
+    starts: Vec<f64>,
+    completed: usize,
+    // --- Fault-injection state (all dormant without a fault plan) ---
+    kills_on: bool,
+    transients_on: bool,
+    alive: Vec<bool>,
+    /// Committed tasks per worker.
+    done_by: Vec<u32>,
+    recompute_live: usize,
+    /// Tasks popped but blocked on an input a recompute chain is still
+    /// regenerating. Held outside the scheduler (so the chain's own tasks
+    /// win every pop) and re-pushed whenever a write commits.
+    parked: Vec<TaskId>,
+    /// Committed producer of each handle's current value, for the
+    /// lineage walk-back when a node dies with the only copy.
+    last_writer: Vec<Option<TaskId>>,
+    trace: Trace,
+    stats: SimStats,
+    cache_evictions_at_start: u64,
+    cache_persist_at_start: PersistStats,
+    /// Cache-hit / invalidation instants for the Chrome timeline.
+    cache_events: Vec<RuntimeEvent>,
+    /// The worklist driving hit cascades (a hit releases successors that
+    /// may hit in turn — iterative, no recursion).
+    cache_worklist: Vec<(TaskId, Option<WorkerId>)>,
+    /// Latest cache-hit completion: a warm stream can complete tasks
+    /// after its last execution ends, and the makespan counts them.
+    hit_end: f64,
+    /// First typed failure; stops dispatching and surfaces in the result.
+    failure: Option<SimError>,
+    /// Engine-side observability cell (no-op unless `--features obs`).
+    obs: ObsCell,
+    /// Engine-side audit records (event-time monotonicity); only written
+    /// under `--features audit`.
+    engine_audit: Vec<AuditRecord>,
+    #[cfg(feature = "audit")]
+    last_event_time: f64,
+    running: Vec<bool>,
+    exec_end: Vec<f64>,
+    /// Staged lookahead tasks per worker: (task, inputs-ready time if the
+    /// prepare succeeded — None defers it to execution time, noise).
+    next_slot: Vec<VecDeque<(TaskId, Option<f64>, f64)>>,
+    scratch: Scratch,
+    emits_prefetches: bool,
+    /// Rotating dispatch offset: removes the systematic low-id-first bias
+    /// (concurrently polling workers have no global order in reality).
+    rotation: usize,
+    gpu_class: Vec<bool>,
+    /// The serving ledgers of an open run; `None` on a closed one.
+    stream: Option<Stream<'a>>,
+}
+
+impl<'a> Engine<'a> {
+    /// An idle engine over `graph`'s data handles. Tasks arrive later,
+    /// through [`Engine::run`]'s submissions.
+    pub(crate) fn new(
+        graph: &TaskGraph,
+        platform: &'a Platform,
+        model: &'a dyn PerfModel,
+        scheduler: &'a mut dyn Scheduler,
+        cfg: SimConfig,
+        cache: Option<&'a ResultCache>,
+        stream: Option<Stream<'a>>,
+    ) -> Self {
+        let nw = platform.worker_count();
+        let store = DataStore::new(graph, platform);
+        let handles = store.handle_count();
+        Self {
+            platform,
+            model,
+            emits_prefetches: scheduler.emits_prefetches(),
+            scheduler,
+            cfg,
+            cache,
+            store,
+            loads: Loads(vec![0.0; nw]),
+            events: BinaryHeap::new(),
+            seq: 0,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            indeg: Vec::new(),
+            pushed_at: Vec::new(),
+            done: Vec::new(),
+            popped: Vec::new(),
+            attempts: Vec::new(),
+            recomputing: Vec::new(),
+            rindeg: Vec::new(),
+            starts: Vec::new(),
+            completed: 0,
+            kills_on: cfg.faults.kills_any(),
+            transients_on: cfg.faults.transient_fail_prob > 0.0,
+            alive: vec![true; nw],
+            done_by: vec![0; nw],
+            recompute_live: 0,
+            parked: Vec::new(),
+            last_writer: vec![None; handles],
+            trace: Trace::new(nw),
+            stats: SimStats::default(),
+            cache_evictions_at_start: cache.map_or(0, |rc| rc.evictions()),
+            cache_persist_at_start: cache.map_or_else(Default::default, |rc| rc.persist_stats()),
+            cache_events: Vec::new(),
+            cache_worklist: Vec::new(),
+            hit_end: 0.0,
+            failure: None,
+            obs: ObsCell::new(),
+            engine_audit: Vec::new(),
+            #[cfg(feature = "audit")]
+            last_event_time: 0.0,
+            running: vec![false; nw],
+            exec_end: vec![0.0; nw],
+            next_slot: vec![VecDeque::new(); nw],
+            scratch: Scratch::default(),
+            rotation: 0,
+            gpu_class: (0..nw)
+                .map(|wi| {
+                    let w = platform.worker(WorkerId::from_index(wi));
+                    platform.arch(w.arch).class == mp_platform::types::ArchClass::Gpu
+                })
+                .collect(),
+            stream,
+        }
+    }
+
+    /// Run to quiescence: one submission per instant of `arrivals` (or
+    /// the configuration error that stops the run before it starts),
+    /// then every event they cause. Returns the result and the serving
+    /// ledgers the engine was built with.
+    pub(crate) fn run(
+        mut self,
+        feed: &mut Feed<'_>,
+        arrivals: Result<Vec<f64>, SimError>,
+    ) -> (SimResult, Option<Stream<'a>>) {
+        match arrivals {
+            Ok(times) => {
+                for (k, at) in times.into_iter().enumerate() {
+                    self.push_event(at, EvKind::Arrival(k));
+                }
+            }
+            Err(e) => self.failure = Some(e),
+        }
+        let mut now = 0.0;
+        while self.failure.is_none() {
+            let Some(Reverse(ev)) = self.events.pop() else {
+                let open = matches!(feed, Feed::Open(_));
+                let g = feed.graph();
+                if open && self.completed < g.task_count() && self.repoll(g, now) {
+                    continue;
+                }
+                break;
+            };
+            now = ev.time;
+            #[cfg(feature = "audit")]
+            {
+                use mp_trace::AuditKind;
+                if now < self.last_event_time - 1e-9 {
+                    self.engine_audit.push(AuditRecord::new(
+                        now,
+                        AuditKind::EventTimeRegression,
+                        format!("event at {now} after {}", self.last_event_time),
+                    ));
+                }
+                self.last_event_time = self.last_event_time.max(now);
+            }
+            self.store.now = now;
+            match ev.kind {
+                EvKind::Arrival(k) => {
+                    if let (Feed::Open(stf), Some(s)) = (&mut *feed, &mut self.stream) {
+                        s.arrive(stf, k, now, self.completed);
+                    }
+                    self.link(feed.graph(), now);
+                }
+                // Backoff expired: the failed task re-enters the scheduler.
+                EvKind::Retry { t } => self.repush(feed.graph(), t, now),
+                EvKind::Finish { w, t } => self.finish(feed.graph(), w, t, now),
+            }
+            if self.failure.is_none() {
+                self.dispatch(feed.graph(), now);
+            }
+        }
+        let stream = self.stream.take();
+        (self.into_result(feed.graph()), stream)
+    }
+
+    fn push_event(&mut self, time: f64, kind: EvKind) {
+        self.seq += 1;
+        self.events.push(Reverse(Event {
+            time,
+            seq: self.seq,
+            kind,
+        }));
+    }
+
+    /// The scheduler returned nothing everywhere, work is pending and no
+    /// event is left: advance virtual time in bounded quanta, since
+    /// policy hold-backs can expire by time alone. False on a stall.
+    fn repoll(&mut self, g: &TaskGraph, mut now: f64) -> bool {
+        for _ in 0..MAX_REPOLLS {
+            now += REPOLL_US;
+            self.dispatch(g, now);
+            if !self.events.is_empty() || self.failure.is_some() {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Link the tasks the last submission added to `g` and release, in
+    /// submission order, those whose predecessors have all completed.
+    /// The ready set is fixed before any release, so a hit cascade
+    /// cannot release a task twice.
+    fn link(&mut self, g: &TaskGraph, now: f64) {
+        let first = self.done.len();
+        let n = g.task_count();
+        self.indeg.resize(n, 0);
+        self.pushed_at.resize(n, 0.0);
+        self.done.resize(n, false);
+        self.popped.resize(n, false);
+        self.attempts.resize(n, 0);
+        self.recomputing.resize(n, false);
+        self.rindeg.resize(n, 0);
+        self.starts.resize(n, 0.0);
+        let mut ready = Vec::new();
+        for i in first..n {
+            let t = TaskId::from_index(i);
+            self.indeg[i] = g.preds(t).iter().filter(|p| !self.done[p.index()]).count();
+            if self.indeg[i] == 0 {
+                ready.push(t);
+            }
+        }
+        for t in ready {
+            self.push_ready(g, t, None, now);
+        }
+        self.prefetch(now);
+    }
+
+    /// Log-normal noise factor with E[x] ≈ 1.
+    fn noise(&mut self) -> f64 {
+        if self.cfg.noise_cv == 0.0 {
+            return 1.0;
+        }
+        let sigma = self.cfg.noise_cv;
+        // Box-Muller.
+        let (u1, u2): (f64, f64) = (self.rng.gen::<f64>().max(1e-12), self.rng.gen());
+        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        (sigma * z - sigma * sigma / 2.0).exp()
+    }
+
+    /// Model-estimated δ of a task already validated for worker `w`.
+    fn delta(&self, g: &TaskGraph, t: TaskId, w: WorkerId) -> f64 {
+        Estimator::new(g, self.platform, self.model)
+            .delta(t, self.platform.worker(w).arch)
+            .expect("validated in prepare_task")
+    }
+
+    /// Hand `t` back to the scheduler as a retry (failed attempt,
+    /// recompute seed or parked task).
+    fn repush(&mut self, g: &TaskGraph, t: TaskId, now: f64) {
+        self.pushed_at[t.index()] = now;
+        let view = view!(self, g, now);
+        self.scheduler
+            .push_retry(t, self.attempts[t.index()], &view);
+        self.obs.bump(Counter::Pushes);
+    }
+
+    /// Drain the scheduler's prefetch requests and start the transfers
+    /// the memory state allows.
+    fn prefetch(&mut self, now: f64) {
+        if !self.emits_prefetches {
+            return;
+        }
+        let drained = &mut self.scratch.prefetches;
+        drained.clear();
+        self.scheduler.drain_prefetches_into(drained);
+        for &req in drained.iter() {
+            if !self.cfg.enable_prefetch || self.store.replica(req.data, req.node).is_some() {
+                self.obs.bump(Counter::PrefetchesCancelled);
+                continue;
+            }
+            let size = self.store.size(req.data);
+            // Prefetches may evict clean LRU replicas but never force
+            // write-backs; when that is not enough, skip the request.
+            if !make_room_clean_only(
+                &mut self.store,
+                req.node,
+                size,
+                self.platform,
+                &mut self.stats,
+            ) {
+                self.obs.bump(Counter::PrefetchesCancelled);
+                continue;
+            }
+            let Some((src, start, end)) =
+                pick_source(&self.store, self.platform, req.data, req.node, now)
+            else {
+                self.obs.bump(Counter::PrefetchesCancelled);
+                continue;
+            };
+            self.obs.bump(Counter::PrefetchesIssued);
+            self.store.set_link_busy(src, req.node, end);
+            self.store.allocate(req.data, req.node, end, false);
+            self.stats.prefetch_bytes += size;
+            if self.cfg.record_trace {
+                self.trace.transfers.push(TransferSpan {
+                    data: req.data,
+                    from: src,
+                    to: req.node,
+                    bytes: size,
+                    start,
+                    end,
+                    kind: TransferKind::Prefetch,
+                });
+            }
+        }
+    }
+
+    /// Kill worker `wi`: the fault plan's threshold was reached and the
+    /// worker is idle with nothing staged (clean drain — a worker never
+    /// dies holding pins, so replica cleanup needs no pin surgery).
+    fn kill_worker(&mut self, g: &TaskGraph, wi: usize, now: f64) {
+        let w = WorkerId::from_index(wi);
+        self.alive[wi] = false;
+        self.stats.worker_failures += 1;
+        self.obs.bump(Counter::WorkerFailures);
+        {
+            let view = view!(self, g, now);
+            self.scheduler.worker_disabled(w, &view);
+        }
+        // Device memory dies with its last worker; host RAM outlives
+        // the compute threads pinned to it.
+        let platform = self.platform;
+        let m = platform.worker(w).mem_node;
+        let node_lost = m != platform.ram()
+            && platform
+                .workers_on_node(m)
+                .iter()
+                .all(|x| !self.alive[x.index()]);
+        if node_lost {
+            let seeds = recover_node(
+                g,
+                &mut self.store,
+                m,
+                platform.ram(),
+                &self.last_writer,
+                &mut self.done,
+                &mut self.popped,
+                &mut self.recomputing,
+                &mut self.rindeg,
+                &mut self.completed,
+                &mut self.recompute_live,
+                &mut self.stats,
+                &self.obs,
+            );
+            for &s in &seeds {
+                self.repush(g, s, now);
+            }
+        }
+        // Every unfinished task must keep a capable survivor, or the
+        // run can never complete — fail it now, with the culprit.
+        let est = Estimator::new(g, platform, self.model);
+        let nw = platform.worker_count();
+        let stranded = (0..self.done.len())
+            .map(TaskId::from_index)
+            .filter(|t| !self.done[t.index()])
+            .find(|&t| {
+                !(0..nw).any(|xi| {
+                    self.alive[xi]
+                        && est
+                            .delta(t, platform.worker(WorkerId::from_index(xi)).arch)
+                            .is_some()
+                })
+            });
+        if let Some(task) = stranded {
+            self.failure = Some(SimError::NoCapableWorker { task });
+        }
+    }
+
+    /// Begin executing a prepared task on an idle worker.
+    fn begin_exec(&mut self, g: &TaskGraph, wi: usize, t: TaskId, arrive: f64, nf: f64, now: f64) {
+        let w = WorkerId::from_index(wi);
+        let delta = self.delta(g, t, w);
+        let start = now.max(arrive);
+        let end = start + delta * nf;
+        self.starts[t.index()] = start;
+        self.running[wi] = true;
+        self.exec_end[wi] = end;
+        // Load estimate published to the schedulers: *model-estimated*
+        // end (start + δ), not the realized noisy end — no scheduler can
+        // know mid-execution how long a task will really take (StarPU's
+        // dm family plans with expected durations too).
+        let staged: f64 = self.next_slot[wi]
+            .iter()
+            .map(|&(st, _, _)| self.delta(g, st, w))
+            .sum();
+        self.loads.0[wi] = start + delta + staged;
+        self.push_event(end, EvKind::Finish { w, t });
+        let view = view!(self, g, now);
+        self.scheduler
+            .feedback(&SchedEvent::TaskStarted { t, w }, &view);
+    }
+
+    /// Pop `w`'s next task and vet it: a contract violation (double pop,
+    /// incapable worker) is a typed failure instead of a downstream
+    /// panic. On success the task is marked handed-out.
+    fn pop(&mut self, g: &TaskGraph, w: WorkerId, now: f64) -> Option<TaskId> {
+        let fresh = {
+            let view = view!(self, g, now);
+            self.scheduler.pop(w, &view)
+        };
+        let Some(t) = fresh else {
+            self.stats.empty_pops += 1;
+            return None;
+        };
+        if self.popped[t.index()] {
+            self.failure = Some(SimError::DoubleExecution { task: t });
+            return None;
+        }
+        if let Err(e) = view!(self, g, now).validate_assignment(t, w) {
+            self.failure = Some(SimError::IncapableWorker {
+                task: e.task,
+                worker: e.worker,
+            });
+            return None;
+        }
+        self.popped[t.index()] = true;
+        self.obs.bump(Counter::Pops);
+        if let Some(s) = &mut self.stream {
+            s.popped(t, w, now, self.pushed_at[t.index()]);
+        }
+        Some(t)
+    }
+
+    /// Stage `t` on `w` ([`prepare_task`]): `Some(None)` when a
+    /// best-effort prepare deferred to execution time, `None` when the run
+    /// failed or the task was parked on a lost input.
+    fn stage(
+        &mut self,
+        g: &TaskGraph,
+        w: WorkerId,
+        t: TaskId,
+        now: f64,
+        best_effort: bool,
+    ) -> Option<Option<f64>> {
+        let staged = prepare_task(
+            g,
+            self.platform,
+            self.model,
+            &mut self.store,
+            &self.cfg,
+            &mut self.trace,
+            &mut self.stats,
+            &mut self.scratch,
+            w,
+            t,
+            now,
+            best_effort,
+        );
+        match staged {
+            Ok(arrive) => Some(arrive),
+            Err(SimError::NoValidReplica { .. }) if self.recompute_live > 0 => {
+                // A lost input is being regenerated: park the task
+                // engine-side — NOT back into the scheduler, which could
+                // hand it straight back to every idle worker and stall the
+                // regenerating chain forever — and release it at the next
+                // commit.
+                self.popped[t.index()] = false;
+                self.parked.push(t);
+                None
+            }
+            Err(e) => {
+                self.failure = Some(e);
+                None
+            }
+        }
+    }
+
+    /// Hand out work until no worker can take more.
+    fn dispatch(&mut self, g: &TaskGraph, now: f64) {
+        self.store.now = now;
+        let nw = self.running.len();
+        loop {
+            let mut progress = false;
+            self.rotation = (self.rotation + 1) % nw.max(1);
+            // Pass 1: idle workers (they need work immediately).
+            for k in 0..nw {
+                let wi = (k + self.rotation) % nw;
+                let w = WorkerId::from_index(wi);
+                if self.running[wi] {
+                    continue;
+                }
+                if self.kills_on {
+                    if !self.alive[wi] {
+                        continue;
+                    }
+                    // Idle, nothing staged, threshold reached: die
+                    // before popping any more work.
+                    if self.next_slot[wi].is_empty()
+                        && self
+                            .cfg
+                            .faults
+                            .kill_after(wi)
+                            .is_some_and(|k| self.done_by[wi] >= k)
+                    {
+                        self.kill_worker(g, wi, now);
+                        if self.failure.is_some() {
+                            return;
+                        }
+                        // The death re-bucketed the scheduler and may
+                        // have re-pushed recompute seeds: workers
+                        // already polled this round must poll again.
+                        progress = true;
+                        continue;
+                    }
+                }
+                // Drain a staged task first, then pop fresh. A deferred
+                // prepare runs now: earlier pipeline tasks have unpinned
+                // their data by now.
+                let strict = "strict prepare never defers";
+                let next = match self.next_slot[wi].pop_front() {
+                    Some((t, Some(arrive), nf)) => Some((t, arrive, nf)),
+                    Some((t, None, nf)) => self
+                        .stage(g, w, t, now, false)
+                        .map(|a| (t, a.expect(strict), nf)),
+                    None => match self.pop(g, w, now) {
+                        Some(t) => self
+                            .stage(g, w, t, now, false)
+                            .map(|a| (t, a.expect(strict), self.noise())),
+                        None => None,
+                    },
+                };
+                match next {
+                    Some((t, arrive, nf)) => {
+                        self.begin_exec(g, wi, t, arrive, nf, now);
+                        progress = true;
+                    }
+                    None if self.failure.is_some() => return,
+                    None => {}
+                }
+            }
+            // Pass 2: busy GPU-class workers stage lookahead tasks so
+            // the next input transfers overlap the current execution.
+            for k in 0..nw {
+                let wi = (k + self.rotation) % nw;
+                let w = WorkerId::from_index(wi);
+                if !self.running[wi]
+                    || !self.gpu_class[wi]
+                    || self.next_slot[wi].len() >= GPU_LOOKAHEAD
+                {
+                    continue;
+                }
+                // Never stage more work onto a worker past its kill
+                // threshold: the pipeline would otherwise keep it
+                // perpetually busy and the kill would never fire.
+                if self.kills_on
+                    && (!self.alive[wi]
+                        || self
+                            .cfg
+                            .faults
+                            .kill_after(wi)
+                            .is_some_and(|k| self.done_by[wi] >= k))
+                {
+                    continue;
+                }
+                let staged = match self.pop(g, w, now) {
+                    Some(t) => self.stage(g, w, t, now, true).map(|a| (t, a)),
+                    None => None,
+                };
+                match staged {
+                    Some((t, arrive)) => {
+                        let nf = self.noise();
+                        self.next_slot[wi].push_back((t, arrive, nf));
+                        // Publish queued work so push-time mappers see it.
+                        self.loads.0[wi] += self.delta(g, t, w);
+                        progress = true;
+                    }
+                    None if self.failure.is_some() => return,
+                    None => {}
+                }
+            }
+            if !progress {
+                break;
+            }
+        }
+    }
+
+    /// Hand a newly-ready task to the scheduler — unless the result
+    /// cache already holds a verified entry for it, in which case the
+    /// task completes on the spot: outputs commit to host RAM at `now`
+    /// (zero virtual cost), successors release immediately and are
+    /// probed in turn via the worklist. Cache-off expands to exactly the
+    /// pre-cache push path (one worklist item, popped immediately), so
+    /// schedules are bit-identical.
+    fn push_ready(&mut self, g: &TaskGraph, t0: TaskId, from0: Option<WorkerId>, now: f64) {
+        self.cache_worklist.push((t0, from0));
+        while let Some((t, from)) = self.cache_worklist.pop() {
+            let mut hit = None;
+            if let Some(rc) = self.cache {
+                match g.cache_meta(t).map(|m| (m, rc.lookup(m, false))) {
+                    Some((_, Lookup::Hit(e))) => hit = Some(e),
+                    Some((_, Lookup::Invalidated)) => {
+                        self.stats.cache_invalidations += 1;
+                        self.stats.cache_misses += 1;
+                        self.obs.bump(Counter::CacheInvalidations);
+                        self.obs.bump(Counter::CacheMisses);
+                        if self.cfg.record_trace {
+                            self.cache_events.push(RuntimeEvent {
+                                worker: 0,
+                                at: now,
+                                kind: RuntimeEventKind::CacheInvalidated,
+                            });
+                        }
+                    }
+                    _ => {
+                        // No entry — or no metadata at all (bare
+                        // `add_task` graphs can never hit).
+                        self.stats.cache_misses += 1;
+                        self.obs.bump(Counter::CacheMisses);
+                    }
+                }
+            }
+            if hit.is_none() {
+                self.pushed_at[t.index()] = now;
+                let view = view!(self, g, now);
+                self.scheduler.push(t, from, &view);
+                self.obs.bump(Counter::Pushes);
+                continue;
+            }
+            let ram = self.platform.ram();
+            let mut bytes = 0u64;
+            self.scratch.written.clear();
+            for d in g.task(t).writes() {
+                if self.scratch.written.contains(&d) {
+                    continue;
+                }
+                self.scratch.written.push(d);
+                // Materialize the output where it was born: the home RAM
+                // node (never evicted, survives device deaths). Same
+                // commit the executing path uses, so MSI invariants hold.
+                if self.store.replica(d, ram).is_none() {
+                    self.store.allocate(d, ram, now, false);
+                }
+                self.store.commit_write(d, ram, now);
+                self.last_writer[d.index()] = Some(t);
+                bytes += self.store.size(d);
+            }
+            self.done[t.index()] = true;
+            self.completed += 1;
+            self.hit_end = now;
+            self.stats.cache_hits += 1;
+            self.stats.bytes_materialized += bytes;
+            self.obs.bump(Counter::CacheHits);
+            self.obs.add(Counter::BytesMaterialized, bytes);
+            if self.cfg.record_trace {
+                self.cache_events.push(RuntimeEvent {
+                    worker: 0,
+                    at: now,
+                    kind: RuntimeEventKind::CacheHit,
+                });
+            }
+            if let Some(s) = &mut self.stream {
+                s.completed(t, now, true);
+            }
+            for &s in g.succs(t) {
+                self.indeg[s.index()] -= 1;
+                if self.indeg[s.index()] == 0 {
+                    self.cache_worklist.push((s, None));
+                }
+            }
+        }
+    }
+
+    /// Task `t`'s execution on `w` ends at `now`: commit or (transient
+    /// fault) retry it, then release what it unblocks.
+    fn finish(&mut self, g: &TaskGraph, w: WorkerId, t: TaskId, now: f64) {
+        self.running[w.index()] = false;
+        let worker = self.platform.worker(w);
+        let m = worker.mem_node;
+        let task = g.task(t);
+
+        // Transient-failure injection: the attempt produced nothing.
+        // Release the input pins, commit no write, record no span; the
+        // write-only placeholders stay allocated for the retry.
+        if self.transients_on
+            && self
+                .cfg
+                .faults
+                .transient_fails(t.index(), self.attempts[t.index()])
+        {
+            self.scratch.seen.clear();
+            for a in &task.accesses {
+                if self.scratch.seen.contains(&a.data) {
+                    continue;
+                }
+                self.scratch.seen.push(a.data);
+                self.store.unpin(a.data, m);
+            }
+            self.attempts[t.index()] += 1;
+            if self.attempts[t.index()] >= self.cfg.retry.max_attempts {
+                self.failure = Some(SimError::RetryExhausted {
+                    task: t,
+                    attempts: self.attempts[t.index()],
+                });
+                return;
+            }
+            self.stats.tasks_retried += 1;
+            self.obs.bump(Counter::TasksRetried);
+            self.popped[t.index()] = false;
+            let backoff = self.cfg.retry.backoff_for(self.attempts[t.index()]);
+            self.push_event(now + backoff, EvKind::Retry { t });
+            return;
+        }
+
+        // Close out the execution (same folded view as start_task).
+        self.scratch.seen.clear();
+        for a in &task.accesses {
+            if self.scratch.seen.contains(&a.data) {
+                continue;
+            }
+            self.scratch.seen.push(a.data);
+            self.store.unpin(a.data, m);
+            self.store.touch(a.data, m, now);
+        }
+        self.scratch.written.clear();
+        for d in task.writes() {
+            if !self.scratch.written.contains(&d) {
+                self.scratch.written.push(d);
+                self.store.commit_write(d, m, now);
+                self.last_writer[d.index()] = Some(t);
+            }
+        }
+        // Populate the result cache (payload-less: virtual time has no
+        // bytes — the threaded runtime stores real buffers).
+        if let Some(rc) = self.cache {
+            if let Some(meta) = g.cache_meta(t) {
+                let bytes = self
+                    .scratch
+                    .written
+                    .iter()
+                    .map(|&d| self.store.size(d))
+                    .sum();
+                rc.insert(meta, None, bytes);
+            }
+        }
+        assert!(!self.done[t.index()], "task {t:?} finished twice");
+        self.done[t.index()] = true;
+        self.completed += 1;
+        self.done_by[w.index()] += 1;
+        let elapsed_us = now - self.starts[t.index()];
+        if self.cfg.record_trace {
+            self.trace.tasks.push(TaskSpan {
+                task: t,
+                ttype: task.ttype,
+                worker: w,
+                ready_at: self.pushed_at[t.index()],
+                start: self.starts[t.index()],
+                end: now,
+            });
+        }
+        if self.cfg.feedback_to_model {
+            Estimator::new(g, self.platform, self.model).record(t, worker.arch, elapsed_us);
+        }
+        {
+            let view = view!(self, g, now);
+            self.scheduler
+                .feedback(&SchedEvent::TaskFinished { t, w, elapsed_us }, &view);
+        }
+        if let Some(s) = &mut self.stream {
+            s.completed(t, now, false);
+        }
+
+        // Release successors: indegree decrements publish newly-ready
+        // tasks straight into the scheduler — no intermediate collection,
+        // no rescan of the frontier. A *recomputed* task instead releases
+        // through the recompute indegree: the graph indegrees were
+        // already consumed by the original execution, and decrementing
+        // them again would underflow.
+        if self.recomputing[t.index()] {
+            self.recomputing[t.index()] = false;
+            self.recompute_live -= 1;
+            for &s in g.succs(t) {
+                if self.recomputing[s.index()] && self.rindeg[s.index()] > 0 {
+                    self.rindeg[s.index()] -= 1;
+                    if self.rindeg[s.index()] == 0 {
+                        self.repush(g, s, now);
+                    }
+                }
+            }
+        } else {
+            for &s in g.succs(t) {
+                self.indeg[s.index()] -= 1;
+                if self.indeg[s.index()] == 0 {
+                    self.push_ready(g, s, Some(w), now);
+                }
+            }
+        }
+        // A write just committed: tasks parked on a lost input may now
+        // find it (or discover the next missing one and re-park).
+        for i in 0..self.parked.len() {
+            self.repush(g, self.parked[i], now);
+        }
+        self.parked.clear();
+        self.prefetch(now);
+    }
+
+    /// Close the run: name the deadlock if tasks are left, validate the
+    /// schedule, and merge the counters.
+    fn into_result(mut self, g: &TaskGraph) -> SimResult {
+        let n = g.task_count();
+        if self.failure.is_none() && self.completed != n {
+            // Detail the first few stuck tasks with their unmet
+            // dependencies so the report distinguishes "the graph never
+            // released it" from "the scheduler is sitting on a ready task".
+            let stuck = (0..n)
+                .map(TaskId::from_index)
+                .filter(|t| !self.done[t.index()])
+                .take(SimError::DEADLOCK_DETAIL_CAP)
+                .map(|t| {
+                    let unmet = g.preds(t).iter().copied().filter(|p| !self.done[p.index()]);
+                    (t, unmet.take(SimError::DEADLOCK_DETAIL_CAP).collect())
+                })
+                .collect();
+            self.failure = Some(SimError::Deadlock {
+                completed: self.completed,
+                total: n,
+                pending: self.scheduler.pending(),
+                stuck,
+            });
+        }
+        self.stats.tasks = self.completed;
+
+        let makespan = self
+            .exec_end
+            .iter()
+            .copied()
+            .fold(0.0f64, f64::max)
+            .max(self.hit_end);
+        if self.failure.is_none() {
+            // Pin balance at quiesce: every pin taken while staging must
+            // have been released by a completion or an error rollback.
+            debug_assert!(
+                self.store.leaked_pins().is_empty(),
+                "pin leak at quiesce: {:?}",
+                self.store.leaked_pins()
+            );
+            #[cfg(feature = "audit")]
+            self.store.audit_quiesce();
+            if self.cfg.validate && self.cfg.record_trace {
+                self.trace.validate().expect("trace validation failed");
+                assert_precedence(&self.trace, g, self.cache.is_some(), &self.done);
+            }
+        }
+
+        let mut audit = self.store.take_audit();
+        audit.append(&mut self.engine_audit);
+
+        // Capacity evictions happen inside the shared cache (it can be
+        // shared across runs), so this run's share is the delta over its
+        // lifetime counter.
+        if let Some(rc) = self.cache {
+            self.stats.cache_evictions = rc.evictions() - self.cache_evictions_at_start;
+        }
+
+        // Quiesce-time counter aggregation: the engine-side cell (pops,
+        // pushes, prefetch fates) merged with whatever the policy reports
+        // (holds, evictions, arena hits, heap compactions, shard steals).
+        let mut counters = self.scheduler.counters();
+        self.obs.drain_into(&mut counters);
+        counters.cache_evictions += self.stats.cache_evictions;
+        if let Some(rc) = self.cache {
+            let (ps, at_start) = (rc.persist_stats(), &self.cache_persist_at_start);
+            counters.cache_persist_writes += ps.writes - at_start.writes;
+            counters.cache_loaded += ps.loaded - at_start.loaded;
+            counters.cache_load_rejects += ps.load_rejects - at_start.load_rejects;
+            counters.cache_compactions += ps.compactions - at_start.compactions;
+        }
+
+        SimResult {
+            scheduler: self.scheduler.name().to_string(),
+            makespan,
+            trace: self.trace,
+            stats: self.stats,
+            error: self.failure,
+            audit,
+            counters,
+            cache_events: self.cache_events,
+        }
+    }
+}
+
 /// Run `graph` on `platform` under `scheduler`, returning the makespan,
 /// trace and statistics. Deterministic for a fixed config.
 ///
@@ -548,6 +1462,8 @@ pub fn simulate(
 /// the performance model. A miss executes normally and populates the
 /// cache at commit. With `cache == None` this is bit-identical to
 /// [`simulate`] (enforced by the CI determinism gate).
+///
+/// The graph is the loop's single submission, at t = 0.
 pub fn simulate_cached(
     graph: &TaskGraph,
     platform: &Platform,
@@ -556,832 +1472,9 @@ pub fn simulate_cached(
     cfg: SimConfig,
     cache: Option<&ResultCache>,
 ) -> SimResult {
-    let n = graph.task_count();
-    let nw = platform.worker_count();
-    let mut store = DataStore::new(graph, platform);
-    let mut loads = Loads(vec![0.0; nw]);
-    let mut events: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut indeg: Vec<usize> = (0..n)
-        .map(|i| graph.preds(TaskId::from_index(i)).len())
-        .collect();
-    let mut pushed_at: Vec<f64> = vec![0.0; n];
-    let mut done: Vec<bool> = vec![false; n];
-    // Tasks handed out by the scheduler so far: a second pop of the same
-    // task is rejected as a typed error before it can corrupt state.
-    let mut popped: Vec<bool> = vec![false; n];
-    let mut completed = 0usize;
-    // --- Fault-injection state (all dormant without a fault plan) ---
-    let kills_on = cfg.faults.kills_any();
-    let transients_on = cfg.faults.transient_fail_prob > 0.0;
-    let mut alive: Vec<bool> = vec![true; nw];
-    let mut done_by: Vec<u32> = vec![0; nw]; // committed tasks per worker
-    let mut attempts: Vec<u32> = vec![0; n]; // failed attempts per task
-    let mut recomputing: Vec<bool> = vec![false; n];
-    let mut rindeg: Vec<u32> = vec![0; n]; // recompute-order indegree
-    let mut recompute_live = 0usize;
-    // Tasks popped but blocked on an input a recompute chain is still
-    // regenerating. Held outside the scheduler (so the chain's own tasks
-    // win every pop) and re-pushed whenever a write commits.
-    let mut parked: Vec<TaskId> = Vec::new();
-    // Committed producer of each handle's current value, for the
-    // lineage walk-back when a node dies with the only copy.
-    let mut last_writer: Vec<Option<TaskId>> = vec![None; store.handle_count()];
-    let mut trace = Trace::new(nw);
-    let mut stats = SimStats::default();
-    let cache_evictions_at_start = cache.map_or(0, |rc| rc.evictions());
-    let cache_persist_at_start = cache.map_or_else(Default::default, |rc| rc.persist_stats());
-    // Cache-hit / invalidation instants for the Chrome timeline, and the
-    // worklist driving hit cascades (a hit releases successors that may
-    // hit in turn — iterative, no recursion).
-    let mut cache_events: Vec<RuntimeEvent> = Vec::new();
-    let mut cache_worklist: Vec<(TaskId, Option<WorkerId>)> = Vec::new();
-    // Guards the seed loop against re-releasing a task a hit cascade
-    // already released (a source's hit can zero later sources' indeg
-    // before the loop reaches them).
-    let mut released: Vec<bool> = vec![false; n];
-    // First typed failure; stops dispatching and surfaces in the result.
-    let mut failure: Option<SimError> = None;
-    // Engine-side observability cell (no-op unless `--features obs`).
-    let obs = ObsCell::new();
-    // Engine-side audit records (event-time monotonicity); only written
-    // under `--features audit`.
-    let mut engine_audit: Vec<AuditRecord> = Vec::new();
-    #[cfg(feature = "audit")]
-    let mut last_event_time = 0.0f64;
-
-    // Log-normal noise factor with E[x] ≈ 1.
-    let noise = |rng: &mut StdRng| -> f64 {
-        if cfg.noise_cv == 0.0 {
-            return 1.0;
-        }
-        let sigma = cfg.noise_cv;
-        // Box-Muller.
-        let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(1e-12), rng.gen());
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (sigma * z - sigma * sigma / 2.0).exp()
-    };
-
-    // ---------------------------------------------------------------
-    // Main loop.
-    //
-    // StarPU's accelerator workers run a depth-2 pipeline: while a task
-    // executes, the worker already pops its *next* task and stages that
-    // task's input transfers, overlapping PCIe traffic with computation
-    // (STARPU_CUDA_PIPELINE). We reproduce that for GPU-class workers:
-    // `next_slot[w]` holds the staged task; it begins executing the
-    // moment the current one finishes (or when its transfers land,
-    // whichever is later). CPU workers on the RAM node pop only when
-    // idle, as in StarPU.
-    // ---------------------------------------------------------------
-
-    /// Pipeline depth of accelerator workers (StarPU's CUDA default).
-    const GPU_LOOKAHEAD: usize = 2;
-
-    let mut starts: Vec<f64> = vec![0.0; n]; // exec start per task
-    let mut running: Vec<bool> = vec![false; nw];
-    let mut exec_end: Vec<f64> = vec![0.0; nw];
-    // Staged lookahead tasks per worker: (task, inputs-ready time if the
-    // prepare succeeded — None defers it to execution time, noise).
-    let mut next_slot: Vec<VecDeque<(TaskId, Option<f64>, f64)>> = vec![VecDeque::new(); nw];
-    // Reused per-event scratch (no steady-state allocation).
-    let mut scratch = Scratch::default();
-    let emits_prefetches = scheduler.emits_prefetches();
-    // Rotating dispatch offset: removes the systematic low-id-first bias
-    // (concurrently polling workers have no global order in reality).
-    let mut rotation = 0usize;
-    let gpu_class: Vec<bool> = (0..nw)
-        .map(|wi| {
-            let w = platform.worker(WorkerId::from_index(wi));
-            platform.arch(w.arch).class == mp_platform::types::ArchClass::Gpu
-        })
-        .collect();
-
-    macro_rules! view {
-        ($now:expr) => {
-            SchedView {
-                est: Estimator::new(graph, platform, model),
-                loc: &store,
-                load: &loads,
-                now: $now,
-            }
-        };
-    }
-
-    // Kill worker `wi`: the fault plan's threshold was reached and the
-    // worker is idle with nothing staged (clean drain — a worker never
-    // dies holding pins, so replica cleanup needs no pin surgery).
-    macro_rules! kill_worker {
-        ($wi:expr, $now:expr) => {{
-            let (wi, now): (usize, f64) = ($wi, $now);
-            let w = WorkerId::from_index(wi);
-            alive[wi] = false;
-            stats.worker_failures += 1;
-            obs.bump(Counter::WorkerFailures);
-            {
-                let view = view!(now);
-                scheduler.worker_disabled(w, &view);
-            }
-            // Device memory dies with its last worker; host RAM outlives
-            // the compute threads pinned to it.
-            let m = platform.worker(w).mem_node;
-            let node_lost = m != platform.ram()
-                && platform
-                    .workers_on_node(m)
-                    .iter()
-                    .all(|x| !alive[x.index()]);
-            if node_lost {
-                let seeds = recover_node(
-                    graph,
-                    &mut store,
-                    m,
-                    platform.ram(),
-                    &last_writer,
-                    &mut done,
-                    &mut popped,
-                    &mut recomputing,
-                    &mut rindeg,
-                    &mut completed,
-                    &mut recompute_live,
-                    &mut stats,
-                    &obs,
-                );
-                for &s in &seeds {
-                    pushed_at[s.index()] = now;
-                    let view = view!(now);
-                    scheduler.push_retry(s, attempts[s.index()], &view);
-                    obs.bump(Counter::Pushes);
-                }
-            }
-            // Every unfinished task must keep a capable survivor, or the
-            // run can never complete — fail it now, with the culprit.
-            let est = Estimator::new(graph, platform, model);
-            for i in 0..n {
-                if done[i] {
-                    continue;
-                }
-                let t = TaskId::from_index(i);
-                let capable = (0..nw).any(|xi| {
-                    alive[xi]
-                        && est
-                            .delta(t, platform.worker(WorkerId::from_index(xi)).arch)
-                            .is_some()
-                });
-                if !capable {
-                    failure = Some(SimError::NoCapableWorker { task: t });
-                    break;
-                }
-            }
-        }};
-    }
-
-    // Begin executing a prepared task on an idle worker.
-    macro_rules! begin_exec {
-        ($wi:expr, $t:expr, $arrive:expr, $nf:expr, $now:expr) => {{
-            let (wi, t, arrive, nf, now): (usize, TaskId, f64, f64, f64) =
-                ($wi, $t, $arrive, $nf, $now);
-            let w = WorkerId::from_index(wi);
-            let delta = Estimator::new(graph, platform, model)
-                .delta(t, platform.worker(w).arch)
-                .expect("validated in prepare_task");
-            let start = now.max(arrive);
-            let end = start + delta * nf;
-            starts[t.index()] = start;
-            running[wi] = true;
-            exec_end[wi] = end;
-            // Load estimate published to the schedulers: *model-estimated*
-            // end (start + δ), not the realized noisy end — no scheduler
-            // can know mid-execution how long a task will really take
-            // (StarPU's dm family plans with expected durations too).
-            let staged: f64 = next_slot[wi]
-                .iter()
-                .map(|&(st, _, _)| {
-                    Estimator::new(graph, platform, model)
-                        .delta(st, platform.worker(w).arch)
-                        .expect("staged task validated")
-                })
-                .sum();
-            loads.0[wi] = start + delta + staged;
-            seq += 1;
-            events.push(Reverse(Event {
-                time: end,
-                seq,
-                w,
-                t,
-                kind: EvKind::Finish,
-            }));
-            {
-                let view = view!(now);
-                scheduler.feedback(&SchedEvent::TaskStarted { t, w }, &view);
-            }
-        }};
-    }
-
-    // Vet a pop decision: typed rejection of contract violations (double
-    // pop, incapable worker) instead of downstream panics. On success
-    // the task is marked handed-out.
-    macro_rules! vet_pop {
-        ($t:expr, $w:expr, $now:expr) => {{
-            let (t, w, now): (TaskId, WorkerId, f64) = ($t, $w, $now);
-            if popped[t.index()] {
-                Some(SimError::DoubleExecution { task: t })
-            } else {
-                let verdict = {
-                    let view = view!(now);
-                    view.validate_assignment(t, w)
-                };
-                match verdict {
-                    Ok(()) => {
-                        popped[t.index()] = true;
-                        None
-                    }
-                    Err(e) => Some(SimError::IncapableWorker {
-                        task: e.task,
-                        worker: e.worker,
-                    }),
-                }
-            }
-        }};
-    }
-
-    macro_rules! dispatch {
-        ($now:expr) => {{
-            let now: f64 = $now;
-            store.now = now;
-            'dispatch: loop {
-                let mut progress = false;
-                rotation = (rotation + 1) % nw.max(1);
-                // Pass 1: idle workers (they need work immediately).
-                for k in 0..nw {
-                    let wi = (k + rotation) % nw;
-                    let w = WorkerId::from_index(wi);
-                    if running[wi] {
-                        continue;
-                    }
-                    if kills_on {
-                        if !alive[wi] {
-                            continue;
-                        }
-                        // Idle, nothing staged, threshold reached: die
-                        // before popping any more work.
-                        if next_slot[wi].is_empty()
-                            && cfg.faults.kill_after(wi).is_some_and(|k| done_by[wi] >= k)
-                        {
-                            kill_worker!(wi, now);
-                            if failure.is_some() {
-                                break 'dispatch;
-                            }
-                            // The death re-bucketed the scheduler and may
-                            // have re-pushed recompute seeds: workers
-                            // already polled this round must poll again.
-                            progress = true;
-                            continue;
-                        }
-                    }
-                    // Drain a staged task first, then pop fresh.
-                    if let Some((t, arrive_opt, nf)) = next_slot[wi].pop_front() {
-                        let arrive = match arrive_opt {
-                            Some(a) => a,
-                            // Deferred prepare: earlier pipeline tasks
-                            // have unpinned their data by now.
-                            None => match prepare_task(
-                                graph,
-                                platform,
-                                model,
-                                &mut store,
-                                &cfg,
-                                &mut trace,
-                                &mut stats,
-                                &mut scratch,
-                                w,
-                                t,
-                                now,
-                                false,
-                            ) {
-                                Ok(a) => a.expect("strict prepare never defers"),
-                                Err(SimError::NoValidReplica { .. }) if recompute_live > 0 => {
-                                    // A lost input is being regenerated:
-                                    // park the task engine-side — NOT
-                                    // back into the scheduler, which
-                                    // could hand it straight back to
-                                    // every idle worker and stall the
-                                    // regenerating chain forever — and
-                                    // release it at the next commit.
-                                    popped[t.index()] = false;
-                                    parked.push(t);
-                                    continue;
-                                }
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break 'dispatch;
-                                }
-                            },
-                        };
-                        begin_exec!(wi, t, arrive, nf, now);
-                        progress = true;
-                        continue;
-                    }
-                    let fresh = {
-                        let view = view!(now);
-                        scheduler.pop(w, &view)
-                    };
-                    match fresh {
-                        Some(t) => {
-                            if let Some(e) = vet_pop!(t, w, now) {
-                                failure = Some(e);
-                                break 'dispatch;
-                            }
-                            obs.bump(Counter::Pops);
-                            let arrive = match prepare_task(
-                                graph,
-                                platform,
-                                model,
-                                &mut store,
-                                &cfg,
-                                &mut trace,
-                                &mut stats,
-                                &mut scratch,
-                                w,
-                                t,
-                                now,
-                                false,
-                            ) {
-                                Ok(a) => a.expect("strict prepare never defers"),
-                                Err(SimError::NoValidReplica { .. }) if recompute_live > 0 => {
-                                    popped[t.index()] = false;
-                                    parked.push(t);
-                                    continue;
-                                }
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break 'dispatch;
-                                }
-                            };
-                            let nf = noise(&mut rng);
-                            begin_exec!(wi, t, arrive, nf, now);
-                            progress = true;
-                        }
-                        None => stats.empty_pops += 1,
-                    }
-                }
-                // Pass 2: busy GPU-class workers stage lookahead tasks so
-                // the next input transfers overlap the current execution.
-                for k in 0..nw {
-                    let wi = (k + rotation) % nw;
-                    let w = WorkerId::from_index(wi);
-                    if !running[wi] || !gpu_class[wi] || next_slot[wi].len() >= GPU_LOOKAHEAD {
-                        continue;
-                    }
-                    // Never stage more work onto a worker past its kill
-                    // threshold: the pipeline would otherwise keep it
-                    // perpetually busy and the kill would never fire.
-                    if kills_on
-                        && (!alive[wi]
-                            || cfg.faults.kill_after(wi).is_some_and(|k| done_by[wi] >= k))
-                    {
-                        continue;
-                    }
-                    let fresh = {
-                        let view = view!(now);
-                        scheduler.pop(w, &view)
-                    };
-                    match fresh {
-                        Some(t) => {
-                            if let Some(e) = vet_pop!(t, w, now) {
-                                failure = Some(e);
-                                break 'dispatch;
-                            }
-                            obs.bump(Counter::Pops);
-                            let arrive = match prepare_task(
-                                graph,
-                                platform,
-                                model,
-                                &mut store,
-                                &cfg,
-                                &mut trace,
-                                &mut stats,
-                                &mut scratch,
-                                w,
-                                t,
-                                now,
-                                true,
-                            ) {
-                                Ok(a) => a,
-                                Err(SimError::NoValidReplica { .. }) if recompute_live > 0 => {
-                                    popped[t.index()] = false;
-                                    parked.push(t);
-                                    continue;
-                                }
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break 'dispatch;
-                                }
-                            };
-                            let nf = noise(&mut rng);
-                            next_slot[wi].push_back((t, arrive, nf));
-                            // Publish queued work so push-time mappers see it.
-                            let delta_est = Estimator::new(graph, platform, model)
-                                .delta(t, platform.worker(w).arch)
-                                .expect("validated in prepare_task");
-                            loads.0[wi] += delta_est;
-                            progress = true;
-                        }
-                        None => stats.empty_pops += 1,
-                    }
-                }
-                if !progress {
-                    break;
-                }
-            }
-        }};
-    }
-
-    // Hand a newly-ready task to the scheduler — unless the result
-    // cache already holds a verified entry for it, in which case the
-    // task completes on the spot: outputs commit to host RAM at `now`
-    // (zero virtual cost), successors release immediately and are
-    // probed in turn via the worklist. Cache-off expands to exactly the
-    // pre-cache push path (one worklist item, popped immediately), so
-    // schedules are bit-identical.
-    macro_rules! push_ready {
-        ($t:expr, $from:expr, $now:expr) => {{
-            let (t0, from0, now): (TaskId, Option<WorkerId>, f64) = ($t, $from, $now);
-            cache_worklist.push((t0, from0));
-            while let Some((t, from)) = cache_worklist.pop() {
-                released[t.index()] = true;
-                let mut hit = None;
-                if let Some(rc) = cache {
-                    match graph.cache_meta(t).map(|m| (m, rc.lookup(m, false))) {
-                        Some((_, Lookup::Hit(e))) => hit = Some(e),
-                        Some((_, Lookup::Invalidated)) => {
-                            stats.cache_invalidations += 1;
-                            stats.cache_misses += 1;
-                            obs.bump(Counter::CacheInvalidations);
-                            obs.bump(Counter::CacheMisses);
-                            if cfg.record_trace {
-                                cache_events.push(RuntimeEvent {
-                                    worker: 0,
-                                    at: now,
-                                    kind: RuntimeEventKind::CacheInvalidated,
-                                });
-                            }
-                        }
-                        _ => {
-                            // No entry — or no metadata at all (bare
-                            // `add_task` graphs can never hit).
-                            stats.cache_misses += 1;
-                            obs.bump(Counter::CacheMisses);
-                        }
-                    }
-                }
-                match hit {
-                    Some(_entry) => {
-                        let task = graph.task(t);
-                        let ram = platform.ram();
-                        let mut bytes = 0u64;
-                        scratch.written.clear();
-                        for d in task.writes() {
-                            if scratch.written.contains(&d) {
-                                continue;
-                            }
-                            scratch.written.push(d);
-                            // Materialize the output where it was born:
-                            // the home RAM node (never evicted, survives
-                            // device deaths). Same commit the executing
-                            // path uses, so MSI invariants hold.
-                            if store.replica(d, ram).is_none() {
-                                store.allocate(d, ram, now, false);
-                            }
-                            store.commit_write(d, ram, now);
-                            last_writer[d.index()] = Some(t);
-                            bytes += store.size(d);
-                        }
-                        done[t.index()] = true;
-                        completed += 1;
-                        stats.cache_hits += 1;
-                        stats.bytes_materialized += bytes;
-                        obs.bump(Counter::CacheHits);
-                        obs.add(Counter::BytesMaterialized, bytes);
-                        if cfg.record_trace {
-                            cache_events.push(RuntimeEvent {
-                                worker: 0,
-                                at: now,
-                                kind: RuntimeEventKind::CacheHit,
-                            });
-                        }
-                        for &s in graph.succs(t) {
-                            indeg[s.index()] -= 1;
-                            if indeg[s.index()] == 0 {
-                                cache_worklist.push((s, None));
-                            }
-                        }
-                    }
-                    None => {
-                        pushed_at[t.index()] = now;
-                        let view = view!(now);
-                        scheduler.push(t, from, &view);
-                        obs.bump(Counter::Pushes);
-                    }
-                }
-            }
-        }};
-    }
-
-    // Initially-ready tasks, in submission order. A hit cascade can
-    // zero the indegree of (and release) tasks the loop has not reached
-    // yet — the `released` guard keeps each task released exactly once.
-    {
-        store.now = 0.0;
-        for i in 0..n {
-            if indeg[i] == 0 && !released[i] {
-                let t = TaskId::from_index(i);
-                push_ready!(t, None, 0.0);
-            }
-        }
-        if emits_prefetches {
-            run_prefetches(
-                scheduler,
-                &mut store,
-                platform,
-                &cfg,
-                0.0,
-                &mut trace,
-                &mut stats,
-                &mut scratch.prefetches,
-                &obs,
-            );
-        }
-    }
-    dispatch!(0.0);
-
-    while failure.is_none() {
-        let Some(Reverse(ev)) = events.pop() else {
-            break;
-        };
-        let now = ev.time;
-        #[cfg(feature = "audit")]
-        {
-            use mp_trace::AuditKind;
-            if now < last_event_time - 1e-9 {
-                engine_audit.push(AuditRecord::new(
-                    now,
-                    AuditKind::EventTimeRegression,
-                    format!("event at {now} after {last_event_time}"),
-                ));
-            }
-            last_event_time = last_event_time.max(now);
-        }
-        store.now = now;
-        let t = ev.t;
-        let w = ev.w;
-        if ev.kind == EvKind::Retry {
-            // Backoff expired: the failed task re-enters the scheduler.
-            pushed_at[t.index()] = now;
-            {
-                let view = view!(now);
-                scheduler.push_retry(t, attempts[t.index()], &view);
-            }
-            obs.bump(Counter::Pushes);
-            dispatch!(now);
-            continue;
-        }
-        running[w.index()] = false;
-        let worker = platform.worker(w);
-        let m = worker.mem_node;
-        let task = graph.task(t);
-
-        // Transient-failure injection: the attempt produced nothing.
-        // Release the input pins, commit no write, record no span; the
-        // write-only placeholders stay allocated for the retry.
-        if transients_on && cfg.faults.transient_fails(t.index(), attempts[t.index()]) {
-            scratch.seen.clear();
-            for a in &task.accesses {
-                if scratch.seen.contains(&a.data) {
-                    continue;
-                }
-                scratch.seen.push(a.data);
-                store.unpin(a.data, m);
-            }
-            attempts[t.index()] += 1;
-            if attempts[t.index()] >= cfg.retry.max_attempts {
-                failure = Some(SimError::RetryExhausted {
-                    task: t,
-                    attempts: attempts[t.index()],
-                });
-                break;
-            }
-            stats.tasks_retried += 1;
-            obs.bump(Counter::TasksRetried);
-            popped[t.index()] = false;
-            seq += 1;
-            events.push(Reverse(Event {
-                time: now + cfg.retry.backoff_for(attempts[t.index()]),
-                seq,
-                w,
-                t,
-                kind: EvKind::Retry,
-            }));
-            dispatch!(now);
-            continue;
-        }
-
-        // Close out the execution (same folded view as start_task).
-        {
-            scratch.seen.clear();
-            for a in &task.accesses {
-                if scratch.seen.contains(&a.data) {
-                    continue;
-                }
-                scratch.seen.push(a.data);
-                store.unpin(a.data, m);
-                store.touch(a.data, m, now);
-            }
-            scratch.written.clear();
-            for d in task.writes() {
-                if !scratch.written.contains(&d) {
-                    scratch.written.push(d);
-                    store.commit_write(d, m, now);
-                    last_writer[d.index()] = Some(t);
-                }
-            }
-        }
-        // Populate the result cache (payload-less: virtual time has no
-        // bytes — the threaded runtime stores real buffers).
-        if let Some(rc) = cache {
-            if let Some(meta) = graph.cache_meta(t) {
-                let bytes = scratch.written.iter().map(|&d| store.size(d)).sum();
-                rc.insert(meta, None, bytes);
-            }
-        }
-        assert!(!done[t.index()], "task {t:?} finished twice");
-        done[t.index()] = true;
-        completed += 1;
-        done_by[w.index()] += 1;
-        if cfg.record_trace {
-            trace.tasks.push(TaskSpan {
-                task: t,
-                ttype: task.ttype,
-                worker: w,
-                ready_at: pushed_at[t.index()],
-                start: starts[t.index()],
-                end: now,
-            });
-        }
-        if cfg.feedback_to_model {
-            let est = Estimator::new(graph, platform, model);
-            est.record(t, worker.arch, now - starts[t.index()]);
-        }
-        {
-            let view = view!(now);
-            scheduler.feedback(
-                &SchedEvent::TaskFinished {
-                    t,
-                    w,
-                    elapsed_us: now - starts[t.index()],
-                },
-                &view,
-            );
-        }
-
-        // Release successors: indegree decrements publish newly-ready
-        // tasks straight into the scheduler — no intermediate collection,
-        // no rescan of the frontier. A *recomputed* task instead releases
-        // through the recompute indegree: the graph indegrees were
-        // already consumed by the original execution, and decrementing
-        // them again would underflow.
-        if recomputing[t.index()] {
-            recomputing[t.index()] = false;
-            recompute_live -= 1;
-            for &s in graph.succs(t) {
-                if recomputing[s.index()] && rindeg[s.index()] > 0 {
-                    rindeg[s.index()] -= 1;
-                    if rindeg[s.index()] == 0 {
-                        pushed_at[s.index()] = now;
-                        let view = view!(now);
-                        scheduler.push_retry(s, attempts[s.index()], &view);
-                        obs.bump(Counter::Pushes);
-                    }
-                }
-            }
-        } else {
-            for &s in graph.succs(t) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    push_ready!(s, Some(w), now);
-                }
-            }
-        }
-        // A write just committed: tasks parked on a lost input may now
-        // find it (or discover the next missing one and re-park).
-        if !parked.is_empty() {
-            for &p in &parked {
-                pushed_at[p.index()] = now;
-                let view = view!(now);
-                scheduler.push_retry(p, attempts[p.index()], &view);
-                obs.bump(Counter::Pushes);
-            }
-            parked.clear();
-        }
-        if emits_prefetches {
-            run_prefetches(
-                scheduler,
-                &mut store,
-                platform,
-                &cfg,
-                now,
-                &mut trace,
-                &mut stats,
-                &mut scratch.prefetches,
-                &obs,
-            );
-        }
-
-        dispatch!(now);
-    }
-
-    if failure.is_none() && completed != n {
-        // Detail the first few stuck tasks with their unmet dependencies
-        // so the report distinguishes "the graph never released it" from
-        // "the scheduler is sitting on a ready task".
-        let mut stuck: Vec<(TaskId, Vec<TaskId>)> = Vec::new();
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            if stuck.len() >= SimError::DEADLOCK_DETAIL_CAP {
-                break;
-            }
-            let t = TaskId::from_index(i);
-            let unmet: Vec<TaskId> = graph
-                .preds(t)
-                .iter()
-                .copied()
-                .filter(|p| !done[p.index()])
-                .take(SimError::DEADLOCK_DETAIL_CAP)
-                .collect();
-            stuck.push((t, unmet));
-        }
-        failure = Some(SimError::Deadlock {
-            completed,
-            total: n,
-            pending: scheduler.pending(),
-            stuck,
-        });
-    }
-    stats.tasks = completed;
-
-    let makespan = exec_end.iter().copied().fold(0.0f64, f64::max);
-    if failure.is_none() {
-        // Pin balance at quiesce: every pin taken while staging must have
-        // been released by a completion or an error rollback.
-        debug_assert!(
-            store.leaked_pins().is_empty(),
-            "pin leak at quiesce: {:?}",
-            store.leaked_pins()
-        );
-        #[cfg(feature = "audit")]
-        store.audit_quiesce();
-        if cfg.validate && cfg.record_trace {
-            trace.validate().expect("trace validation failed");
-            assert_precedence(&trace, graph, cache.is_some(), &done);
-        }
-    }
-
-    let mut audit = store.take_audit();
-    audit.append(&mut engine_audit);
-
-    // Capacity evictions happen inside the shared cache (it can be
-    // shared across runs), so this run's share is the delta over its
-    // lifetime counter.
-    if let Some(rc) = cache {
-        stats.cache_evictions = rc.evictions() - cache_evictions_at_start;
-    }
-
-    // Quiesce-time counter aggregation: the engine-side cell (pops,
-    // pushes, prefetch fates) merged with whatever the policy reports
-    // (holds, evictions, arena hits, heap compactions, shard steals).
-    let mut counters = scheduler.counters();
-    obs.drain_into(&mut counters);
-    counters.cache_evictions += stats.cache_evictions;
-    if let Some(rc) = cache {
-        let ps = rc.persist_stats();
-        counters.cache_persist_writes += ps.writes - cache_persist_at_start.writes;
-        counters.cache_loaded += ps.loaded - cache_persist_at_start.loaded;
-        counters.cache_load_rejects += ps.load_rejects - cache_persist_at_start.load_rejects;
-        counters.cache_compactions += ps.compactions - cache_persist_at_start.compactions;
-    }
-
-    SimResult {
-        scheduler: scheduler.name().to_string(),
-        makespan,
-        trace,
-        stats,
-        error: failure,
-        audit,
-        counters,
-        cache_events,
-    }
+    Engine::new(graph, platform, model, scheduler, cfg, cache, None)
+        .run(&mut Feed::Closed(graph), Ok(vec![0.0]))
+        .0
 }
 
 #[cfg(test)]

@@ -79,6 +79,12 @@ pub enum SimError {
         /// Attempts made.
         attempts: u32,
     },
+    /// A serving configuration that cannot run, rejected before the
+    /// first arrival.
+    BadServeConfig {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl SimError {
@@ -143,6 +149,7 @@ impl std::fmt::Display for SimError {
             SimError::RetryExhausted { task, attempts } => {
                 write!(f, "{task:?} failed on all {attempts} allowed attempt(s)")
             }
+            SimError::BadServeConfig { reason } => write!(f, "bad serving config: {reason}"),
         }
     }
 }

@@ -20,6 +20,12 @@
 //!   (the Dmda family does at push); prefetches share the link queues;
 //! * full **trace recording** (`mp-trace`) and post-run validation.
 //!
+//! **One loop, two feeds.** [`simulate`] runs a closed graph as the
+//! loop's single submission at t = 0; [`serve_sim`] feeds it an open-loop
+//! multi-tenant stream whose arrivals are one more event kind and whose
+//! admitted sub-DAGs grow the graph while it runs (DESIGN.md §13). Both
+//! get every effect above, the pop vetting and the validation below.
+//!
 //! Determinism: identical inputs and seed produce identical results; the
 //! event queue breaks time ties by sequence number.
 //!
@@ -49,6 +55,7 @@ pub mod data;
 pub mod engine;
 pub mod error;
 pub mod result;
+pub mod serve;
 
 pub use config::SimConfig;
 pub use engine::{simulate, simulate_cached};
@@ -58,3 +65,4 @@ pub use mp_cache::{
 };
 pub use mp_fault::{FaultPlan, KillSpec, RetryPolicy};
 pub use result::{SimResult, SimStats};
+pub use serve::{serve_sim, serve_sim_cached, ServeConfig, ServeReport, SubDagShape, TenantStats};

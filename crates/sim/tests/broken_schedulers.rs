@@ -1,14 +1,16 @@
 //! Regression tests: a scheduler that violates its contract must stop
 //! the simulation with a typed [`SimError`] in `SimResult::error` — the
 //! engine formerly aborted the whole process with `panic!` deep inside
-//! task staging.
+//! task staging. A serving stream runs on the same loop, so each broken
+//! scheduler must end a [`serve_sim`] run with the same error.
 
 use mp_dag::{AccessMode, TaskGraph, TaskId};
 use mp_perfmodel::{TableModel, TimeFn};
 use mp_platform::presets::simple;
 use mp_platform::types::{ArchClass, WorkerId};
 use mp_sched::{SchedView, Scheduler};
-use mp_sim::{simulate, SimConfig, SimError};
+use mp_serve::{ArrivalProcess, TenantSpec};
+use mp_sim::{serve_sim, simulate, ServeConfig, ServeReport, SimConfig, SimError};
 
 /// Two CPU-only tasks; `simple(1, 1)` provides one CPU and one GPU.
 fn cpu_only_fixture() -> (TaskGraph, mp_platform::types::Platform, TableModel) {
@@ -164,4 +166,62 @@ fn partial_progress_survives_a_late_failure() {
     // t0 was handed out once before the stutter; nothing else ran, and
     // the engine still returns (no process abort, no hang).
     assert!(r.stats.tasks <= 1);
+}
+
+/// Two fork-join sub-DAGs of the serving `SRV` type on `simple(1, 1)`,
+/// priced on the CPU only or (`gpu`) on both arches.
+fn serve_two_subdags(s: &mut dyn Scheduler, gpu: bool) -> ServeReport {
+    let mut m = TableModel::builder().set("SRV", ArchClass::Cpu, TimeFn::Const(100.0));
+    if gpu {
+        m = m.set("SRV", ArchClass::Gpu, TimeFn::Const(10.0));
+    }
+    let cfg = ServeConfig::new(
+        TenantSpec::equal(1),
+        ArrivalProcess::Poisson {
+            rate_per_sec: 1000.0,
+        },
+        2,
+    );
+    serve_sim(&simple(1, 1), &m.build(), s, &cfg)
+}
+
+#[test]
+fn incapable_assignment_while_serving_is_a_typed_error() {
+    let r = serve_two_subdags(&mut BlindScheduler { queue: Vec::new() }, false);
+    assert!(
+        matches!(r.error, Some(SimError::IncapableWorker { worker, .. }) if worker == WorkerId(1)),
+        "got {:?}",
+        r.error
+    );
+}
+
+#[test]
+fn refusing_every_pop_while_serving_is_a_typed_deadlock() {
+    let r = serve_two_subdags(&mut HoardingScheduler { held: 0 }, false);
+    match r.error {
+        Some(SimError::Deadlock {
+            completed,
+            total,
+            pending,
+            stuck,
+        }) => {
+            // Both roots were released and held; their successors wait
+            // on them.
+            assert_eq!((completed, total, pending), (0, 12, 2));
+            assert!(stuck[0].1.is_empty(), "{stuck:?}");
+            assert_eq!(stuck[1].1, vec![stuck[0].0], "{stuck:?}");
+        }
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+    assert_eq!(r.tasks_completed, 0);
+}
+
+#[test]
+fn double_pop_while_serving_is_a_typed_error() {
+    let r = serve_two_subdags(&mut StutteringScheduler { first: None }, true);
+    assert!(
+        matches!(r.error, Some(SimError::DoubleExecution { task }) if task == TaskId(0)),
+        "got {:?}",
+        r.error
+    );
 }
