@@ -415,6 +415,15 @@ impl ScoredHeap {
         }
     }
 
+    /// Drop every entry, live or stale, in O(1) (entries are `Copy`). The
+    /// owner calls this once it knows no live entry is left, which
+    /// spares the probe-per-entry walk a compaction would make.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.cache.clear();
+        self.stale = 0;
+    }
+
     /// Record that `n` entries somewhere in this heap just went stale
     /// (their slab slot was retired or lost this node's bit). O(1).
     #[inline]
@@ -844,6 +853,35 @@ mod scored_tests {
         h.check_invariants(slab.probe());
         let ids: Vec<u32> = out.iter().map(|&(t, _)| t.0).collect();
         assert_eq!(ids, vec![19, 18, 17, 16, 15]);
+    }
+
+    #[test]
+    fn clear_empties_the_heap_and_its_stale_count() {
+        let mut h = ScoredHeap::new();
+        let mut slab = Slab::default();
+        // Enough entries to fill the sorted cache and spill into the bulk.
+        for i in 0..40 {
+            let g = slab.push(TaskId(i));
+            h.push(TaskId(i), g, s(f64::from(i) / 40.0));
+        }
+        for i in 0..40 {
+            slab.kill(TaskId(i));
+            h.note_stale(1);
+        }
+        h.clear();
+        assert!(h.is_empty());
+        assert_eq!(h.len(), 0);
+        assert_eq!(h.stale_len(), 0);
+        assert_eq!(h.compaction_count(), 0, "clear is not a compaction");
+        h.check_invariants(slab.probe());
+        // The heap stays usable: a new life of a task pops normally.
+        let g = slab.push(TaskId(5));
+        h.push(TaskId(5), g, s(0.5));
+        let mut out = Vec::new();
+        h.top_k_live_into(4, &mut out, slab.probe());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, TaskId(5));
+        h.check_invariants(slab.probe());
     }
 
     #[test]

@@ -35,7 +35,17 @@
 //! (task type, footprint, flops)-keyed table of *push plans*, invalidated
 //! by the gain tracker's dirty epoch (a new running-max `hd(a)`) and the
 //! performance model's version (history feedback); regular workloads with
-//! a handful of kernel types hit this cache on nearly every push.
+//! a handful of kernel types hit this cache on nearly every push. A plan
+//! is a `Copy` record; its per-node gains and per-arch δ are one row each
+//! of two flat arrays the scheduler owns, so a miss (every push, when
+//! each task brings new flops) allocates only amortized growth. A miss
+//! asks the model once per arch, through the candidate list it ranks
+//! archs with, and reads each node's capability off that list.
+//!
+//! A pop on a node whose `ready_tasks_count` is zero returns at once:
+//! every entry its heap still holds is a stale duplicate, so the heap is
+//! cleared in O(1) instead of being walked (the engines ask every idle
+//! worker, and on the paper's platforms most pops land here).
 //!
 //! ### Interpretation choices (documented in DESIGN.md)
 //!
@@ -196,8 +206,10 @@ struct PlanKey {
 
 /// The cached outcome of Algorithm 1's score computation for one
 /// [`PlanKey`]: which heaps receive the task, with which gain, and the
-/// best-arch bookkeeping. Valid while both stamps match.
-#[derive(Clone, Debug)]
+/// best-arch bookkeeping. Valid while both stamps match. Its per-node
+/// gains and per-arch δ are the plan's rows of the scheduler's
+/// `plan_gain` and `plan_delta` arrays.
+#[derive(Clone, Copy, Debug)]
 struct PushPlan {
     /// Gain-tracker epoch the plan was computed at.
     epoch: u64,
@@ -207,14 +219,6 @@ struct PushPlan {
     delta_best: f64,
     node_mask: u64,
     brw_mask: u64,
-    /// Gain score per memory-node index (meaningful where `node_mask` is
-    /// set).
-    node_gain: Vec<f64>,
-    /// δ per architecture index; NaN where the task has no
-    /// implementation. Lets the pop condition skip the performance-model
-    /// query (and its kernel-name hashing) entirely while the model
-    /// version is unchanged.
-    delta_by_arch: Vec<f64>,
 }
 
 /// The MultiPrio scheduler (see crate docs).
@@ -233,6 +237,20 @@ pub struct MultiPrioScheduler {
     /// Push-plan arena; slots refer into it by index. Plans are refreshed
     /// in place when stale, never removed, so indices stay valid.
     plan_arena: Vec<PushPlan>,
+    /// Plan `i`'s gain score per memory-node index, in row `i` of
+    /// `plan_nodes` entries (meaningful where its `node_mask` is set).
+    /// One flat array for all plans, so a plan-cache miss allocates
+    /// nothing beyond amortized growth.
+    plan_gain: Vec<f64>,
+    /// Plan `i`'s δ per architecture index, in row `i` of `plan_archs`
+    /// entries; NaN where the task has no implementation. Lets the pop
+    /// condition skip the performance-model query (and its kernel-name
+    /// hashing) entirely while the model version is unchanged.
+    plan_delta: Vec<f64>,
+    /// Row widths of `plan_gain` and `plan_delta`: the platform's
+    /// memory-node and architecture counts, fixed by the first plan.
+    plan_nodes: usize,
+    plan_archs: usize,
     /// Key → arena index of the push-plan cache (see [`PushPlan`]).
     plans: HashMap<PlanKey, u32, BuildHasherDefault<FxHasher64>>,
     /// Diagnostics: evictions performed (for the Fig. 4 analysis).
@@ -274,6 +292,10 @@ impl MultiPrioScheduler {
             slab: Vec::new(),
             pending: 0,
             plan_arena: Vec::new(),
+            plan_gain: Vec::new(),
+            plan_delta: Vec::new(),
+            plan_nodes: 0,
+            plan_archs: 0,
             plans: HashMap::default(),
             evictions: 0,
             holds: 0,
@@ -346,6 +368,25 @@ impl MultiPrioScheduler {
 
     fn slot(&self, t: TaskId) -> &TaskSlot {
         &self.slab[t.index()]
+    }
+
+    /// δ of plan `p` on arch `a`; NaN where the task has no
+    /// implementation.
+    fn plan_delta(&self, p: u32, a: ArchId) -> f64 {
+        let row = p as usize * self.plan_archs;
+        self.plan_delta[row..row + self.plan_archs]
+            .get(a.index())
+            .copied()
+            .unwrap_or(f64::NAN)
+    }
+
+    /// Gain score of plan `p` on memory node `m`.
+    fn plan_gain(&self, p: u32, m: MemNodeId) -> f64 {
+        let row = p as usize * self.plan_nodes;
+        self.plan_gain[row..row + self.plan_nodes]
+            .get(m.index())
+            .copied()
+            .unwrap_or(f64::NAN)
     }
 
     /// Workers of memory node `i` still alive — the `brw_per_worker`
@@ -449,11 +490,7 @@ impl MultiPrioScheduler {
         // a live model query if the model has learned since the push.
         let plan = &self.plan_arena[slot.plan as usize];
         let delta_here = if plan.model_version == view.est.model_version() {
-            let d = plan
-                .delta_by_arch
-                .get(w_arch.index())
-                .copied()
-                .unwrap_or(f64::NAN);
+            let d = self.plan_delta(slot.plan, w_arch);
             if d.is_nan() {
                 return false;
             }
@@ -528,17 +565,12 @@ impl MultiPrioScheduler {
     /// Provenance payload for a task about to be taken (obs builds only).
     fn taken_outcome(&self, t: TaskId, w_arch: ArchId, w_m: MemNodeId) -> PopOutcome {
         let slot = self.slot(t);
-        let plan = &self.plan_arena[slot.plan as usize];
         PopOutcome::Taken {
             task: t,
             best_arch: slot.best_arch,
             delta_best: slot.delta_best,
-            delta_here: plan
-                .delta_by_arch
-                .get(w_arch.index())
-                .copied()
-                .unwrap_or(f64::NAN),
-            node_gain: plan.node_gain.get(w_m.index()).copied().unwrap_or(f64::NAN),
+            delta_here: self.plan_delta(slot.plan, w_arch),
+            node_gain: self.plan_gain(slot.plan, w_m),
         }
     }
 
@@ -552,7 +584,6 @@ impl MultiPrioScheduler {
         view: &SchedView<'_>,
     ) -> PopOutcome {
         let slot = self.slot(t);
-        let plan = &self.plan_arena[slot.plan as usize];
         let mut backlog = 0.0f64;
         let mut bm = slot.brw_mask;
         while bm != 0 {
@@ -571,11 +602,7 @@ impl MultiPrioScheduler {
             task: t,
             best_arch: slot.best_arch,
             delta_best: slot.delta_best,
-            delta_here: plan
-                .delta_by_arch
-                .get(w_arch.index())
-                .copied()
-                .unwrap_or(f64::NAN),
+            delta_here: self.plan_delta(slot.plan, w_arch),
             backlog,
             evicted,
         }
@@ -622,10 +649,21 @@ impl MultiPrioScheduler {
         // maxima, so skipping it on cache hits changes nothing.
         self.gain.observe(&archs);
         let (best_arch, delta_best) = archs[0];
+        let (nodes, arch_count) = (platform.mem_node_count(), platform.arch_count());
+        if self.plan_arena.is_empty() {
+            self.plan_nodes = nodes;
+            self.plan_archs = arch_count;
+        }
+        assert!(
+            (nodes, arch_count) == (self.plan_nodes, self.plan_archs),
+            "a MultiPrio instance schedules on one platform"
+        );
         let idx = match cached {
             Some(i) => i,
             None => {
                 let i = u32::try_from(self.plan_arena.len()).expect("plan arena overflow");
+                // A blank plan, filled in below like a stale one refreshed
+                // in place.
                 self.plan_arena.push(PushPlan {
                     epoch: 0,
                     model_version: 0,
@@ -633,48 +671,53 @@ impl MultiPrioScheduler {
                     delta_best,
                     node_mask: 0,
                     brw_mask: 0,
-                    node_gain: Vec::new(),
-                    delta_by_arch: Vec::new(),
                 });
+                let rows = self.plan_arena.len();
+                self.plan_gain.resize(rows * nodes, 0.0);
+                self.plan_delta.resize(rows * arch_count, f64::NAN);
                 self.plans.insert(key, i);
                 i
             }
         };
-        let plan = &mut self.plan_arena[idx as usize];
-        plan.node_gain.clear();
-        plan.node_gain.resize(platform.mem_node_count(), 0.0);
-        plan.delta_by_arch.clear();
-        plan.delta_by_arch.resize(platform.arch_count(), f64::NAN);
+        let row = idx as usize;
+        let deltas = &mut self.plan_delta[row * arch_count..(row + 1) * arch_count];
+        deltas.fill(f64::NAN);
         for &(a, d) in &archs {
-            plan.delta_by_arch[a.index()] = d;
+            deltas[a.index()] = d;
         }
+        let gains = &mut self.plan_gain[row * nodes..(row + 1) * nodes];
+        gains.fill(0.0);
         let mut node_mask = 0u64;
         let mut brw_mask = 0u64;
-        let dead_nodes = self.dead_nodes;
         for mem in platform.mem_nodes() {
             let a = mem.arch;
-            // `can_exec(t, a) and get_worker_count(a) > 0`, per node —
-            // counting only surviving workers.
-            if platform.workers_on_node(mem.id).is_empty() || !view.est.can_exec(t, a) {
-                continue;
-            }
-            if dead_nodes & (1u64 << mem.id.index()) != 0 {
-                continue;
-            }
             let bit = 1u64 << mem.id.index();
+            // `can_exec(t, a) and get_worker_count(a) > 0`, per node —
+            // counting only surviving workers. `archs` holds exactly the
+            // archs that can run `t` and have a worker, and a node's
+            // workers share its arch, so membership in it is `can_exec`
+            // without a second model query.
+            if platform.workers_on_node(mem.id).is_empty()
+                || self.dead_nodes & bit != 0
+                || !archs.iter().any(|&(x, _)| x == a)
+            {
+                continue;
+            }
             node_mask |= bit;
-            plan.node_gain[mem.id.index()] = self.gain.gain(&archs, a);
+            gains[mem.id.index()] = self.gain.gain(&archs, a);
             if a == best_arch {
                 brw_mask |= bit;
             }
         }
         assert!(node_mask != 0, "task {t:?} enqueued nowhere");
-        plan.epoch = self.gain.epoch();
-        plan.model_version = model_version;
-        plan.best_arch = best_arch;
-        plan.delta_best = delta_best;
-        plan.node_mask = node_mask;
-        plan.brw_mask = brw_mask;
+        self.plan_arena[row] = PushPlan {
+            epoch: self.gain.epoch(),
+            model_version,
+            best_arch,
+            delta_best,
+            node_mask,
+            brw_mask,
+        };
         self.archs = archs;
         idx
     }
@@ -720,7 +763,7 @@ impl Scheduler for MultiPrioScheduler {
         };
         let prio = self.nod_norm.normalize(raw_nod);
 
-        let plan = &self.plan_arena[plan_idx as usize];
+        let plan = self.plan_arena[plan_idx as usize];
         let (node_mask, brw_mask) = (plan.node_mask, plan.brw_mask);
         let (best_arch, delta_best) = (plan.best_arch, plan.delta_best);
         let slot = &mut self.slab[t.index()];
@@ -736,7 +779,8 @@ impl Scheduler for MultiPrioScheduler {
         while nm != 0 {
             let i = nm.trailing_zeros() as usize;
             nm &= nm - 1;
-            self.heaps[i].push(t, gen, Score::new(plan.node_gain[i], prio));
+            let gain = self.plan_gain[plan_idx as usize * self.plan_nodes + i];
+            self.heaps[i].push(t, gen, Score::new(gain, prio));
             self.ready_count[i] += 1;
         }
         let mut bm = brw_mask;
@@ -754,6 +798,19 @@ impl Scheduler for MultiPrioScheduler {
         self.ensure(platform.mem_node_count());
         let worker = platform.worker(w);
         let (w_arch, w_m) = (worker.arch, worker.mem_node);
+        // No live entry on this node: every entry its heap still holds is
+        // a stale duplicate, so no walk can find a candidate. Drop them
+        // all at once and answer in O(1) — the engines ask every idle
+        // worker, and most of their pops land here.
+        if self.ready_count[w_m.index()] == 0 {
+            self.heaps[w_m.index()].clear();
+            if mp_trace::obs::obs_enabled() {
+                self.window.clear();
+                self.provenance
+                    .record(view.now, w, w_m, &self.window, PopOutcome::Empty);
+            }
+            return None;
+        }
         let mut skip = std::mem::take(&mut self.skip);
         skip.clear();
         let mut found = None;
@@ -905,6 +962,31 @@ mod tests {
         assert_eq!(s.ready_tasks_count(MemNodeId(1)), 0);
         assert_eq!(s.pop(c0, &view), None);
         assert_eq!(s.pending(), 0);
+    }
+
+    #[test]
+    fn pop_on_a_node_with_no_live_entry_is_empty_and_clears_its_heap() {
+        let mut fx = Fixture::two_arch();
+        let t = fx.add_task(fx.both, 64, "t");
+        let view = fx.view();
+        let (c0, _, g0) = fx.workers();
+        let mut s = sched();
+        s.push(t, None, &view);
+        assert_eq!(s.pop(g0, &view), Some(t));
+        // The CPU heap still holds t's duplicate, now stale.
+        assert_eq!(s.ready_tasks_count(MemNodeId(0)), 0);
+        assert_eq!(s.heaps[0].len(), 1);
+        let (holds, evictions) = (s.hold_count(), s.eviction_count());
+        assert_eq!(s.pop(c0, &view), None);
+        assert_eq!(s.hold_count(), holds, "no candidate was held");
+        assert_eq!(s.eviction_count(), evictions, "nothing was evicted");
+        assert_eq!(s.heaps[0].len(), 0, "the stale entry is dropped");
+        if mp_trace::obs::obs_enabled() {
+            let last = s.provenance().iter().last().expect("a recorded pop");
+            assert_eq!(last.worker, c0);
+            assert!(matches!(last.outcome, PopOutcome::Empty));
+            assert!(last.window.is_empty());
+        }
     }
 
     #[test]

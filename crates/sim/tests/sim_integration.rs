@@ -114,7 +114,12 @@ fn write_invalidation_forces_return_transfer() {
         "makespan {}",
         r.makespan
     );
-    let span1 = r.trace.span_of(mp_dag::TaskId(1)).unwrap();
+    let span1 = r
+        .trace
+        .tasks
+        .iter()
+        .find(|s| s.task == mp_dag::TaskId(1))
+        .unwrap();
     assert!(span1.start >= 1020.0 - 1e-9);
 }
 

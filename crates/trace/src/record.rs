@@ -106,15 +106,6 @@ impl Trace {
             .sum()
     }
 
-    /// The first span of a given task, if it executed.
-    ///
-    /// This is a linear scan of the trace. Callers that look up one span
-    /// per task or per edge should build a
-    /// [`SpanTable`](crate::SpanTable) once instead.
-    pub fn span_of(&self, t: TaskId) -> Option<&TaskSpan> {
-        self.tasks.iter().find(|s| s.task == t)
-    }
-
     /// CSV dump of task spans (`task,type,worker,ready,start,end`).
     ///
     /// An empty or error-truncated trace is a typed

@@ -1,8 +1,8 @@
 //! Per-task span table and the precedence check built on it.
 //!
-//! [`Trace::span_of`] scans the whole trace, so looking up one span per
-//! DAG edge costs O(edges × spans). [`SpanTable`] indexes a trace by
-//! [`TaskId`] in one O(spans) pass, after which
+//! Finding a task's span by scanning the trace costs O(spans), so one
+//! lookup per DAG edge costs O(edges × spans). [`SpanTable`] indexes a
+//! trace by [`TaskId`] in one O(spans) pass, after which
 //! [`SpanTable::check_precedence`] checks every edge of the graph in
 //! O(spans + edges). `mp-sim`'s post-run validation, `mp-audit`'s
 //! precedence and execution-count audits and
