@@ -42,7 +42,7 @@
 //!   [`PersistFaultPlan`] injects deterministic kill/flush-drop/bit-flip
 //!   faults for the chaos suites.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -88,35 +88,56 @@ pub enum Lookup {
 /// keeps even payload-less (simulator) entries bounded under a cap.
 pub const ENTRY_OVERHEAD_BYTES: u64 = 64;
 
-/// One resident entry plus its recency stamp (key into `order`).
+/// One resident entry plus its recency stamp.
 #[derive(Debug)]
 struct Slot {
     entry: Arc<CacheEntry>,
     stamp: u64,
 }
 
-/// State behind the cache lock. `order` maps recency stamps (monotonic,
-/// unique) to keys: the first entry is always the least recently used.
+/// State behind the cache lock.
+///
+/// Recency is a queue of `(stamp, key)` items in stamp order, oldest
+/// first. Stamps are monotonic and unique, and an item is *live* only
+/// while its stamp is still its key's slot stamp: a hit or a re-insert
+/// pushes a fresh item and leaves the old one stale, and a removal
+/// leaves its item stale. The live items, front to back, are therefore
+/// exactly the resident entries in LRU order, so eviction pops stale
+/// items off the front until it reaches a live one. Stale items are
+/// dropped in place once the queue outgrows `2 * len + 64`, so a hit or
+/// an insert costs O(1) amortized and, once the queue has reached its
+/// working size, allocates nothing.
 #[derive(Default, Debug)]
 struct CacheState {
     map: HashMap<u64, Slot>,
-    order: BTreeMap<u64, u64>,
+    order: VecDeque<(u64, u64)>,
     next_stamp: u64,
     used_bytes: u64,
     evictions: u64,
 }
 
 impl CacheState {
-    fn fresh_stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
+    /// Queue `key` as the most recently used entry under a fresh stamp,
+    /// which the caller stores in its slot.
+    fn touch(&mut self, key: u64) -> u64 {
+        let stamp = self.next_stamp;
         self.next_stamp += 1;
-        s
+        self.order.push_back((stamp, key));
+        stamp
     }
 
-    /// Detach `key` from both indexes, returning its charge.
+    /// Drop the stale recency items once they outnumber the live ones
+    /// (plus slack), keeping the live ones in order.
+    fn trim_order(&mut self) {
+        if self.order.len() > 2 * self.map.len() + 64 {
+            let map = &self.map;
+            self.order.retain(|&item| is_live(map, item));
+        }
+    }
+
+    /// Detach `key`, releasing its charge. Its recency item goes stale.
     fn remove(&mut self, key: u64) -> Option<Arc<CacheEntry>> {
         let slot = self.map.remove(&key)?;
-        self.order.remove(&slot.stamp);
         self.used_bytes -= charge(&slot.entry);
         Some(slot.entry)
     }
@@ -124,13 +145,29 @@ impl CacheState {
     /// Evict least-recently-used entries until `used_bytes <= cap`.
     fn evict_to(&mut self, cap: u64) {
         while self.used_bytes > cap {
-            let Some((_, &key)) = self.order.iter().next() else {
+            let Some((stamp, key)) = self.order.pop_front() else {
                 break;
             };
-            self.remove(key);
-            self.evictions += 1;
+            if is_live(&self.map, (stamp, key)) {
+                self.remove(key);
+                self.evictions += 1;
+            }
         }
     }
+
+    /// The resident entries in LRU order, least recently used first.
+    fn lru_entries(&self) -> Vec<(u64, Arc<CacheEntry>)> {
+        self.order
+            .iter()
+            .filter(|&&item| is_live(&self.map, item))
+            .map(|&(_, key)| (key, Arc::clone(&self.map[&key].entry)))
+            .collect()
+    }
+}
+
+/// Is the recency item `(stamp, key)` its key's current one?
+fn is_live(map: &HashMap<u64, Slot>, (stamp, key): (u64, u64)) -> bool {
+    map.get(&key).is_some_and(|slot| slot.stamp == stamp)
 }
 
 /// Residency charge of one entry: payload bytes (when a payload is
@@ -204,8 +241,9 @@ impl ResultCache {
     /// runtime ever "hitting" an entry it cannot materialize. A hit
     /// refreshes the entry's LRU recency.
     pub fn lookup(&self, meta: &CacheMeta, need_payload: bool) -> Lookup {
-        let mut st = self.state();
-        let Some(slot) = st.map.get(&meta.key) else {
+        let mut guard = self.state();
+        let st = &mut *guard;
+        let Some(slot) = st.map.get_mut(&meta.key) else {
             return Lookup::Miss;
         };
         if slot.entry.fingerprint != meta.fingerprint {
@@ -215,12 +253,11 @@ impl ResultCache {
         if need_payload && slot.entry.payload.is_none() {
             return Lookup::Miss;
         }
+        slot.stamp = st.next_stamp;
+        st.next_stamp += 1;
+        st.order.push_back((slot.stamp, meta.key));
         let entry = Arc::clone(&slot.entry);
-        let old_stamp = slot.stamp;
-        let stamp = st.fresh_stamp();
-        st.order.remove(&old_stamp);
-        st.order.insert(stamp, meta.key);
-        st.map.get_mut(&meta.key).unwrap().stamp = stamp;
+        st.trim_order();
         Lookup::Hit(entry)
     }
 
@@ -270,13 +307,13 @@ impl ResultCache {
                 return;
             }
         }
-        let stamp = st.fresh_stamp();
-        st.order.insert(stamp, key);
+        let stamp = st.touch(key);
         st.map.insert(key, Slot { entry, stamp });
         st.used_bytes += cost;
         if let Some(cap) = self.capacity {
             st.evict_to(cap);
         }
+        st.trim_order();
     }
 
     /// Number of stored entries.
@@ -348,13 +385,7 @@ impl ResultCache {
         let mut log = self.log.lock().unwrap_or_else(PoisonError::into_inner);
         // Snapshot what is already resident (LRU order, so replay
         // recency roughly matches memory recency).
-        let entries: Vec<(u64, Arc<CacheEntry>)> = {
-            let st = self.state();
-            st.order
-                .values()
-                .map(|&k| (k, Arc::clone(&st.map[&k].entry)))
-                .collect()
-        };
+        let entries = self.state().lru_entries();
         for (key, entry) in &entries {
             if writer.append(*key, entry) {
                 self.pstats.writes.fetch_add(1, Ordering::Relaxed);
@@ -421,13 +452,7 @@ impl ResultCache {
                 "no persistence directory attached",
             ));
         };
-        let entries: Vec<(u64, Arc<CacheEntry>)> = {
-            let st = self.state();
-            st.order
-                .values()
-                .map(|&k| (k, Arc::clone(&st.map[&k].entry)))
-                .collect()
-        };
+        let entries = self.state().lru_entries();
         let n = w.compact(&entries)?;
         self.pstats.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(n)
@@ -932,6 +957,170 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(report, LoadReport::default());
         assert!(cache.is_persisting(), "ready to persist from day one");
+    }
+
+    /// Reference LRU for the recency model test: resident keys in
+    /// recency order (least recent first), each with its charge and
+    /// whether it carries a payload, under the cache's charge rule.
+    #[derive(Default)]
+    struct ModelLru {
+        order: Vec<(u64, u64, bool)>,
+        used: u64,
+        evictions: u64,
+    }
+
+    impl ModelLru {
+        fn position(&self, key: u64) -> Option<usize> {
+            self.order.iter().position(|&(k, _, _)| k == key)
+        }
+
+        fn remove(&mut self, key: u64) -> Option<(u64, u64, bool)> {
+            let item = self.order.remove(self.position(key)?);
+            self.used -= item.1;
+            Some(item)
+        }
+
+        fn insert(&mut self, key: u64, cost: u64, payload: bool, cap: u64) {
+            if cost > cap {
+                self.evictions += 1;
+                return;
+            }
+            self.remove(key);
+            self.order.push((key, cost, payload));
+            self.used += cost;
+            while self.used > cap {
+                let (_, c, _) = self.order.remove(0);
+                self.used -= c;
+                self.evictions += 1;
+            }
+        }
+
+        /// Whether `lookup` hits, refreshing the key if it does.
+        fn lookup(&mut self, key: u64, need_payload: bool) -> bool {
+            match self.position(key) {
+                Some(i) if !need_payload || self.order[i].2 => {
+                    let item = self.order.remove(i);
+                    self.order.push(item);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn keys(&self) -> Vec<u64> {
+            self.order.iter().map(|&(k, _, _)| k).collect()
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The stamped recency queue is an exact LRU: across seeded random
+    /// insert / lookup / poison-then-lookup / clear sequences on a capped
+    /// cache, the resident keys (in recency order), the eviction count
+    /// and the resident charge match a reference LRU after every op,
+    /// and a `persist_to` snapshot writes the entries in LRU order.
+    #[test]
+    fn recency_matches_a_reference_lru() {
+        let g = wide(32);
+        let per_word = meta_words_bytes(meta(&g, 0));
+        for seed in 0..200u64 {
+            // Room for 4 to 27 average entries: small caps evict
+            // constantly, large ones let hits pile up stale recency items
+            // until the queue is trimmed.
+            let cap = (4 + seed % 24) * (64 + per_word + ENTRY_OVERHEAD_BYTES);
+            let mut rng = seed;
+            let mut roll = |n: u64| splitmix(&mut rng) % n;
+            let cache = ResultCache::with_capacity(cap);
+            let mut model = ModelLru::default();
+            for op in 0..400 {
+                let m = meta(&g, roll(32) as usize);
+                match roll(100) {
+                    0..=44 => {
+                        // Payload-less entries or up to 2× the average
+                        // size; a few are bigger than the whole cap.
+                        let payload = roll(8) != 0;
+                        let words = if roll(50) == 0 { 1024 } else { roll(17) };
+                        let words = words as usize;
+                        let bytes = 8 * words as u64;
+                        let entry = payload.then(|| vec![vec![0.5; words]]);
+                        cache.insert(m, entry, bytes);
+                        let cost =
+                            per_word + ENTRY_OVERHEAD_BYTES + if payload { bytes } else { 0 };
+                        model.insert(m.key, cost, payload, cap);
+                    }
+                    45..=89 => {
+                        let need = roll(2) == 0;
+                        let hit = matches!(cache.lookup(m, need), Lookup::Hit(_));
+                        assert_eq!(hit, model.lookup(m.key, need), "seed {seed} op {op}");
+                    }
+                    90..=98 => {
+                        let resident = cache.poison(m.key);
+                        assert_eq!(resident, model.remove(m.key).is_some());
+                        let outcome = cache.lookup(m, false);
+                        if resident {
+                            assert!(matches!(outcome, Lookup::Invalidated), "seed {seed}");
+                        } else {
+                            assert!(matches!(outcome, Lookup::Miss), "seed {seed}");
+                        }
+                    }
+                    _ => {
+                        cache.clear();
+                        model.order.clear();
+                        model.used = 0;
+                    }
+                }
+                let resident: Vec<u64> = {
+                    let st = cache.state();
+                    st.lru_entries().iter().map(|&(k, _)| k).collect()
+                };
+                assert_eq!(resident, model.keys(), "seed {seed} op {op}");
+                assert_eq!(cache.len(), model.order.len(), "seed {seed} op {op}");
+                assert_eq!(cache.evictions(), model.evictions, "seed {seed} op {op}");
+                assert_eq!(cache.used_bytes(), model.used, "seed {seed} op {op}");
+            }
+            assert!(model.evictions > 0, "seed {seed}: the cap never bit");
+            let dir = tmpdir(&format!("model-{seed}"));
+            cache.persist_to(&dir).unwrap();
+            let mut written = Vec::new();
+            persist::replay(&dir, |key, _| written.push(key)).unwrap();
+            assert_eq!(written, model.keys(), "seed {seed}: snapshot order");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn repeated_hits_keep_the_recency_queue_bounded() {
+        let g = wide(4);
+        let cache = ResultCache::new();
+        for i in 0..4 {
+            cache.insert(meta(&g, i), Some(vec![vec![1.0; 2]]), 16);
+        }
+        for n in 0..10_000 {
+            assert!(matches!(
+                cache.lookup(meta(&g, n % 4), true),
+                Lookup::Hit(_)
+            ));
+        }
+        let st = cache.state();
+        assert!(
+            st.order.len() <= 2 * 4 + 64 + 1,
+            "{} queued",
+            st.order.len()
+        );
+        assert!(
+            st.order.capacity() <= 256,
+            "capacity {}",
+            st.order.capacity()
+        );
+        let lru: Vec<u64> = st.lru_entries().iter().map(|&(k, _)| k).collect();
+        let expect: Vec<u64> = (0..4).map(|i| meta(&g, i).key).collect();
+        assert_eq!(lru, expect, "10,000 % 4 == 0: entry 0 is least recent");
     }
 
     #[test]

@@ -182,6 +182,15 @@ impl TaskGraph {
         id
     }
 
+    /// Reserve room for `additional` more tasks (records, edge lists and
+    /// cache metadata), so linking that many does not reallocate.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tasks.reserve(additional);
+        self.preds.reserve(additional);
+        self.succs.reserve(additional);
+        self.cache_meta.reserve(additional);
+    }
+
     /// Attach content-address metadata to a task (STF builder only).
     pub fn set_cache_meta(&mut self, t: TaskId, meta: CacheMeta) {
         if self.cache_meta.len() < self.tasks.len() {

@@ -10,11 +10,15 @@
 //! multi-queue or the relaxed multi-queue.
 //!
 //! Graph-coupled state sits behind one `RwLock`. A worker holds one read
-//! guard from pop through start, resolving the kernel and its buffer
-//! guards under it, and one from completion through release. The driver
-//! infers dependencies under a read guard too and only links and admits
-//! under the write guard, so a link can never observe (or miss) half of a
-//! completion. Kernels execute outside the guard.
+//! guard from pop through start, resolving the kernel in its two-slot
+//! [`Kernels`] table and taking its buffer guards under it, and one from
+//! completion through release. The driver infers dependencies under a
+//! read guard too, links and admits under the write guard, and releases
+//! the admitted sources under a read guard again, so a link can never
+//! observe (or miss) half of a completion. Kernels execute outside the
+//! guard. Each worker owns its release scratch, its buffer-guard vector
+//! and its span buffer, which it hands to the engine when it exits, so
+//! recording a completion takes no shared lock.
 //!
 //! Idle workers park on an eventcount-style [`WakeEpoch`]: every push and
 //! every completion bumps an epoch and notifies, and a worker that read
@@ -23,7 +27,6 @@
 //! scheduler holds tasks back (`pending() > 0` but `pop` returned `None`,
 //! e.g. MultiPrio's pop condition waiting out a busy best-worker).
 
-use std::collections::HashMap;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -34,7 +37,7 @@ use mp_dag::access::AccessMode;
 use mp_dag::hash;
 use mp_dag::ids::{DataId, TaskId, TaskTypeId};
 use mp_dag::stf::{StfBuilder, StfState};
-use mp_dag::TaskGraph;
+use mp_dag::{Task, TaskGraph};
 use mp_perfmodel::{DeltaEstimate, Estimator, FallbackWarnings, PerfModel};
 use mp_platform::types::{ArchClass, MemNodeId, Platform, WorkerId};
 use mp_sched::api::{DataLocator, LoadInfo, SchedEvent, SchedView, Scheduler};
@@ -51,11 +54,45 @@ use crate::serve::TenantLedger;
 /// A kernel implementation.
 pub type KernelFn = Arc<dyn Fn(&mut TaskCtx<'_>) + Send + Sync>;
 
+/// A task's kernel implementations: one slot per architecture class.
+#[derive(Clone, Default)]
+pub(crate) struct Kernels {
+    cpu: Option<KernelFn>,
+    gpu: Option<KernelFn>,
+}
+
+impl Kernels {
+    fn slot(&mut self, class: ArchClass) -> &mut Option<KernelFn> {
+        match class {
+            ArchClass::Cpu => &mut self.cpu,
+            ArchClass::Gpu => &mut self.gpu,
+        }
+    }
+
+    /// The implementation for `class`, if there is one.
+    pub(crate) fn get(&self, class: ArchClass) -> Option<&KernelFn> {
+        match class {
+            ArchClass::Cpu => self.cpu.as_ref(),
+            ArchClass::Gpu => self.gpu.as_ref(),
+        }
+    }
+
+    /// Is there an implementation for `class`?
+    pub(crate) fn has(&self, class: ArchClass) -> bool {
+        self.get(class).is_some()
+    }
+
+    /// Is there an implementation for any of `classes`?
+    pub(crate) fn runs_on(&self, classes: &[ArchClass]) -> bool {
+        classes.iter().any(|&c| self.has(c))
+    }
+}
+
 /// Fluent builder for one task submission.
 pub struct TaskBuilder {
     pub(crate) ttype: String,
     pub(crate) accesses: Vec<(DataId, AccessMode)>,
-    pub(crate) impls: HashMap<ArchClass, KernelFn>,
+    pub(crate) impls: Kernels,
     pub(crate) flops: f64,
     pub(crate) priority: i64,
     pub(crate) label: String,
@@ -67,7 +104,7 @@ impl TaskBuilder {
         Self {
             ttype: ttype.to_string(),
             accesses: Vec::new(),
-            impls: HashMap::new(),
+            impls: Kernels::default(),
             flops: 0.0,
             priority: 0,
             label: String::new(),
@@ -82,14 +119,14 @@ impl TaskBuilder {
 
     /// Provide the CPU-class implementation.
     pub fn cpu(mut self, f: impl Fn(&mut TaskCtx<'_>) + Send + Sync + 'static) -> Self {
-        self.impls.insert(ArchClass::Cpu, Arc::new(f));
+        *self.impls.slot(ArchClass::Cpu) = Some(Arc::new(f));
         self
     }
 
     /// Provide the GPU-class implementation (on a CPU-only host this runs
     /// on the "GPU" worker threads — see crate docs).
     pub fn gpu(mut self, f: impl Fn(&mut TaskCtx<'_>) + Send + Sync + 'static) -> Self {
-        self.impls.insert(ArchClass::Gpu, Arc::new(f));
+        *self.impls.slot(ArchClass::Gpu) = Some(Arc::new(f));
         self
     }
 
@@ -114,8 +151,8 @@ impl TaskBuilder {
     /// Whether this task implements the CPU and the GPU class.
     pub(crate) fn impl_set(&self) -> (bool, bool) {
         (
-            self.impls.contains_key(&ArchClass::Cpu),
-            self.impls.contains_key(&ArchClass::Gpu),
+            self.impls.has(ArchClass::Cpu),
+            self.impls.has(ArchClass::Gpu),
         )
     }
 
@@ -423,7 +460,10 @@ pub struct Runtime {
     model: Arc<dyn PerfModel>,
     pub(crate) stf: StfBuilder,
     buffers: Vec<RwLock<Vec<f64>>>,
-    impls: Vec<HashMap<ArchClass, KernelFn>>,
+    impls: Vec<Kernels>,
+    /// Architecture classes with at least one worker on the platform, in
+    /// first-arch order.
+    pub(crate) classes: Vec<ArchClass>,
     /// First impl-coverage violation found at submit time; reported by
     /// [`Runtime::run`] before any thread spawns.
     submit_error: Option<RunError>,
@@ -445,9 +485,16 @@ impl Runtime {
     /// New runtime on `platform` with performance model `model` (wrap a
     /// `HistoryModel` to get online calibration from measured times).
     pub fn new(platform: Platform, model: Arc<dyn PerfModel>) -> Self {
+        let mut classes = Vec::new();
+        for a in platform.archs() {
+            if !classes.contains(&a.class) {
+                classes.push(a.class);
+            }
+        }
         Self {
             platform,
             model,
+            classes,
             stf: StfBuilder::new(),
             buffers: Vec::new(),
             impls: Vec::new(),
@@ -528,17 +575,6 @@ impl Runtime {
         id
     }
 
-    /// Architecture classes with at least one worker on this platform.
-    pub(crate) fn platform_classes(&self) -> Vec<ArchClass> {
-        let mut classes = Vec::new();
-        for a in self.platform.archs() {
-            if !classes.contains(&a.class) {
-                classes.push(a.class);
-            }
-        }
-        classes
-    }
-
     /// Submit a task; dependencies on earlier submissions are inferred
     /// from the declared accesses (STF). Implementation coverage is
     /// checked against the platform's architecture classes here; a task
@@ -552,12 +588,11 @@ impl Runtime {
         let t = self
             .stf
             .submit_prio(ttype, tb.accesses, tb.flops, tb.priority, label.clone());
-        let classes = self.platform_classes();
-        if self.submit_error.is_none() && !classes.iter().any(|c| tb.impls.contains_key(c)) {
+        if self.submit_error.is_none() && !tb.impls.runs_on(&self.classes) {
             self.submit_error = Some(RunError::NoUsableImpl {
                 task: t,
                 label,
-                platform_classes: classes,
+                platform_classes: self.classes.clone(),
             });
         }
         self.impls.push(tb.impls);
@@ -595,7 +630,7 @@ impl Runtime {
         &mut self,
         front: &dyn ConcurrentScheduler,
     ) -> Result<RunReport, RunError> {
-        self.execute(front, 0, |_, _| ())
+        self.execute(front, 0, 0, |_, _| ())
             .map(|(report, _, ())| report)
     }
 
@@ -606,12 +641,14 @@ impl Runtime {
     /// and the call returns at quiesce (or re-raises the driver's
     /// panic once the workers have exited). The graph, kernel table and
     /// per-tenant ledger (`tenants` entries) are moved into the engine
-    /// for the duration and the grown graph is moved back out; `drive`
-    /// owns the STF inference state meanwhile.
+    /// for the duration, with room reserved for `streamed` more tasks,
+    /// and the grown graph is moved back out; `drive` owns the STF
+    /// inference state meanwhile.
     pub(crate) fn execute<D>(
         &mut self,
         front: &dyn ConcurrentScheduler,
         tenants: usize,
+        streamed: usize,
         drive: impl FnOnce(&Engine<'_>, &mut StfState) -> D,
     ) -> Result<(RunReport, Tally, D), RunError> {
         if let Some(err) = self.submit_error.clone() {
@@ -626,6 +663,12 @@ impl Runtime {
         let platform = &self.platform;
         let (graph, mut stf) = mem::take(&mut self.stf).into_parts();
         let cache = self.cache.as_deref();
+        let mut shared = Shared {
+            graph,
+            impls: mem::take(&mut self.impls),
+            ..Shared::default()
+        };
+        shared.reserve(streamed);
         let eng = Engine {
             platform,
             model: match &skewed {
@@ -638,11 +681,7 @@ impl Runtime {
             warned: &self.warned,
             faults,
             retry: self.retry,
-            shared: RwLock::new(Shared {
-                graph,
-                impls: mem::take(&mut self.impls),
-                ..Shared::default()
-            }),
+            shared: RwLock::new(shared),
             ledger: TenantLedger::new(tenants),
             loads: AtomicLoads::new(nw),
             wake: WakeEpoch::new(),
@@ -659,7 +698,7 @@ impl Runtime {
                         .class
                 })
                 .collect(),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(Vec::with_capacity(nw)),
             events: Mutex::new(Vec::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -673,7 +712,13 @@ impl Runtime {
         };
         // Tasks submitted before the run count as already-admitted
         // tenant-0 work.
-        eng.admit(&mut eng.write(), 0, 0.0);
+        {
+            let mut g = eng.write();
+            let mut sources = Vec::new();
+            if eng.admit(&mut g, 0, 0.0, &mut sources) {
+                eng.release_sources(&g, &sources, &mut Scratch::default(), 0.0);
+            }
+        }
         let driven = std::thread::scope(|scope| {
             for wi in 0..nw {
                 let eng = &eng;
@@ -716,7 +761,7 @@ impl Drop for CloseOnDrop<'_, '_> {
 #[derive(Default)]
 pub(crate) struct Shared {
     pub(crate) graph: TaskGraph,
-    pub(crate) impls: Vec<HashMap<ArchClass, KernelFn>>,
+    pub(crate) impls: Vec<Kernels>,
     indeg: Vec<AtomicUsize>,
     done: Vec<AtomicBool>,
     ready_at: Vec<AtomicU64>,
@@ -725,11 +770,26 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Room for the tasks the graph holds without per-task state yet, and
+    /// for `additional` more in the graph, the kernel table and the
+    /// per-task vectors.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let n = self.graph.task_count() - self.indeg.len() + additional;
+        self.graph.reserve(additional);
+        self.impls.reserve(additional);
+        self.indeg.reserve(n);
+        self.done.reserve(n);
+        self.ready_at.reserve(n);
+        self.attempts.reserve(n);
+        self.tenant_of.reserve(n);
+    }
+
     /// Per-task state for the tasks the graph gained since the last
     /// call, owned by `tenant` and ready from `now`. An indegree counts
     /// only the predecessors that have not completed yet. Returns the
     /// first new task index.
     fn grow(&mut self, tenant: usize, now: f64) -> usize {
+        self.reserve(0);
         let from = self.indeg.len();
         let graph = &self.graph;
         for i in from..graph.task_count() {
@@ -761,6 +821,47 @@ impl Shared {
     }
 }
 
+/// Vectors one thread reuses across releases, so a release allocates
+/// only when its batch outgrows every earlier one.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The tasks being released: the ready ones, then those their
+    /// cache hits ready.
+    batch: Vec<TaskId>,
+    /// The batch's cache misses, pushed once the whole batch is probed.
+    misses: Vec<TaskId>,
+}
+
+/// The handles `task` writes, each once, in first-access order: the
+/// order a populate stores its payload in and a hit materializes it.
+fn distinct_writes(task: &Task) -> impl Iterator<Item = DataId> + '_ {
+    let acc = &task.accesses;
+    acc.iter()
+        .enumerate()
+        .filter(|&(i, a)| {
+            a.mode.writes() && !acc[..i].iter().any(|b| b.mode.writes() && b.data == a.data)
+        })
+        .map(|(_, a)| a.data)
+}
+
+/// A worker's spans. It hands them to the engine when the worker exits,
+/// unwinding included, so recording a completion takes no shared lock.
+struct SpanBuffer<'e, 'a> {
+    eng: &'e Engine<'a>,
+    spans: Vec<TaskSpan>,
+}
+
+impl Drop for SpanBuffer<'_, '_> {
+    fn drop(&mut self) {
+        let spans = mem::take(&mut self.spans);
+        self.eng
+            .spans
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(spans);
+    }
+}
+
 /// One execution: the state the workers and the driver share.
 pub(crate) struct Engine<'a> {
     platform: &'a Platform,
@@ -787,7 +888,8 @@ pub(crate) struct Engine<'a> {
     /// re-routed by `worker_disabled`.
     alive: Vec<AtomicBool>,
     worker_classes: Vec<ArchClass>,
-    spans: Mutex<Vec<TaskSpan>>,
+    /// Each exited worker's span buffer.
+    spans: Mutex<Vec<Vec<TaskSpan>>>,
     /// Park/wake timeline; only locked when obs is compiled in.
     events: Mutex<Vec<RuntimeEvent>>,
     cache_hits: AtomicU64,
@@ -873,10 +975,17 @@ impl Engine<'_> {
 
     /// Admit the tasks the graph gained since the last admission, owned
     /// by `tenant` and ready from `now`: their per-task state, the
-    /// stream's counts, a capability check, and the release of every
-    /// ready one (cache probe first, then the front-end). Runs on the
-    /// calling thread under the write guard.
-    pub(crate) fn admit(&self, g: &mut Shared, tenant: usize, now: f64) {
+    /// stream's counts and a capability check. Appends the ready ones to
+    /// `sources` for [`Self::release_sources`], unless the check failed
+    /// the execution; returns whether it passed. Runs on the calling
+    /// thread under the write guard.
+    pub(crate) fn admit(
+        &self,
+        g: &mut Shared,
+        tenant: usize,
+        now: f64,
+        sources: &mut Vec<TaskId>,
+    ) -> bool {
         let from = g.grow(tenant, now);
         let g: &Shared = g;
         let n = g.indeg.len() - from;
@@ -888,18 +997,38 @@ impl Engine<'_> {
         if self.faults.kills_any() {
             if let Some(t) = self.doomed(g, from) {
                 self.fail(RunError::NoCapableWorker { task: t });
-                return;
+                return false;
             }
         }
-        // Snapshot the sources before releasing: a cache hit completes
-        // in place and can drive successors' indegrees to zero, and
-        // those are released by the cascade — the scan must only ever
-        // see true sources.
-        let sources: Vec<TaskId> = (from..g.indeg.len())
-            .filter(|&i| g.indeg[i].load(Ordering::Relaxed) == 0)
-            .map(TaskId::from_index)
-            .collect();
-        self.release(g, sources, None, now, &self.host_obs);
+        // Snapshot the sources before any is released: a cache hit
+        // completes in place and can drive successors' indegrees to
+        // zero, and those are released by the cascade — the scan must
+        // only ever see true sources.
+        sources.extend(
+            (from..g.indeg.len())
+                .filter(|&i| g.indeg[i].load(Ordering::Relaxed) == 0)
+                .map(TaskId::from_index),
+        );
+        true
+    }
+
+    /// Release admitted `sources` at `now` from the calling thread, in
+    /// one [`Self::release`] call, under a read or the write guard.
+    pub(crate) fn release_sources(
+        &self,
+        g: &Shared,
+        sources: &[TaskId],
+        scratch: &mut Scratch,
+        now: f64,
+    ) {
+        self.release(
+            g,
+            sources.iter().copied(),
+            scratch,
+            None,
+            now,
+            &self.host_obs,
+        );
     }
 
     /// The first task from index `from` on that has not completed and
@@ -912,7 +1041,7 @@ impl Engine<'_> {
                         .worker_classes
                         .iter()
                         .zip(&self.alive)
-                        .any(|(c, a)| a.load(Ordering::Acquire) && g.impls[i].contains_key(c))
+                        .any(|(&c, a)| a.load(Ordering::Acquire) && g.impls[i].has(c))
             })
             .map(TaskId::from_index)
     }
@@ -930,11 +1059,12 @@ impl Engine<'_> {
     /// Callers hold a `shared` guard, so the graph cannot grow under the
     /// cascade, and wake the workers once they drop it; a task is
     /// released exactly once (by its unique releaser), so on a cached run
-    /// `hits + misses == tasks`.
+    /// `hits + misses == tasks`. `scratch` holds the batch and its misses.
     fn release(
         &self,
         g: &Shared,
         ready: impl IntoIterator<Item = TaskId>,
+        scratch: &mut Scratch,
         via: Option<WorkerId>,
         now: f64,
         obs: &ObsCell,
@@ -950,8 +1080,10 @@ impl Engine<'_> {
         };
         let graph = &g.graph;
         let lane = via.map_or(self.cells.len(), |w| w.index());
-        let mut batch: Vec<TaskId> = ready.into_iter().collect();
-        let mut misses = Vec::new();
+        let Scratch { batch, misses } = scratch;
+        batch.clear();
+        batch.extend(ready);
+        misses.clear();
         let mut next = 0;
         while let Some(&t) = batch.get(next) {
             next += 1;
@@ -976,13 +1108,8 @@ impl Engine<'_> {
                 .payload
                 .as_ref()
                 .expect("payload-less entry served to the runtime");
-            let mut written: Vec<DataId> = Vec::new();
-            for d in graph.task(t).writes() {
-                if written.contains(&d) {
-                    continue;
-                }
-                let src = &payload[written.len()];
-                written.push(d);
+            for (i, d) in distinct_writes(graph.task(t)).enumerate() {
+                let src = &payload[i];
                 let mut buf = self.buffers[d.index()].write().expect("buffer poisoned");
                 buf.clear();
                 buf.extend_from_slice(src);
@@ -997,7 +1124,7 @@ impl Engine<'_> {
             batch.extend(g.readied(t, self.now_us()));
         }
         let view = self.view(g, now);
-        for &t in &misses {
+        for &t in misses.iter() {
             self.front.push(t, via, &view);
             obs.bump(Counter::Pushes);
         }
@@ -1058,6 +1185,13 @@ impl Engine<'_> {
         // Committed tasks on this worker; read only by its own
         // kill-threshold check.
         let mut my_done = 0u32;
+        let mut spans = SpanBuffer {
+            eng: self,
+            spans: Vec::new(),
+        };
+        let mut scratch = Scratch::default();
+        // The running task's buffer guards; empty between tasks.
+        let mut guards: Vec<BufRef<'_>> = Vec::new();
         loop {
             // Epoch BEFORE the exit check and the pop attempt: any
             // completion, abort, push or commit bumps it *after* its
@@ -1150,26 +1284,20 @@ impl Engine<'_> {
             // Resolve the kernel before touching buffers; a miss is a
             // scheduler bug — abort the run with a typed error instead
             // of panicking in a scoped thread.
-            let Some(kernel) = g.impls[ti].get(&class).cloned() else {
+            let Some(kernel) = g.impls[ti].get(class).cloned() else {
                 self.fail(RunError::MissingKernel { task: t, class });
                 return;
             };
             // Lock buffers in access order (deps guarantee no cycles
             // among concurrent tasks).
-            let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = graph
-                .task(t)
-                .accesses
-                .iter()
-                .map(|a| {
-                    let b = &self.buffers[a.data.index()];
-                    let guard = if a.mode.writes() {
-                        BufRef::W(b.write().expect("buffer poisoned"))
-                    } else {
-                        BufRef::R(b.read().expect("buffer poisoned"))
-                    };
-                    (guard, a.mode)
-                })
-                .unzip();
+            guards.extend(graph.task(t).accesses.iter().map(|a| {
+                let b = &self.buffers[a.data.index()];
+                if a.mode.writes() {
+                    BufRef::W(b.write().expect("buffer poisoned"))
+                } else {
+                    BufRef::R(b.read().expect("buffer poisoned"))
+                }
+            }));
             drop(g);
 
             // Run the kernel behind a panic boundary: a panicking user
@@ -1178,7 +1306,7 @@ impl Engine<'_> {
             // run) — it becomes a typed error with a partial trace.
             // `ctx` lives outside the closure, so its buffer guards drop
             // on the normal path and the `RwLock`s are never poisoned.
-            let mut ctx = TaskCtx::new(bufs, modes);
+            let mut ctx = TaskCtx::new(mem::take(&mut guards));
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if self.faults.kernel_panics(ti) {
                     panic!("injected kernel panic ({t:?})");
@@ -1186,7 +1314,8 @@ impl Engine<'_> {
                 kernel(&mut ctx);
             }))
             .is_err();
-            drop(ctx);
+            guards = ctx.into_bufs();
+            guards.clear();
             if panicked {
                 // A retryable panic leaves the worker alive; the task
                 // re-enters the scheduler after backoff.
@@ -1210,30 +1339,22 @@ impl Engine<'_> {
             let graph = &g.graph;
             let task = graph.task(t);
             Estimator::new(graph, self.platform, self.model).record(t, arch, t_end - t_start);
-            self.spans
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(TaskSpan {
-                    task: t,
-                    ttype: task.ttype,
-                    worker: w,
-                    ready_at: f64::from_bits(g.ready_at[ti].load(Ordering::Relaxed)),
-                    start: t_start,
-                    end: t_end,
-                });
+            spans.spans.push(TaskSpan {
+                task: t,
+                ttype: task.ttype,
+                worker: w,
+                ready_at: f64::from_bits(g.ready_at[ti].load(Ordering::Relaxed)),
+                start: t_start,
+                end: t_end,
+            });
             // Populate the result cache before releasing successors:
             // clone the written buffers in dedup'd write order — the
             // same order a future hit materializes them back — while no
             // successor can yet be re-writing them.
             if let (Some(rc), Some(meta)) = (self.cache, graph.cache_meta(t)) {
-                let mut written: Vec<DataId> = Vec::new();
                 let mut payload: Vec<Vec<f64>> = Vec::new();
                 let mut bytes = 0u64;
-                for d in task.writes() {
-                    if written.contains(&d) {
-                        continue;
-                    }
-                    written.push(d);
+                for d in distinct_writes(task) {
                     let buf = self.buffers[d.index()].read().expect("buffer poisoned");
                     bytes += (buf.len() * 8) as u64;
                     payload.push(buf.clone());
@@ -1253,7 +1374,7 @@ impl Engine<'_> {
                 &self.view(&g, t_end),
             );
             g.done[ti].store(true, Ordering::Release);
-            self.release(&g, g.readied(t, t_end), Some(w), t_end, obs);
+            self.release(&g, g.readied(t, t_end), &mut scratch, Some(w), t_end, obs);
             self.ledger.complete(g.tenant_of[ti] as usize, false);
             self.completed.fetch_add(1, Ordering::AcqRel);
             drop(g);
@@ -1276,7 +1397,11 @@ impl Engine<'_> {
         let makespan_us = self.now_us();
         let error = self.error.into_inner().unwrap_or_else(|p| p.into_inner());
         let mut trace = Trace::new(self.cells.len());
-        trace.tasks = self.spans.into_inner().unwrap_or_else(|p| p.into_inner());
+        trace.tasks = self
+            .spans
+            .into_inner()
+            .unwrap_or_else(|p| p.into_inner())
+            .concat();
         // Wall-clock ties are real under coarse timers: break them by
         // task id so the span order (and every downstream export) is
         // deterministic.

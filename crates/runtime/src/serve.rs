@@ -33,18 +33,22 @@
 //! state ([`mp_dag::StfState`]) for the whole execution. It admits and
 //! infers each submission under a graph *read* guard, so workers keep
 //! running, and stages the resulting drafts. After each submission it
-//! tries the write guard without blocking, and under it links and admits
-//! every staged sub-DAG in turn; at stream end (and after an abort) it
-//! waits for the guard. A staged sub-DAG therefore waits at most until
-//! the guard is free or the stream ends. Staged tasks count as in flight
-//! at admission, so the batch stays within the in-flight bounds. Linking
-//! under the write guard means a completion can never race the indegree
-//! snapshot of a link, and each link checks that every new task keeps a
-//! capable surviving worker, so a worker killed before the link ends the
-//! stream with [`RunError::NoCapableWorker`] instead of a hang.
+//! tries the write guard without blocking, and under it only links and
+//! admits every staged sub-DAG in turn, snapshotting each one's sources;
+//! at stream end (and after an abort) it waits for the guard. It then
+//! drops the guard and releases the sources, cache probes and hit
+//! cascades included, under a read guard, one sub-DAG at a time in stream
+//! order. A staged sub-DAG therefore waits at most until the guard is
+//! free or the stream ends. Staged tasks count as in flight at admission,
+//! so the batch stays within the in-flight bounds. Linking under the
+//! write guard means a completion can never race the indegree snapshot
+//! of a link, and each link checks that every new task keeps a capable
+//! surviving worker, so a worker killed before the link ends the stream
+//! with [`RunError::NoCapableWorker`] instead of a hang.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::RwLockWriteGuard;
 
 use mp_dag::ids::TaskId;
 use mp_dag::{Draft, StfState};
@@ -56,7 +60,7 @@ pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
 use mp_serve::effective_priority;
 use mp_trace::{CounterSnapshot, Trace};
 
-use crate::engine::{Engine, KernelFn, RunError, Runtime, Shared, TaskBuilder};
+use crate::engine::{Engine, Kernels, RunError, Runtime, Scratch, Shared, TaskBuilder};
 
 /// Tenancy and admission knobs of one streaming run.
 #[derive(Clone, Debug)]
@@ -231,8 +235,9 @@ impl Runtime {
         for tb in stream.iter().flat_map(|sub| &sub.tasks) {
             tb.register_type(self.stf.graph_mut());
         }
+        let streamed = stream.iter().map(|sub| sub.tasks.len()).sum();
         let (run, tally, (admitted, rejections)) =
-            self.execute(front, cfg.tenants.len(), |eng, stf| {
+            self.execute(front, cfg.tenants.len(), streamed, |eng, stf| {
                 drive(eng, stf, cfg, stream)
             })?;
         Ok(StreamReport {
@@ -254,7 +259,6 @@ impl Runtime {
 
     /// The up-front checks of [`Self::serve_concurrent`].
     fn check_stream(&self, cfg: &StreamConfig, stream: &[Submission]) -> Result<(), RunError> {
-        let classes = self.platform_classes();
         let graph = self.graph();
         // Implementation sets of the types the stream introduces.
         let mut introduced: HashMap<&str, (bool, bool)> = HashMap::new();
@@ -270,11 +274,11 @@ impl Runtime {
             for tb in &sub.tasks {
                 let task = TaskId::from_index(next);
                 next += 1;
-                if !classes.iter().any(|c| tb.impls.contains_key(c)) {
+                if !tb.impls.runs_on(&self.classes) {
                     return Err(RunError::NoUsableImpl {
                         task,
                         label: tb.label_or_type(),
-                        platform_classes: classes,
+                        platform_classes: self.classes.clone(),
                     });
                 }
                 if let Some(&(data, _)) = tb
@@ -316,22 +320,38 @@ impl Runtime {
 /// rejection.
 type Decisions = (Vec<Option<Vec<TaskId>>>, Vec<(usize, AdmitError)>);
 
-/// Sub-DAGs admitted and inferred but not yet linked, in stream order.
+/// Sub-DAGs admitted and inferred but not yet linked, in stream order,
+/// and the driver's release state.
+#[derive(Default)]
 struct Staged {
     /// Per sub-DAG: its tenant and its task count.
     subdags: Vec<(usize, usize)>,
     drafts: Vec<Draft>,
-    impls: Vec<HashMap<ArchClass, KernelFn>>,
+    impls: Vec<Kernels>,
     /// Staged tasks per tenant.
     by_tenant: Vec<usize>,
+    /// The sources of the linked sub-DAGs, in stream order.
+    sources: Vec<TaskId>,
+    /// Per linked sub-DAG: where its sources end in `sources`, and its
+    /// admission instant.
+    ends: Vec<(usize, f64)>,
+    scratch: Scratch,
 }
 
 impl Staged {
     /// Link and admit every staged sub-DAG, each in turn, under the write
-    /// guard `g`. Linking the whole batch first would let a cache-hit
-    /// cascade in one sub-DAG reach successors that have no per-task
-    /// state yet.
-    fn link(&mut self, eng: &Engine<'_>, g: &mut Shared, admission: &AdmissionConfig) {
+    /// guard `g`, snapshotting each one's sources; then drop the guard
+    /// and release the sources in stream order under a read guard, one
+    /// release per sub-DAG, so each release still probes every task it
+    /// releases before it pushes a miss. Every sub-DAG has its per-task
+    /// state before any source is released, so a cache-hit cascade in
+    /// one may reach a later one's tasks, which then join the cascade.
+    fn link(
+        &mut self,
+        eng: &Engine<'_>,
+        mut g: RwLockWriteGuard<'_, Shared>,
+        admission: &AdmissionConfig,
+    ) {
         let mut drafts = self.drafts.drain(..);
         let mut impls = self.impls.drain(..);
         for (tenant, n) in self.subdags.drain(..) {
@@ -339,13 +359,27 @@ impl Staged {
                 g.graph.link(draft);
             }
             g.impls.extend(impls.by_ref().take(n));
-            eng.admit(g, tenant, eng.now_us());
+            let now = eng.now_us();
+            if eng.admit(&mut g, tenant, now, &mut self.sources) {
+                self.ends.push((self.sources.len(), now));
+            }
             debug_assert!(eng.in_flight() <= admission.max_in_flight);
             debug_assert!(admission.max_tenant_in_flight.is_none_or(|cap| {
                 eng.ledger.0[tenant].in_flight.load(Ordering::Acquire) <= cap
             }));
         }
+        drop(g);
         self.by_tenant.fill(0);
+        let g = eng.read();
+        let mut from = 0;
+        for &(end, now) in &self.ends {
+            eng.release_sources(&g, &self.sources[from..end], &mut self.scratch, now);
+            from = end;
+        }
+        drop(g);
+        self.sources.clear();
+        self.ends.clear();
+        eng.notify();
     }
 }
 
@@ -371,10 +405,8 @@ fn drive(
     let mut last_progress_v = vec![0.0f64; nt];
     let mut last_completed_seen = vec![0u64; nt];
     let mut staged = Staged {
-        subdags: Vec::new(),
-        drafts: Vec::new(),
-        impls: Vec::new(),
         by_tenant: vec![0; nt],
+        ..Staged::default()
     };
     for (si, sub) in stream.into_iter().enumerate() {
         if eng.aborted() {
@@ -446,15 +478,12 @@ fn drive(
         staged.subdags.push((ti, n));
         staged.by_tenant[ti] += n;
         admitted.push(Some((first..first + n).map(TaskId::from_index).collect()));
-        if let Some(mut g) = eng.try_write() {
-            staged.link(eng, &mut g, &cfg.admission);
-            drop(g);
-            eng.notify();
+        if let Some(g) = eng.try_write() {
+            staged.link(eng, g, &cfg.admission);
         }
     }
     if !staged.subdags.is_empty() {
-        staged.link(eng, &mut eng.write(), &cfg.admission);
-        eng.notify();
+        staged.link(eng, eng.write(), &cfg.admission);
     }
     (admitted, rejections)
 }
