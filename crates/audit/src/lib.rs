@@ -366,7 +366,7 @@ pub fn warm_cold_audit_with_cache(
 /// * rejections stranded nothing: a stranded dependency would surface
 ///   as an admitted task with zero executions.
 ///
-/// Pass [`mp_runtime::StreamReport::trace`] and the post-serve
+/// Pass [`mp_runtime::RunReport::trace`] and the post-serve
 /// [`mp_runtime::Runtime::graph`]. Returns every violation found;
 /// empty means the run passed.
 pub fn streaming_audit(graph: &TaskGraph, trace: &mp_trace::Trace) -> Vec<Mismatch> {
@@ -381,7 +381,7 @@ pub fn streaming_audit(graph: &TaskGraph, trace: &mp_trace::Trace) -> Vec<Mismat
 /// release instant and records no trace span, so exactly-once relaxes
 /// to *at most once* — plus an exact hit ledger: the number of
 /// span-less tasks must equal the `cache_hits` the report claims
-/// ([`mp_runtime::StreamReport::cache_hits`]). A hit that silently
+/// ([`mp_runtime::RunReport::cache_hits`]). A hit that silently
 /// swallowed a task the cache never served (or a double execution
 /// slipping through as a "hit") therefore surfaces as
 /// [`Mismatch::CacheCoverage`] or [`Mismatch::ExecutionCount`].
@@ -440,7 +440,7 @@ impl StreamingWarmColdReport {
 /// kill/transient fault plans.
 ///
 /// Pass the post-serve [`mp_runtime::Runtime::graph`], the
-/// [`mp_runtime::StreamReport`]'s trace and `cache_hits`.
+/// [`mp_runtime::RunReport`]'s trace and `cache_hits`.
 pub fn streaming_warm_cold_audit(
     graph: &TaskGraph,
     trace: &mp_trace::Trace,
@@ -698,7 +698,7 @@ mod tests {
     /// A cache-backed stream of write-only fork-join sub-DAGs: identical
     /// resubmissions hit, so the trace holds spans only for the cold
     /// rounds.
-    fn served_warm_stream() -> (mp_runtime::Runtime, mp_runtime::StreamReport) {
+    fn served_warm_stream() -> (mp_runtime::Runtime, mp_runtime::RunReport) {
         use mp_runtime::serve::TenantSpec;
         use mp_runtime::{Runtime, StreamConfig, Submission, TaskBuilder};
 

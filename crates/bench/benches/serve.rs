@@ -15,7 +15,7 @@
 //! A second sweep benchmarks **warm serving**: the same open-loop
 //! stream under a 20×-overload arrival process, cache off (cold) vs a
 //! fresh [`mp_cache::ResultCache`] (warm), at mutation fractions 0 and
-//! 0.25 ([`mp_sim::SubDagShape::mutation_frac`]). With mutation 0
+//! 0.25 ([`mp_sim::ServeConfig::mutation_frac`]). With mutation 0
 //! every resubmission past the pool-warmup rounds is served from the
 //! cache, so the gate requires ≥95 % hit rate and a ≥5× served-tasks
 //! throughput speedup over cold; warm runs must stay bit-deterministic
@@ -36,7 +36,7 @@ use mp_perfmodel::{PerfModel, TableModel, TimeFn};
 use mp_platform::presets::homogeneous;
 use mp_platform::types::ArchClass;
 use mp_serve::{ArrivalProcess, TenantSpec};
-use mp_sim::{serve_sim, serve_sim_cached, ServeConfig, ServeReport};
+use mp_sim::{serve_sim, serve_sim_cached, ServeConfig, ServeStats, SimResult};
 
 /// Per-task service time in virtual µs (every task of the fork-join).
 const TASK_US: f64 = 25.0;
@@ -52,7 +52,7 @@ fn tenants() -> Vec<TenantSpec> {
     ]
 }
 
-fn run_once(workers: usize, arrivals: ArrivalProcess, submissions: usize) -> ServeReport {
+fn run_once(workers: usize, arrivals: ArrivalProcess, submissions: usize) -> SimResult {
     let platform = homogeneous(workers);
     let model = TableModel::builder()
         .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
@@ -61,6 +61,13 @@ fn run_once(workers: usize, arrivals: ArrivalProcess, submissions: usize) -> Ser
     let mut sched = make_scheduler("prio");
     let cfg = ServeConfig::new(tenants(), arrivals, submissions);
     serve_sim(&platform, model, sched.as_mut(), &cfg)
+}
+
+/// The serving section every `serve_sim` result carries.
+fn serving(r: &SimResult) -> &ServeStats {
+    r.serving
+        .as_ref()
+        .expect("a serving run has a serving section")
 }
 
 struct Row {
@@ -97,8 +104,9 @@ fn main() {
             },
         ];
         for arrivals in arrival_set {
-            let a = run_once(workers, arrivals.clone(), submissions);
-            let b = run_once(workers, arrivals.clone(), submissions);
+            let ra = run_once(workers, arrivals.clone(), submissions);
+            let rb = run_once(workers, arrivals.clone(), submissions);
+            let (a, b) = (serving(&ra), serving(&rb));
             if a.schedule_hash != b.schedule_hash {
                 eprintln!(
                     "!! {workers}w {}: schedule hash diverged across repeats \
@@ -109,13 +117,13 @@ fn main() {
                 );
                 failed = true;
             }
-            if !a.is_complete() {
+            if !ra.is_complete() {
                 eprintln!(
                     "!! {workers}w {}: run incomplete ({}/{} tasks, error {:?})",
                     arrivals.label(),
-                    a.tasks_completed,
+                    ra.stats.tasks,
                     a.tasks_admitted,
-                    a.error
+                    ra.error
                 );
                 failed = true;
             }
@@ -133,24 +141,24 @@ fn main() {
                 "   {workers:>2}w {:<18} {:>9.0} dec/s  p50 {:>5} µs  p99 {:>6} µs  \
                  adm {:>6}  rej {:>5}  makespan {:>9.0} µs",
                 arrivals.label(),
-                a.decisions_per_sec(),
+                a.decisions_per_sec(ra.makespan),
                 a.p50_us(),
                 a.p99_us(),
                 a.subdags_admitted,
                 a.subdags_rejected,
-                a.makespan_us
+                ra.makespan
             );
             rows.push(Row {
                 workers,
                 arrivals: arrivals.label(),
                 submissions,
                 decisions: a.decisions,
-                decisions_per_sec: a.decisions_per_sec(),
+                decisions_per_sec: a.decisions_per_sec(ra.makespan),
                 p50_us: a.p50_us(),
                 p99_us: a.p99_us(),
                 subdags_admitted: a.subdags_admitted,
                 subdags_rejected: a.subdags_rejected,
-                makespan_us: a.makespan_us,
+                makespan_us: ra.makespan,
                 schedule_hash: a.schedule_hash,
             });
         }
@@ -183,7 +191,7 @@ fn main() {
     for &workers in cache_workers {
         for &mf in &[0.0f64, 0.25] {
             let rate = (workers as f64 * 1e6 / TASK_US / TASKS_PER_SUBDAG * 20.0).round();
-            let run_cached = |cache: Option<&ResultCache>| -> ServeReport {
+            let run_cached = |cache: Option<&ResultCache>| -> SimResult {
                 let platform = homogeneous(workers);
                 let model = TableModel::builder()
                     .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
@@ -198,16 +206,17 @@ fn main() {
                 // Overload on purpose: admission must not shed load, or
                 // cold and warm would serve different streams.
                 cfg.admission.max_in_flight = 1 << 30;
-                cfg.subdag.mutation_frac = mf;
+                cfg.mutation_frac = mf;
                 serve_sim_cached(&platform, model, sched.as_mut(), &cfg, cache)
             };
-            let served_per_sec = |r: &ServeReport| r.tasks_completed as f64 / r.makespan_us * 1e6;
+            let served_per_sec = |r: &SimResult| r.stats.tasks as f64 / r.makespan * 1e6;
 
             let cold = run_cached(None);
             let cold2 = run_cached(None);
             let warm = run_cached(Some(&ResultCache::new()));
             let warm2 = run_cached(Some(&ResultCache::new()));
-            for (label, a, b) in [("cold", &cold, &cold2), ("warm", &warm, &warm2)] {
+            for (label, ra, rb) in [("cold", &cold, &cold2), ("warm", &warm, &warm2)] {
+                let (a, b) = (serving(ra), serving(rb));
                 if a.schedule_hash != b.schedule_hash {
                     eprintln!(
                         "!! {workers}w mf={mf}: {label} schedule hash diverged across \
@@ -216,10 +225,10 @@ fn main() {
                     );
                     failed = true;
                 }
-                if !a.is_complete() {
+                if !ra.is_complete() {
                     eprintln!(
                         "!! {workers}w mf={mf}: {label} run incomplete ({}/{} tasks, error {:?})",
-                        a.tasks_completed, a.tasks_admitted, a.error
+                        ra.stats.tasks, a.tasks_admitted, ra.error
                     );
                     failed = true;
                 }
@@ -232,11 +241,11 @@ fn main() {
                     failed = true;
                 }
             }
-            if cold.cache_hits != 0 || cold.cache_misses != 0 {
+            if cold.stats.cache_hits != 0 || cold.stats.cache_misses != 0 {
                 eprintln!("!! {workers}w mf={mf}: cache-off run reported cache traffic");
                 failed = true;
             }
-            let hit_rate = warm.cache_hits as f64 / warm.tasks_admitted as f64;
+            let hit_rate = warm.stats.cache_hits as f64 / serving(&warm).tasks_admitted as f64;
             let speedup = served_per_sec(&warm) / served_per_sec(&cold);
             // The acceptance gate applies to pure resubmission: the
             // stream past pool warmup is all hits and the scheduler is
@@ -252,8 +261,8 @@ fn main() {
             eprintln!(
                 "   {workers:>2}w mf {mf:.2}  hits {:>6}  misses {:>5}  hit-rate {:>5.1}%  \
                  cold {:>9.0} t/s  warm {:>10.0} t/s  speedup {:>5.1}x",
-                warm.cache_hits,
-                warm.cache_misses,
+                warm.stats.cache_hits,
+                warm.stats.cache_misses,
                 hit_rate * 100.0,
                 served_per_sec(&cold),
                 served_per_sec(&warm),
@@ -263,16 +272,16 @@ fn main() {
                 workers,
                 mutation_frac: mf,
                 submissions: cache_submissions,
-                cold_decisions: cold.decisions,
-                warm_decisions: warm.decisions,
-                cache_hits: warm.cache_hits,
-                cache_misses: warm.cache_misses,
+                cold_decisions: serving(&cold).decisions,
+                warm_decisions: serving(&warm).decisions,
+                cache_hits: warm.stats.cache_hits,
+                cache_misses: warm.stats.cache_misses,
                 hit_rate,
                 cold_served_per_sec: served_per_sec(&cold),
                 warm_served_per_sec: served_per_sec(&warm),
                 speedup_served: speedup,
-                cold_hash: cold.schedule_hash,
-                warm_hash: warm.schedule_hash,
+                cold_hash: serving(&cold).schedule_hash,
+                warm_hash: serving(&warm).schedule_hash,
             });
         }
     }

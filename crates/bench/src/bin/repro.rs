@@ -581,7 +581,8 @@ fn serve_demo(
         .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
         .build();
     let mut sched = make_scheduler(policy);
-    let report = serve_sim(&platform, &model, sched.as_mut(), &cfg);
+    let result = serve_sim(&platform, &model, sched.as_mut(), &cfg);
+    let report = result.serving.as_ref().expect("a serving run");
 
     println!(
         "== serving mode: {policy}, {workers} workers, {}, {submissions} sub-DAG submissions ==",
@@ -589,10 +590,10 @@ fn serve_demo(
     );
     println!(
         "throughput {:.0} decisions/s  latency p50 {} µs  p99 {} µs  makespan {:.0} µs",
-        report.decisions_per_sec(),
+        report.decisions_per_sec(result.makespan),
         report.p50_us(),
         report.p99_us(),
-        report.makespan_us
+        result.makespan
     );
     println!(
         "admitted {} sub-DAGs ({} tasks), rejected {} with backpressure",
@@ -610,10 +611,10 @@ fn serve_demo(
             t.latency.max_us
         );
     }
-    if !report.is_complete() {
+    if !result.is_complete() {
         eprintln!(
             "serve run incomplete: {}/{} tasks, error {:?}",
-            report.tasks_completed, report.tasks_admitted, report.error
+            result.stats.tasks, report.tasks_admitted, result.error
         );
         std::process::exit(1);
     }
@@ -642,7 +643,7 @@ fn serve_cache_demo(
 
     /// Per-task virtual service time (µs) under the demo model.
     const TASK_US: f64 = 25.0;
-    /// Root + width mids + join under the default [`SubDagShape`].
+    /// Root + 4 mids + join: the fork-join every arrival submits.
     const TASKS_PER_SUBDAG: f64 = 6.0;
     let arrivals = match arrivals {
         Some(s) => ArrivalProcess::parse(&s).unwrap_or_else(|e| {
@@ -660,16 +661,16 @@ fn serve_cache_demo(
         .collect();
     let mut cfg = ServeConfig::new(specs, arrivals.clone(), submissions);
     cfg.admission.max_in_flight = 1 << 30;
-    cfg.subdag.mutation_frac = mutate_frac;
+    cfg.mutation_frac = mutate_frac;
     let platform = mp_platform::presets::homogeneous(workers);
     let model = TableModel::builder()
         .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
         .build();
-    let served_per_sec = |r: &mp_sim::ServeReport| {
-        if r.makespan_us <= 0.0 {
+    let served_per_sec = |r: &mp_sim::SimResult| {
+        if r.makespan <= 0.0 {
             return 0.0;
         }
-        r.tasks_completed as f64 / (r.makespan_us / 1e6)
+        r.stats.tasks as f64 / (r.makespan / 1e6)
     };
 
     let mut sched = make_scheduler(policy);
@@ -677,11 +678,13 @@ fn serve_cache_demo(
     let cache = ResultCache::new();
     let mut sched = make_scheduler(policy);
     let warm = serve_sim_cached(&platform, &model, sched.as_mut(), &cfg, Some(&cache));
-    for (label, r) in [("cold", &cold), ("warm", &warm)] {
+    let cold_s = cold.serving.as_ref().expect("a serving run");
+    let warm_s = warm.serving.as_ref().expect("a serving run");
+    for (label, r, s) in [("cold", &cold, cold_s), ("warm", &warm, warm_s)] {
         if !r.is_complete() {
             eprintln!(
                 "{label} serve run incomplete: {}/{} tasks, error {:?}",
-                r.tasks_completed, r.tasks_admitted, r.error
+                r.stats.tasks, s.tasks_admitted, r.error
             );
             std::process::exit(1);
         }
@@ -695,26 +698,26 @@ fn serve_cache_demo(
     println!(
         "cold: {:10.0} served tasks/s  {:8} decisions  makespan {:10.0} µs  hash {:#018x}",
         served_per_sec(&cold),
-        cold.decisions,
-        cold.makespan_us,
-        cold.schedule_hash
+        cold_s.decisions,
+        cold.makespan,
+        cold_s.schedule_hash
     );
     println!(
         "warm: {:10.0} served tasks/s  {:8} decisions  makespan {:10.0} µs",
         served_per_sec(&warm),
-        warm.decisions,
-        warm.makespan_us
+        warm_s.decisions,
+        warm.makespan
     );
-    let total = warm.cache_hits + warm.cache_misses;
+    let total = warm.stats.cache_hits + warm.stats.cache_misses;
     println!(
         "warm cache: {} hits / {} misses ({:.1}% hit-rate)  speedup {:.1}x served/s",
-        warm.cache_hits,
-        warm.cache_misses,
-        warm.cache_hits as f64 / (total.max(1)) as f64 * 100.0,
+        warm.stats.cache_hits,
+        warm.stats.cache_misses,
+        warm.stats.cache_hits as f64 / (total.max(1)) as f64 * 100.0,
         served_per_sec(&warm) / served_per_sec(&cold).max(1e-9),
     );
     println!("tenant     weight   adm   hits  completed");
-    for t in &warm.tenants {
+    for t in &warm_s.tenants {
         println!(
             "{:10} {:6.1} {:6} {:6} {:10}",
             t.name, t.weight, t.subdags_admitted, t.cache_hits, t.tasks_completed

@@ -4,7 +4,7 @@
 ///
 /// These are the StarPU access modes relevant to dependency inference.
 /// `ReadWrite` behaves as a read *and* a write for inference purposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessMode {
     /// The task only reads the handle; concurrent readers are allowed.
     Read,

@@ -10,7 +10,7 @@ use crate::task::{Access, Task, TaskType};
 /// A data handle: a named, sized piece of application data (a tile, a
 /// particle group, a frontal-matrix panel, ...). Its *home node* is where
 /// the data initially resides (main RAM unless stated otherwise).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DataDesc {
     /// Dense id of the handle within its graph.
     pub id: DataId,
@@ -25,7 +25,7 @@ pub struct DataDesc {
 /// folded from, and the data versions this task assigns to the handles
 /// it writes. Tasks added through [`TaskGraph::add_task`] directly (no
 /// STF inference) carry no metadata and are never cacheable.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CacheMeta {
     /// FNV-1a fold of `fingerprint` — the cache key.
     pub key: u64,
@@ -63,7 +63,7 @@ pub struct GraphStats {
 /// lookups are O(1). Edges are stored both ways (`preds`, `succs`) because
 /// schedulers walk successors (NOD criticality) while the executor walks
 /// predecessors (dependency release).
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     data: Vec<DataDesc>,
@@ -73,8 +73,6 @@ pub struct TaskGraph {
     succs: Vec<Vec<TaskId>>,
     edge_count: usize,
     /// Parallel to `tasks`; `None` for tasks without STF-derived keys.
-    /// Defaulted on deserialization so pre-cache serialized graphs load.
-    #[serde(default)]
     cache_meta: Vec<Option<CacheMeta>>,
 }
 

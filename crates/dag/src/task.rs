@@ -9,7 +9,7 @@ use crate::ids::{DataId, TaskId, TaskTypeId};
 /// decided by the performance model (an arch without an estimate cannot
 /// execute the type), mirroring StarPU where a codelet lists its
 /// implementations.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskType {
     /// Dense id of the type within its graph's registry.
     pub id: TaskTypeId,
@@ -29,7 +29,7 @@ impl TaskType {
 }
 
 /// One access of a task to a data handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Access {
     /// The data handle being accessed.
     pub data: DataId,
@@ -38,7 +38,7 @@ pub struct Access {
 }
 
 /// A task instance: a vertex of the DAG.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Task {
     /// Dense id of the task within its graph.
     pub id: TaskId,

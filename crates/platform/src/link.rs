@@ -2,7 +2,7 @@
 
 /// A directed link between two memory nodes: a fixed latency plus a
 /// bandwidth term. Times are in microseconds, bandwidth in GB/s.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Link {
     /// Sustained bandwidth in GB/s (`f64::INFINITY` for the zero-cost
     /// diagonal).

@@ -7,7 +7,7 @@ use crate::link::Link;
 macro_rules! dense_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -57,7 +57,7 @@ dense_id!(
 
 /// Broad class of an architecture; task types declare implementations per
 /// class (a `TaskType` with `gpu_impl` runs on every `Gpu`-class arch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ArchClass {
     /// General-purpose cores (host).
     Cpu,
@@ -66,7 +66,7 @@ pub enum ArchClass {
 }
 
 /// An architecture type `a ∈ A`: e.g. "Xeon 6142 core" or "V100".
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Arch {
     /// Dense id.
     pub id: ArchId,
@@ -81,7 +81,7 @@ pub struct Arch {
 }
 
 /// A memory node `m ∈ M`: main RAM or a GPU's embedded memory.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MemNode {
     /// Dense id. Node 0 is always main RAM by convention.
     pub id: MemNodeId,
@@ -94,7 +94,7 @@ pub struct MemNode {
 }
 
 /// A worker `w ∈ W`: executes tasks on one processing unit.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Worker {
     /// Dense id.
     pub id: WorkerId,
@@ -112,7 +112,7 @@ pub struct Worker {
 /// * node 0 is main RAM (CPU arch, unbounded);
 /// * every worker's arch matches its memory node's arch;
 /// * the link matrix is complete (`n×n`, zero-cost diagonal).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Platform {
     archs: Vec<Arch>,
     mem_nodes: Vec<MemNode>,
@@ -425,15 +425,12 @@ mod tests {
 }
 
 #[cfg(test)]
-mod serde_tests {
+mod clone_tests {
     use crate::presets::intel_v100_streams;
 
-    /// Platform is Clone + Serialize + Deserialize (used for config
-    /// files); a clone must be observationally identical.
+    /// A clone of a platform must be observationally identical.
     #[test]
     fn platform_clone_identity() {
-        fn assert_serializable<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serializable::<super::Platform>();
         let p = intel_v100_streams(2);
         let q = p.clone();
         assert_eq!(format!("{p:?}"), format!("{q:?}"));

@@ -7,7 +7,8 @@
 //! calling thread links sub-DAGs into the growing graph. Workers drive
 //! any [`ConcurrentScheduler`] front-end: the [`GlobalLock`] baseline (one
 //! mutex around the policy, what [`Runtime::run`] uses), the sharded
-//! multi-queue or the relaxed multi-queue.
+//! multi-queue or the relaxed multi-queue. Both entry points end in one
+//! [`RunReport`], whose per-submission fields a closed run leaves empty.
 //!
 //! Graph-coupled state sits behind one `RwLock`. A worker holds one read
 //! guard from pop through start, resolving the kernel in its two-slot
@@ -42,6 +43,7 @@ use mp_perfmodel::{DeltaEstimate, Estimator, FallbackWarnings, PerfModel};
 use mp_platform::types::{ArchClass, MemNodeId, Platform, WorkerId};
 use mp_sched::api::{DataLocator, LoadInfo, SchedEvent, SchedView, Scheduler};
 use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
+use mp_serve::AdmitError;
 use mp_trace::obs::obs_enabled;
 use mp_trace::{
     Counter, CounterSnapshot, ObsCell, RuntimeEvent, RuntimeEventKind, TaskSpan, Trace,
@@ -49,7 +51,7 @@ use mp_trace::{
 
 use crate::data::{BufRef, TaskCtx};
 use crate::fault::{FaultPlan, RetryPolicy, SkewedModel};
-use crate::serve::TenantLedger;
+use crate::serve::{Decisions, TenantLedger};
 
 /// A kernel implementation.
 pub type KernelFn = Arc<dyn Fn(&mut TaskCtx<'_>) + Send + Sync>;
@@ -409,7 +411,8 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Result of a run: wall-clock makespan and trace.
+/// Result of a run, closed or streamed: wall-clock makespan and trace,
+/// the task and cache counts, and a stream's admission decisions.
 #[derive(Debug)]
 pub struct RunReport {
     /// Wall-clock makespan in µs.
@@ -433,25 +436,34 @@ pub struct RunReport {
     /// Worker park/wake timeline. Empty unless built with
     /// `--features obs`.
     pub events: Vec<RuntimeEvent>,
+    /// Tasks admitted, including those submitted before the run (a
+    /// stream counts them as already-admitted tenant-0 work).
+    pub tasks_admitted: usize,
+    /// Tasks that completed, cache hits included.
+    pub tasks_completed: usize,
+    /// Completions served straight from the result cache: a subset of
+    /// `tasks_completed` that never reached the scheduler and records
+    /// no trace span. Always 0 without [`Runtime::set_cache`].
+    pub cache_hits: u64,
+    /// Cache probes that missed (or were invalidated) and executed
+    /// normally. Always 0 without a cache.
+    pub cache_misses: u64,
+    /// Per streamed submission: the committed task ids, or `None` if it
+    /// was not admitted. Empty on a closed run.
+    pub admitted: Vec<Option<Vec<TaskId>>>,
+    /// Each rejection as `(submission index, typed error)`.
+    pub rejections: Vec<(usize, AdmitError)>,
+    /// Streamed submissions admitted.
+    pub subdags_admitted: u64,
+    /// Streamed submissions rejected with backpressure.
+    pub subdags_rejected: u64,
 }
 
 impl RunReport {
-    /// Did the run execute every task without error?
+    /// Did every admitted task complete without error?
     pub fn is_complete(&self) -> bool {
-        self.error.is_none()
+        self.error.is_none() && self.tasks_completed == self.tasks_admitted
     }
-}
-
-/// Stream-level counts of one execution, kept with or without `obs`.
-pub(crate) struct Tally {
-    /// Tasks admitted, including those submitted before the run.
-    pub(crate) admitted: usize,
-    /// Tasks completed, cache hits included.
-    pub(crate) completed: usize,
-    /// Completions served from the result cache.
-    pub(crate) cache_hits: u64,
-    /// Cache probes that missed or were invalidated.
-    pub(crate) cache_misses: u64,
 }
 
 /// The runtime: buffers + submitted tasks, executed by [`Runtime::run`].
@@ -630,8 +642,7 @@ impl Runtime {
         &mut self,
         front: &dyn ConcurrentScheduler,
     ) -> Result<RunReport, RunError> {
-        self.execute(front, 0, 0, |_, _| ())
-            .map(|(report, _, ())| report)
+        self.execute(front, 0, 0, |_, _| Decisions::default())
     }
 
     /// The one execution behind [`Self::run_concurrent`] and
@@ -643,14 +654,14 @@ impl Runtime {
     /// per-tenant ledger (`tenants` entries) are moved into the engine
     /// for the duration, with room reserved for `streamed` more tasks,
     /// and the grown graph is moved back out; `drive` owns the STF
-    /// inference state meanwhile.
-    pub(crate) fn execute<D>(
+    /// inference state meanwhile, and its decisions land in the report.
+    pub(crate) fn execute(
         &mut self,
         front: &dyn ConcurrentScheduler,
         tenants: usize,
         streamed: usize,
-        drive: impl FnOnce(&Engine<'_>, &mut StfState) -> D,
-    ) -> Result<(RunReport, Tally, D), RunError> {
+        drive: impl FnOnce(&Engine<'_>, &mut StfState) -> Decisions,
+    ) -> Result<RunReport, RunError> {
         if let Some(err) = self.submit_error.clone() {
             return Err(err);
         }
@@ -719,7 +730,7 @@ impl Runtime {
                 eng.release_sources(&g, &sources, &mut Scratch::default(), 0.0);
             }
         }
-        let driven = std::thread::scope(|scope| {
+        let decisions = std::thread::scope(|scope| {
             for wi in 0..nw {
                 let eng = &eng;
                 scope.spawn(move || eng.worker(wi));
@@ -727,13 +738,13 @@ impl Runtime {
             let _close = CloseOnDrop(&eng);
             drive(&eng, &mut stf)
         });
-        let (shared, report, tally) = eng.finish();
+        let (shared, report) = eng.finish(decisions);
         // Restore the (possibly grown) graph and kernel table:
         // `graph()`/`buffer()` keep working, and a further run
         // re-executes every task, streamed ones included.
         self.stf = StfBuilder::from_parts(shared.graph, stf);
         self.impls = shared.impls;
-        Ok((report, tally, driven))
+        Ok(report)
     }
 }
 
@@ -1390,8 +1401,8 @@ impl Engine<'_> {
     }
 
     /// Quiesce: hand the graph state back and fold everything the
-    /// execution recorded into one report.
-    fn finish(self) -> (Shared, RunReport, Tally) {
+    /// execution recorded, and the driver's `decisions`, into one report.
+    fn finish(self, (admitted, rejections): Decisions) -> (Shared, RunReport) {
         // Mid-run failures surface on the report next to the partial
         // trace — `Err` is reserved for checks made before the start.
         let makespan_us = self.now_us();
@@ -1432,15 +1443,17 @@ impl Engine<'_> {
             error,
             counters,
             events,
-        };
-        let tally = Tally {
-            admitted: self.admitted.into_inner(),
-            completed: self.completed.into_inner(),
+            tasks_admitted: self.admitted.into_inner(),
+            tasks_completed: self.completed.into_inner(),
             cache_hits: self.cache_hits.into_inner(),
             cache_misses: self.cache_misses.into_inner(),
+            subdags_admitted: admitted.iter().flatten().count() as u64,
+            subdags_rejected: rejections.len() as u64,
+            admitted,
+            rejections,
         };
         let shared = self.shared.into_inner().unwrap_or_else(|e| e.into_inner());
-        (shared, report, tally)
+        (shared, report)
     }
 }
 

@@ -15,7 +15,7 @@
 //!   ([`Runtime::serve_concurrent`]), each taking any concurrent
 //!   scheduler front-end — a global-lock baseline, a sharded multi-queue
 //!   with randomized two-choice stealing, or the relaxed multi-queue
-//!   ([`mp_sched::concurrent`]);
+//!   ([`mp_sched::concurrent`]) — and each ending in one [`RunReport`];
 //! * measured execution times fed back into the performance model
 //!   (closing StarPU's calibration loop for history-based models);
 //! * a wall-clock `mp-trace` trace.

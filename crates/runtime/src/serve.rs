@@ -6,8 +6,10 @@
 //! one engine of [`crate::engine`] — the same loop a closed
 //! [`Runtime::run`] uses, with its fault injection, retries, worker
 //! quarantine and result cache — so this module holds only what serving
-//! adds: the stream's configuration and report, the driver and the tenant
-//! ledger. Each submission is decided before it is inferred, so
+//! adds: the stream's configuration, the driver and the tenant ledger. A
+//! stream ends in the same [`RunReport`] as a closed run, with the
+//! driver's admission decisions filled in. Each submission is decided
+//! before it is inferred, so
 //!
 //! * cross-submission dependencies resolve by data identity against the
 //!   last **admitted** writer of each handle (a rejected submission never
@@ -58,9 +60,9 @@ use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
 
 use mp_serve::effective_priority;
-use mp_trace::{CounterSnapshot, Trace};
+use mp_trace::CounterSnapshot;
 
-use crate::engine::{Engine, Kernels, RunError, Runtime, Scratch, Shared, TaskBuilder};
+use crate::engine::{Engine, Kernels, RunError, RunReport, Runtime, Scratch, Shared, TaskBuilder};
 
 /// Tenancy and admission knobs of one streaming run.
 #[derive(Clone, Debug)]
@@ -104,48 +106,9 @@ pub struct Submission {
     pub tasks: Vec<TaskBuilder>,
 }
 
-/// Everything one streaming run produces.
-#[derive(Debug)]
-pub struct StreamReport {
-    /// Front-end/scheduler name.
-    pub scheduler: String,
-    /// Wall-clock makespan in µs (driver start → quiesce).
-    pub makespan_us: f64,
-    /// Execution trace (partial when [`Self::error`] is set).
-    pub trace: Trace,
-    /// Per submission: the committed task ids, or `None` if rejected.
-    pub admitted: Vec<Option<Vec<TaskId>>>,
-    /// Each rejection as `(submission index, typed error)`.
-    pub rejections: Vec<(usize, AdmitError)>,
-    /// Admitted tasks, including any submitted before the stream
-    /// started (those count as already-admitted tenant-0 work).
-    pub tasks_admitted: usize,
-    /// Tasks that completed execution.
-    pub tasks_completed: usize,
-    /// Completions served straight from the result cache: a subset of
-    /// `tasks_completed` that never reached the scheduler and records
-    /// no trace span. Always 0 without [`Runtime::set_cache`].
-    pub cache_hits: u64,
-    /// Cache probes that missed (or were invalidated) and executed
-    /// normally. Always 0 without a cache.
-    pub cache_misses: u64,
-    /// Streamed submissions admitted / rejected.
-    pub subdags_admitted: u64,
-    /// Streamed submissions rejected with backpressure.
-    pub subdags_rejected: u64,
-    /// Scheduler/engine counters, including per-tenant
-    /// admitted/rejected/completed.
-    pub counters: CounterSnapshot,
-    /// Why the stream aborted, if it did.
-    pub error: Option<RunError>,
-}
-
-impl StreamReport {
-    /// Did every admitted task complete?
-    pub fn is_complete(&self) -> bool {
-        self.error.is_none() && self.tasks_completed == self.tasks_admitted
-    }
-}
+/// A streamed run's report: the closed run's [`RunReport`], whose
+/// per-submission fields a stream fills.
+pub type StreamReport = RunReport;
 
 /// Per-tenant counts of one execution. The driver admits and rejects;
 /// every completion, executed or served from the cache, retires one
@@ -207,7 +170,7 @@ impl Runtime {
         scheduler: Box<dyn Scheduler>,
         cfg: &StreamConfig,
         stream: Vec<Submission>,
-    ) -> Result<StreamReport, RunError> {
+    ) -> Result<RunReport, RunError> {
         let front = GlobalLock::new(scheduler);
         self.serve_concurrent(&front, cfg, stream)
     }
@@ -230,30 +193,14 @@ impl Runtime {
         front: &dyn ConcurrentScheduler,
         cfg: &StreamConfig,
         stream: Vec<Submission>,
-    ) -> Result<StreamReport, RunError> {
+    ) -> Result<RunReport, RunError> {
         self.check_stream(cfg, &stream)?;
         for tb in stream.iter().flat_map(|sub| &sub.tasks) {
             tb.register_type(self.stf.graph_mut());
         }
         let streamed = stream.iter().map(|sub| sub.tasks.len()).sum();
-        let (run, tally, (admitted, rejections)) =
-            self.execute(front, cfg.tenants.len(), streamed, |eng, stf| {
-                drive(eng, stf, cfg, stream)
-            })?;
-        Ok(StreamReport {
-            scheduler: run.scheduler,
-            makespan_us: run.makespan_us,
-            trace: run.trace,
-            subdags_admitted: admitted.iter().filter(|a| a.is_some()).count() as u64,
-            subdags_rejected: rejections.len() as u64,
-            admitted,
-            rejections,
-            tasks_admitted: tally.admitted,
-            tasks_completed: tally.completed,
-            cache_hits: tally.cache_hits,
-            cache_misses: tally.cache_misses,
-            counters: run.counters,
-            error: run.error,
+        self.execute(front, cfg.tenants.len(), streamed, |eng, stf| {
+            drive(eng, stf, cfg, stream)
         })
     }
 
@@ -317,8 +264,8 @@ impl Runtime {
 }
 
 /// Per submission the committed ids (`None` if not admitted), and every
-/// rejection.
-type Decisions = (Vec<Option<Vec<TaskId>>>, Vec<(usize, AdmitError)>);
+/// rejection. A closed run decides nothing.
+pub(crate) type Decisions = (Vec<Option<Vec<TaskId>>>, Vec<(usize, AdmitError)>);
 
 /// Sub-DAGs admitted and inferred but not yet linked, in stream order,
 /// and the driver's release state.

@@ -10,9 +10,6 @@ pub struct SimConfig {
     /// Coefficient of variation of the log-normal execution-time noise;
     /// `0.0` (default) makes execution fully deterministic and exact.
     pub noise_cv: f64,
-    /// Honor scheduler prefetch requests (Dmda family). When off,
-    /// requests are silently dropped — used in ablations.
-    pub enable_prefetch: bool,
     /// Record a full `mp-trace` trace (slightly more memory; keep on
     /// unless simulating >1e6 tasks).
     pub record_trace: bool,
@@ -39,7 +36,6 @@ impl Default for SimConfig {
         Self {
             seed: 0x5eed,
             noise_cv: 0.0,
-            enable_prefetch: true,
             record_trace: true,
             feedback_to_model: false,
             validate: true,
@@ -86,7 +82,6 @@ mod tests {
     fn defaults_are_deterministic() {
         let c = SimConfig::default();
         assert_eq!(c.noise_cv, 0.0);
-        assert!(c.enable_prefetch);
         assert!(c.validate);
     }
 

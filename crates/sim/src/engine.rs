@@ -672,13 +672,12 @@ impl<'a> Engine<'a> {
 
     /// Run to quiescence: one submission per instant of `arrivals` (or
     /// the configuration error that stops the run before it starts),
-    /// then every event they cause. Returns the result and the serving
-    /// ledgers the engine was built with.
+    /// then every event they cause.
     pub(crate) fn run(
         mut self,
         feed: &mut Feed<'_>,
         arrivals: Result<Vec<f64>, SimError>,
-    ) -> (SimResult, Option<Stream<'a>>) {
+    ) -> SimResult {
         match arrivals {
             Ok(times) => {
                 for (k, at) in times.into_iter().enumerate() {
@@ -726,8 +725,7 @@ impl<'a> Engine<'a> {
                 self.dispatch(feed.graph(), now);
             }
         }
-        let stream = self.stream.take();
-        (self.into_result(feed.graph()), stream)
+        self.into_result(feed.graph())
     }
 
     fn push_event(&mut self, time: f64, kind: EvKind) {
@@ -821,7 +819,7 @@ impl<'a> Engine<'a> {
         drained.clear();
         self.scheduler.drain_prefetches_into(drained);
         for &req in drained.iter() {
-            if !self.cfg.enable_prefetch || self.store.replica(req.data, req.node).is_some() {
+            if self.store.replica(req.data, req.node).is_some() {
                 self.obs.bump(Counter::PrefetchesCancelled);
                 continue;
             }
@@ -1351,7 +1349,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Close the run: name the deadlock if tasks are left, validate the
-    /// schedule, and merge the counters.
+    /// schedule, merge the counters and close a stream's ledgers.
     fn into_result(mut self, g: &TaskGraph) -> SimResult {
         let n = g.task_count();
         if self.failure.is_none() && self.completed != n {
@@ -1422,6 +1420,7 @@ impl<'a> Engine<'a> {
             counters.cache_compactions += ps.compactions - at_start.compactions;
         }
 
+        let serving = self.stream.map(|s| s.into_stats(&mut counters));
         SimResult {
             scheduler: self.scheduler.name().to_string(),
             makespan,
@@ -1431,6 +1430,7 @@ impl<'a> Engine<'a> {
             audit,
             counters,
             cache_events: self.cache_events,
+            serving,
         }
     }
 }
@@ -1474,7 +1474,6 @@ pub fn simulate_cached(
 ) -> SimResult {
     Engine::new(graph, platform, model, scheduler, cfg, cache, None)
         .run(&mut Feed::Closed(graph), Ok(vec![0.0]))
-        .0
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //! loop's single submission at t = 0; [`serve_sim`] feeds it an open-loop
 //! multi-tenant stream whose arrivals are one more event kind and whose
 //! admitted sub-DAGs grow the graph while it runs (DESIGN.md §13). Both
-//! get every effect above, the pop vetting and the validation below.
+//! get every effect above, the pop vetting and the validation below, and
+//! both return a [`SimResult`]; a served one carries its stream's
+//! ledgers in [`SimResult::serving`].
 //!
 //! Determinism: identical inputs and seed produce identical results; the
 //! event queue breaks time ties by sequence number.
@@ -64,5 +66,5 @@ pub use mp_cache::{
     BitFlip, LoadReport, Lookup, PersistConfig, PersistFaultPlan, PersistStats, ResultCache,
 };
 pub use mp_fault::{FaultPlan, KillSpec, RetryPolicy};
-pub use result::{SimResult, SimStats};
-pub use serve::{serve_sim, serve_sim_cached, ServeConfig, ServeReport, SubDagShape, TenantStats};
+pub use result::{ServeStats, SimResult, SimStats, TenantStats};
+pub use serve::{serve_sim, serve_sim_cached, ServeConfig};

@@ -1,7 +1,9 @@
 //! Simulation results and aggregate statistics.
 
+use std::sync::OnceLock;
+
 use mp_platform::types::Platform;
-use mp_trace::{AuditRecord, CounterSnapshot, RuntimeEvent, Trace, TransferKind};
+use mp_trace::{AuditRecord, CounterSnapshot, LatencyStats, RuntimeEvent, Trace, TransferKind};
 
 use crate::error::SimError;
 
@@ -43,7 +45,97 @@ pub struct SimStats {
     pub cache_evictions: u64,
 }
 
-/// Everything a simulation run produces.
+/// Per-tenant outcome of a serving run.
+#[derive(Clone, Debug, Default)]
+pub struct TenantStats {
+    /// Tenant display name.
+    pub name: String,
+    /// Fair-share weight the run used.
+    pub weight: f64,
+    /// Whole sub-DAG submissions admitted.
+    pub subdags_admitted: u64,
+    /// Submissions rejected with backpressure.
+    pub subdags_rejected: u64,
+    /// Tasks admitted (sum over admitted sub-DAGs).
+    pub tasks_admitted: u64,
+    /// Tasks that completed execution.
+    pub tasks_completed: u64,
+    /// Completions served from the result cache (a subset of
+    /// `tasks_completed`): the task never entered the scheduler and
+    /// contributes no latency sample.
+    pub cache_hits: u64,
+    /// Scheduling latency (ready → popped) of this tenant's tasks.
+    pub latency: LatencyStats,
+}
+
+/// What a serving stream adds to a run's result.
+#[derive(Clone, Debug, Default)]
+pub struct ServeStats {
+    /// Arrival process spec (`ArrivalProcess::label`).
+    pub arrivals: String,
+    /// Scheduling decisions made (successful pops).
+    pub decisions: u64,
+    /// Tasks admitted across all tenants.
+    pub tasks_admitted: u64,
+    /// Whole sub-DAG submissions admitted.
+    pub subdags_admitted: u64,
+    /// Submissions rejected with typed backpressure.
+    pub subdags_rejected: u64,
+    /// Scheduling latency over every admitted task: the virtual-time
+    /// span from a task becoming ready (all predecessors done) to the
+    /// scheduler handing it to a worker.
+    pub latency: LatencyStats,
+    /// Every latency sample in µs, in decision order — exact percentile
+    /// computation and bit-exact repeat comparison.
+    pub samples_us: Vec<u64>,
+    /// Per-tenant breakdown (fairness accounting).
+    pub tenants: Vec<TenantStats>,
+    /// FNV-1a over the (task, worker, decision-time) sequence —
+    /// the determinism fingerprint of the whole schedule.
+    pub schedule_hash: u64,
+    /// Sorted copy of `samples_us`, built once on the first percentile
+    /// query and reused by every later one (a result is read many
+    /// times; `samples_us` itself stays in decision order for bit-exact
+    /// repeat comparison).
+    pub(crate) sorted: OnceLock<Vec<u64>>,
+}
+
+impl ServeStats {
+    /// Sustained scheduling throughput in decisions per virtual second
+    /// of a run lasting `makespan_us`.
+    pub fn decisions_per_sec(&self, makespan_us: f64) -> f64 {
+        if makespan_us <= 0.0 {
+            return 0.0;
+        }
+        self.decisions as f64 / (makespan_us / 1e6)
+    }
+
+    /// Exact latency percentile (nearest-rank) in µs; 0 when empty.
+    pub fn percentile_us(&self, q: f64) -> u64 {
+        if self.samples_us.is_empty() {
+            return 0;
+        }
+        let sorted = self.sorted.get_or_init(|| {
+            let mut s = self.samples_us.clone();
+            s.sort_unstable();
+            s
+        });
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    /// Median scheduling latency in µs.
+    pub fn p50_us(&self) -> u64 {
+        self.percentile_us(0.50)
+    }
+
+    /// Tail scheduling latency in µs.
+    pub fn p99_us(&self) -> u64 {
+        self.percentile_us(0.99)
+    }
+}
+
+/// Everything a simulation run produces, closed or served.
 #[derive(Clone, Debug)]
 pub struct SimResult {
     /// Name of the scheduler that ran.
@@ -69,12 +161,21 @@ pub struct SimResult {
     /// Cache hit / invalidation instants for the Chrome-trace timeline.
     /// Empty without a cache or with `record_trace` off.
     pub cache_events: Vec<RuntimeEvent>,
+    /// The stream's admission, latency and fairness ledgers on a serving
+    /// run (`serve_sim`); `None` on a closed one. A serving run also
+    /// fills the per-tenant vectors of `counters`.
+    pub serving: Option<ServeStats>,
 }
 
 impl SimResult {
-    /// Did the run execute every task without error?
+    /// Did the run execute every task without error — on a serving run,
+    /// every admitted one?
     pub fn is_complete(&self) -> bool {
         self.error.is_none()
+            && self
+                .serving
+                .as_ref()
+                .is_none_or(|s| s.tasks_admitted == self.stats.tasks as u64)
     }
 
     /// The result, or the typed error if the run stopped early.
@@ -124,6 +225,7 @@ mod tests {
             audit: Vec::new(),
             counters: CounterSnapshot::default(),
             cache_events: Vec::new(),
+            serving: None,
         };
         // 2e9 flops in 1 s = 2 GFlop/s.
         assert!((r.gflops(2e9) - 2.0).abs() < 1e-12);
@@ -148,8 +250,48 @@ mod tests {
             audit: Vec::new(),
             counters: CounterSnapshot::default(),
             cache_events: Vec::new(),
+            serving: None,
         };
         assert!(!r.is_complete());
         assert!(matches!(r.ok(), Err(crate::SimError::Deadlock { .. })));
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let r = ServeStats {
+            samples_us: (1..=100).rev().collect(),
+            ..ServeStats::default()
+        };
+        assert_eq!(r.p50_us(), 50);
+        assert_eq!(r.p99_us(), 99);
+        assert_eq!(r.percentile_us(1.0), 100);
+        assert_eq!(ServeStats::default().p99_us(), 0);
+    }
+
+    #[test]
+    fn percentiles_sort_once_and_leave_samples_untouched() {
+        let r = ServeStats {
+            samples_us: vec![30, 10, 50, 20, 40],
+            ..ServeStats::default()
+        };
+        // Repeated and interleaved queries agree with nearest-rank over
+        // a fresh sort every time...
+        for _ in 0..3 {
+            assert_eq!(r.p50_us(), 30);
+            assert_eq!(r.percentile_us(0.2), 10);
+            assert_eq!(r.percentile_us(1.0), 50);
+        }
+        // ...while the raw sample order (the repeat-comparison surface)
+        // is untouched and exactly one sorted copy exists.
+        assert_eq!(r.samples_us, vec![30, 10, 50, 20, 40]);
+        assert_eq!(r.sorted.get().unwrap(), &vec![10, 20, 30, 40, 50]);
+    }
+
+    #[test]
+    fn throughput_guards_zero_makespan() {
+        let mut r = ServeStats::default();
+        assert_eq!(r.decisions_per_sec(0.0), 0.0);
+        r.decisions = 500;
+        assert!((r.decisions_per_sec(2e6) - 250.0).abs() < 1e-9);
     }
 }

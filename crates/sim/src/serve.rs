@@ -16,15 +16,15 @@
 //! * admitted tasks get their [`effective_priority`] (tenant weight ×
 //!   base, plus starvation aging) before commit;
 //! * per-tenant accounting, latency samples and the decision fold of
-//!   [`ServeReport::schedule_hash`].
+//!   [`ServeStats::schedule_hash`], returned as the result's
+//!   [`SimResult::serving`] section next to the closed path's trace,
+//!   statistics and counters.
 //!
 //! Everything else — staging and transfers on the platform's memory
 //! nodes, pop vetting, the cache probe and hit cascade, validation — is
 //! the closed path's. Everything is a pure function of `(platform,
 //! model, scheduler policy, config)`: no wall clock, no ambient RNG —
 //! repeat runs are bit-identical.
-
-use std::sync::OnceLock;
 
 use mp_cache::ResultCache;
 use mp_dag::access::AccessMode;
@@ -35,44 +35,24 @@ use mp_perfmodel::PerfModel;
 use mp_platform::types::{Platform, WorkerId};
 use mp_sched::api::Scheduler;
 use mp_serve::{effective_priority, AdmissionConfig, ArrivalProcess, FairnessConfig, TenantSpec};
-use mp_trace::{AuditRecord, CounterSnapshot, LatencyStats, Trace};
+use mp_trace::{CounterSnapshot, LatencyStats};
 
 use crate::engine::{Engine, Feed};
+use crate::result::{ServeStats, TenantStats};
 use crate::{SimConfig, SimError, SimResult};
 
-/// Shape of the sub-DAG one arrival submits: a fork-join of
-/// `1 + width + 1` tasks (root writer → `width` parallel readers → join)
-/// over the tenant's persistent handles.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SubDagShape {
-    /// Parallel middle tasks per submission.
-    pub width: usize,
-    /// Work estimate per task (feeds rate-based models).
-    pub flops: f64,
-    /// Handle-pool slots per tenant: submission `s` of a tenant uses
-    /// slot `s % pool`, so up to `pool` of its sub-DAGs can be in
-    /// flight concurrently while every `pool`-th submission still
-    /// chains on its predecessor by data identity (RAW/WAR/WAW on the
-    /// slot's handles).
-    pub pool: usize,
-    /// Fraction of submissions whose flops are deterministically
-    /// perturbed (drawn per arrival index from [`ServeConfig::seed`]).
-    /// Flops are part of the cache fingerprint, so a mutated
-    /// submission's whole sub-DAG re-executes under warm serving —
-    /// `0.0` (the default) streams bit-identical resubmissions.
-    pub mutation_frac: f64,
-}
-
-impl Default for SubDagShape {
-    fn default() -> Self {
-        Self {
-            width: 4,
-            flops: 1000.0,
-            pool: 4,
-            mutation_frac: 0.0,
-        }
-    }
-}
+/// Each arrival submits a fork-join of `1 + WIDTH + 1` tasks (root
+/// writer → `WIDTH` parallel readers → join) over its tenant's handles.
+const WIDTH: usize = 4;
+/// Work estimate per task (feeds rate-based models).
+const FLOPS: f64 = 1000.0;
+/// Handle-pool slots per tenant: submission `s` of a tenant uses slot
+/// `s % POOL`, so up to `POOL` of its sub-DAGs can be in flight
+/// concurrently while every `POOL`-th submission still chains on its
+/// predecessor by data identity (RAW/WAR/WAW on the slot's handles).
+const POOL: usize = 4;
+/// Seed of every deterministic draw (arrival gaps and mutations).
+const SEED: u64 = 0x5EED_5E12_7E00_0001;
 
 /// Full configuration of one serving run.
 #[derive(Clone, Debug)]
@@ -87,15 +67,17 @@ pub struct ServeConfig {
     pub arrivals: ArrivalProcess,
     /// Total sub-DAG submissions to inject.
     pub submissions: usize,
-    /// Shape of each submitted sub-DAG.
-    pub subdag: SubDagShape,
-    /// Seed of every deterministic draw (arrival gaps).
-    pub seed: u64,
+    /// Fraction of submissions whose flops are deterministically
+    /// perturbed (drawn per arrival index). Flops are part of the cache
+    /// fingerprint, so a mutated submission's whole sub-DAG re-executes
+    /// under warm serving — `0.0` (the default) streams bit-identical
+    /// resubmissions.
+    pub mutation_frac: f64,
 }
 
 impl ServeConfig {
     /// A run of `submissions` sub-DAGs from `tenants` under `arrivals`,
-    /// with default fairness/admission/shape knobs.
+    /// with default fairness and admission knobs and no mutation.
     pub fn new(tenants: Vec<TenantSpec>, arrivals: ArrivalProcess, submissions: usize) -> Self {
         Self {
             tenants,
@@ -103,8 +85,7 @@ impl ServeConfig {
             admission: AdmissionConfig::default(),
             arrivals,
             submissions,
-            subdag: SubDagShape::default(),
-            seed: 0x5EED_5E12_7E00_0001,
+            mutation_frac: 0.0,
         }
     }
 
@@ -119,128 +100,6 @@ impl ServeConfig {
         self.arrivals
             .check()
             .map_err(|reason| SimError::BadServeConfig { reason })
-    }
-}
-
-/// Per-tenant outcome of a serving run.
-#[derive(Clone, Debug, Default)]
-pub struct TenantStats {
-    /// Tenant display name.
-    pub name: String,
-    /// Fair-share weight the run used.
-    pub weight: f64,
-    /// Whole sub-DAG submissions admitted / rejected.
-    pub subdags_admitted: u64,
-    /// Submissions rejected with backpressure.
-    pub subdags_rejected: u64,
-    /// Tasks admitted (sum over admitted sub-DAGs).
-    pub tasks_admitted: u64,
-    /// Tasks that completed execution.
-    pub tasks_completed: u64,
-    /// Completions served from the result cache (a subset of
-    /// `tasks_completed`): the task never entered the scheduler and
-    /// contributes no latency sample.
-    pub cache_hits: u64,
-    /// Scheduling latency (ready → popped) of this tenant's tasks.
-    pub latency: LatencyStats,
-}
-
-/// Everything one serving run produces.
-#[derive(Clone, Debug)]
-pub struct ServeReport {
-    /// Scheduler policy name.
-    pub scheduler: String,
-    /// Worker count of the platform.
-    pub workers: usize,
-    /// Arrival process spec (`ArrivalProcess::label`).
-    pub arrivals: String,
-    /// Virtual time when the last task completed (µs), counting the
-    /// instants of cache-hit completions.
-    pub makespan_us: f64,
-    /// Scheduling decisions made (successful pops).
-    pub decisions: u64,
-    /// Tasks admitted across all tenants.
-    pub tasks_admitted: u64,
-    /// Tasks completed (equals admitted on a clean run).
-    pub tasks_completed: u64,
-    /// Completions served straight from the result cache across all
-    /// tenants — never pushed, popped or estimated. Always 0 with
-    /// caching off.
-    pub cache_hits: u64,
-    /// Cache probes that missed (or were invalidated) and executed
-    /// normally. Always 0 with caching off.
-    pub cache_misses: u64,
-    /// Whole sub-DAG submissions admitted / rejected.
-    pub subdags_admitted: u64,
-    /// Submissions rejected with typed backpressure.
-    pub subdags_rejected: u64,
-    /// Scheduling latency over every admitted task: the virtual-time
-    /// span from a task becoming ready (all predecessors done) to the
-    /// scheduler handing it to a worker.
-    pub latency: LatencyStats,
-    /// Every latency sample in µs, in decision order — exact percentile
-    /// computation and bit-exact repeat comparison.
-    pub samples_us: Vec<u64>,
-    /// Per-tenant breakdown (fairness accounting).
-    pub tenants: Vec<TenantStats>,
-    /// Scheduler/engine counters, including the per-tenant
-    /// admitted/rejected/completed task counts.
-    pub counters: CounterSnapshot,
-    /// FNV-1a over the (task, worker, decision-time) sequence —
-    /// the determinism fingerprint of the whole schedule.
-    pub schedule_hash: u64,
-    /// The run's execution trace: one span per executed task and every
-    /// data transfer.
-    pub trace: Trace,
-    /// Invariant violations found by the auditor; always empty unless
-    /// mp-sim is built with `--features audit`.
-    pub audit: Vec<AuditRecord>,
-    /// Why the run stopped early, if it did: the closed path's typed
-    /// failures, plus [`SimError::BadServeConfig`].
-    pub error: Option<SimError>,
-    /// Sorted copy of `samples_us`, built once on the first percentile
-    /// query and reused by every later one (a report is read many
-    /// times; `samples_us` itself stays in decision order for bit-exact
-    /// repeat comparison).
-    pub(crate) sorted: OnceLock<Vec<u64>>,
-}
-
-impl ServeReport {
-    /// Did every admitted task complete?
-    pub fn is_complete(&self) -> bool {
-        self.error.is_none() && self.tasks_completed == self.tasks_admitted
-    }
-
-    /// Sustained scheduling throughput in decisions per virtual second.
-    pub fn decisions_per_sec(&self) -> f64 {
-        if self.makespan_us <= 0.0 {
-            return 0.0;
-        }
-        self.decisions as f64 / (self.makespan_us / 1e6)
-    }
-
-    /// Exact latency percentile (nearest-rank) in µs; 0 when empty.
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        if self.samples_us.is_empty() {
-            return 0;
-        }
-        let sorted = self.sorted.get_or_init(|| {
-            let mut s = self.samples_us.clone();
-            s.sort_unstable();
-            s
-        });
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    /// Median scheduling latency in µs.
-    pub fn p50_us(&self) -> u64 {
-        self.percentile_us(0.50)
-    }
-
-    /// Tail scheduling latency in µs.
-    pub fn p99_us(&self) -> u64 {
-        self.percentile_us(0.99)
     }
 }
 
@@ -289,10 +148,10 @@ impl<'c> Stream<'c> {
             .tenants
             .iter()
             .map(|t| {
-                (0..cfg.subdag.pool.max(1))
+                (0..POOL)
                     .map(|s| SlotHandles {
                         root: g.add_data(1024, format!("{}.{s}.root", t.name)),
-                        outs: (0..cfg.subdag.width)
+                        outs: (0..WIDTH)
                             .map(|i| g.add_data(1024, format!("{}.{s}.o{i}", t.name)))
                             .collect(),
                         join: g.add_data(1024, format!("{}.{s}.join", t.name)),
@@ -335,7 +194,7 @@ impl<'c> Stream<'c> {
         let ti = k % self.cfg.tenants.len();
         let slot = (self.arrivals_seen[ti] % self.slots[ti].len() as u64) as usize;
         self.arrivals_seen[ti] += 1;
-        let n_tasks = self.cfg.subdag.width + 2;
+        let n_tasks = WIDTH + 2;
         let in_flight = self.admitted as usize - completed;
         let decision = self
             .cfg
@@ -358,12 +217,12 @@ impl<'c> Stream<'c> {
         // arrival index — a constant offset (as `resubmit_with_mutation`
         // uses on closed DAGs) would make all mutated arrivals a second
         // warm family that hits itself.
-        let mutate = self.cfg.subdag.mutation_frac > 0.0
-            && mp_fault::unit(self.cfg.seed, k as u64, 0xCACE) < self.cfg.subdag.mutation_frac;
+        let mutate = self.cfg.mutation_frac > 0.0
+            && mp_fault::unit(SEED, k as u64, 0xCACE) < self.cfg.mutation_frac;
         let flops = if mutate {
-            self.cfg.subdag.flops * (1.0625 + mp_fault::unit(self.cfg.seed, k as u64, 0xF10)) + 1.0
+            FLOPS * (1.0625 + mp_fault::unit(SEED, k as u64, 0xF10)) + 1.0
         } else {
-            self.cfg.subdag.flops
+            FLOPS
         };
         let (ttype, sh) = (self.ttype, &self.slots[ti][slot]);
         let mut stage = stf.begin_submission();
@@ -421,48 +280,39 @@ impl<'c> Stream<'c> {
         self.last_progress[ti] = now;
     }
 
-    fn into_report(self, workers: usize, sim: SimResult) -> ServeReport {
-        let mut counters = sim.counters;
-        counters.tenant_admitted = self.tstats.iter().map(|t| t.tasks_admitted).collect();
-        counters.tenant_rejected = self.tstats.iter().map(|t| t.subdags_rejected).collect();
-        counters.tenant_completed = self.tstats.iter().map(|t| t.tasks_completed).collect();
-        counters.cache_hits = sim.stats.cache_hits;
-        counters.cache_misses = sim.stats.cache_misses;
-        counters.cache_invalidations = sim.stats.cache_invalidations;
-        ServeReport {
-            scheduler: sim.scheduler,
-            workers,
+    /// Close the ledgers into the result's serving section, copying the
+    /// per-tenant counts into `counters`.
+    pub(crate) fn into_stats(self, counters: &mut CounterSnapshot) -> ServeStats {
+        let per_tenant = |f: fn(&TenantStats) -> u64| self.tstats.iter().map(f).collect::<Vec<_>>();
+        counters.tenant_admitted = per_tenant(|t| t.tasks_admitted);
+        counters.tenant_rejected = per_tenant(|t| t.subdags_rejected);
+        counters.tenant_completed = per_tenant(|t| t.tasks_completed);
+        counters.tenant_cache_hits = per_tenant(|t| t.cache_hits);
+        ServeStats {
             arrivals: self.cfg.arrivals.label(),
-            makespan_us: sim.makespan,
             decisions: self.decisions,
             tasks_admitted: self.admitted,
-            tasks_completed: sim.stats.tasks as u64,
-            cache_hits: sim.stats.cache_hits,
-            cache_misses: sim.stats.cache_misses,
             subdags_admitted: self.tstats.iter().map(|t| t.subdags_admitted).sum(),
             subdags_rejected: self.tstats.iter().map(|t| t.subdags_rejected).sum(),
             latency: self.latency,
             samples_us: self.samples,
             tenants: self.tstats,
-            counters,
             schedule_hash: self.schedule_hash,
-            trace: sim.trace,
-            audit: sim.audit,
-            error: sim.error,
-            sorted: OnceLock::new(),
+            sorted: Default::default(),
         }
     }
 }
 
 /// Run one open-loop serving session in virtual time (see module docs).
-/// Deterministic: equal inputs produce a bit-identical [`ServeReport`].
-/// Equivalent to [`serve_sim_cached`] with caching off.
+/// Deterministic: equal inputs produce a bit-identical [`SimResult`],
+/// whose [`SimResult::serving`] section is always set. Equivalent to
+/// [`serve_sim_cached`] with caching off.
 pub fn serve_sim(
     platform: &Platform,
     model: &dyn PerfModel,
     sched: &mut dyn Scheduler,
     cfg: &ServeConfig,
-) -> ServeReport {
+) -> SimResult {
     serve_sim_cached(platform, model, sched, cfg, None)
 }
 
@@ -486,11 +336,11 @@ pub fn serve_sim_cached(
     sched: &mut dyn Scheduler,
     cfg: &ServeConfig,
     cache: Option<&ResultCache>,
-) -> ServeReport {
+) -> SimResult {
     let (stream, mut stf) = Stream::new(cfg);
     let arrivals = cfg
         .check()
-        .map(|()| cfg.arrivals.times_us(cfg.submissions, cfg.seed));
+        .map(|()| cfg.arrivals.times_us(cfg.submissions, SEED));
     let eng = Engine::new(
         stf.graph(),
         platform,
@@ -500,10 +350,7 @@ pub fn serve_sim_cached(
         cache,
         Some(stream),
     );
-    let (sim, stream) = eng.run(&mut Feed::Open(&mut stf), arrivals);
-    stream
-        .expect("a serving run keeps its stream")
-        .into_report(platform.worker_count(), sim)
+    eng.run(&mut Feed::Open(&mut stf), arrivals)
 }
 
 #[cfg(test)]
@@ -523,11 +370,17 @@ mod tests {
             .build()
     }
 
-    fn run(cfg: &ServeConfig, workers: usize) -> ServeReport {
+    fn run(cfg: &ServeConfig, workers: usize) -> SimResult {
         let platform = homogeneous(workers);
         let model = model();
         let mut sched = EagerPrioScheduler::new();
         serve_sim(&platform, &model, &mut sched, cfg)
+    }
+
+    fn serving(r: &SimResult) -> &ServeStats {
+        r.serving
+            .as_ref()
+            .expect("a serving run has a serving section")
     }
 
     #[test]
@@ -539,15 +392,14 @@ mod tests {
             },
             200,
         );
-        let a = run(&cfg, 8);
-        let b = run(&cfg, 8);
-        assert!(a.is_complete(), "error: {:?}", a.error);
-        assert_eq!(a.tasks_completed, a.tasks_admitted);
-        assert!(a.decisions > 0 && a.makespan_us > 0.0);
+        let (ra, rb) = (run(&cfg, 8), run(&cfg, 8));
+        let (a, b) = (serving(&ra), serving(&rb));
+        assert!(ra.is_complete(), "error: {:?}", ra.error);
+        assert!(a.decisions > 0 && ra.makespan > 0.0);
         // Bit-identical repeat.
         assert_eq!(a.schedule_hash, b.schedule_hash);
         assert_eq!(a.samples_us, b.samples_us);
-        assert_eq!(a.makespan_us.to_bits(), b.makespan_us.to_bits());
+        assert_eq!(ra.makespan.to_bits(), rb.makespan.to_bits());
         // Latency accounting covers every decision.
         assert_eq!(a.latency.count, a.decisions);
         assert_eq!(a.samples_us.len() as u64, a.decisions);
@@ -564,11 +416,12 @@ mod tests {
             400,
         );
         cfg.admission.max_in_flight = 48;
-        let r = run(&cfg, 2);
+        let res = run(&cfg, 2);
+        let r = serving(&res);
         assert!(r.subdags_rejected > 0, "expected backpressure rejections");
         // Every *admitted* task still completed: rejections never strand
         // an admitted predecessor.
-        assert!(r.is_complete(), "error: {:?}", r.error);
+        assert!(res.is_complete(), "error: {:?}", res.error);
         assert_eq!(
             r.subdags_admitted + r.subdags_rejected,
             cfg.submissions as u64
@@ -592,8 +445,8 @@ mod tests {
         cfg.fairness.aging_quantum_us = 0.0;
         let r = run(&cfg, 4);
         assert!(r.is_complete(), "error: {:?}", r.error);
-        let heavy = &r.tenants[0];
-        let light = &r.tenants[1];
+        let heavy = &serving(&r).tenants[0];
+        let light = &serving(&r).tenants[1];
         assert!(heavy.tasks_completed > 0 && light.tasks_completed > 0);
         assert!(
             heavy.latency.mean_us() < light.latency.mean_us(),
@@ -624,7 +477,10 @@ mod tests {
         let r0 = run(&base, 4);
         let r1 = run(&aged, 4);
         assert!(r0.is_complete() && r1.is_complete());
-        let gap = |r: &ServeReport| r.tenants[1].latency.mean_us() - r.tenants[0].latency.mean_us();
+        let gap = |r: &SimResult| {
+            let t = &serving(r).tenants;
+            t[1].latency.mean_us() - t[0].latency.mean_us()
+        };
         assert!(
             gap(&r1) < gap(&r0),
             "aging should narrow the starved tenant's latency gap: \
@@ -649,35 +505,41 @@ mod tests {
         let mut sched = EagerPrioScheduler::new();
         let r = serve_sim_cached(&platform, &model, &mut sched, &cfg, Some(&cache));
         assert!(r.is_complete(), "error: {:?}", r.error);
+        let (s, hits) = (serving(&r), r.stats.cache_hits);
         // Serve roots are write-only, so submission s and s+pool on the
         // same tenant slot key identically: after one cold round per
         // (tenant, slot) — 3 tenants × 4 slots × 6 tasks — everything
         // hits, in the same single run.
         let cold = 3 * 4 * 6;
-        assert_eq!(r.cache_misses, cold);
-        assert_eq!(r.cache_hits, r.tasks_admitted - cold);
+        assert_eq!(r.stats.cache_misses, cold);
+        assert_eq!(hits, s.tasks_admitted - cold);
         assert!(
-            r.cache_hits as f64 >= 0.9 * r.tasks_admitted as f64,
-            "hits {} of {}",
-            r.cache_hits,
-            r.tasks_admitted
+            hits as f64 >= 0.9 * s.tasks_admitted as f64,
+            "hits {hits} of {}",
+            s.tasks_admitted
         );
         // Hit tasks never entered the scheduler: decisions and latency
         // samples cover only the cold misses.
-        assert_eq!(r.decisions, r.cache_misses);
-        assert_eq!(r.samples_us.len() as u64, r.decisions);
-        assert_eq!(r.latency.count, r.decisions);
+        assert_eq!(s.decisions, r.stats.cache_misses);
+        assert_eq!(s.samples_us.len() as u64, s.decisions);
+        assert_eq!(s.latency.count, s.decisions);
         // Per-tenant hit accounting adds up, and hits are a subset of
         // completions.
-        assert_eq!(
-            r.tenants.iter().map(|t| t.cache_hits).sum::<u64>(),
-            r.cache_hits
-        );
-        for t in &r.tenants {
+        assert_eq!(s.tenants.iter().map(|t| t.cache_hits).sum::<u64>(), hits);
+        for t in &s.tenants {
             assert!(t.cache_hits <= t.tasks_completed);
         }
-        assert_eq!(r.counters.cache_hits, r.cache_hits);
-        assert_eq!(r.counters.cache_misses, r.cache_misses);
+        // The snapshot's cache totals are the engine's own obs bumps.
+        let totals = if mp_trace::obs::obs_enabled() {
+            (hits, r.stats.cache_misses)
+        } else {
+            (0, 0)
+        };
+        assert_eq!((r.counters.cache_hits, r.counters.cache_misses), totals);
+        // The snapshot's per-tenant hits match the tenant ledger.
+        assert_eq!(r.counters.tenant_cache_hits.iter().sum::<u64>(), hits);
+        let tenant_hits: Vec<u64> = s.tenants.iter().map(|t| t.cache_hits).collect();
+        assert_eq!(r.counters.tenant_cache_hits, tenant_hits);
     }
 
     #[test]
@@ -709,15 +571,15 @@ mod tests {
             &cfg,
             Some(&cache),
         );
-        assert!(cold.cache_misses > 0);
+        assert!(cold.stats.cache_misses > 0);
         assert!(warm.is_complete());
-        assert_eq!(warm.cache_hits, warm.tasks_admitted);
-        assert_eq!(warm.cache_misses, 0);
-        assert_eq!(warm.decisions, 0);
+        assert_eq!(warm.stats.cache_hits, serving(&warm).tasks_admitted);
+        assert_eq!(warm.stats.cache_misses, 0);
+        assert_eq!(serving(&warm).decisions, 0);
         // All-hit completions collapse onto arrival instants: the warm
         // makespan is the last arrival, well under the cold makespan's
         // trailing execution.
-        assert!(warm.makespan_us <= cold.makespan_us);
+        assert!(warm.makespan <= cold.makespan);
     }
 
     #[test]
@@ -730,7 +592,7 @@ mod tests {
                 },
                 200,
             );
-            cfg.subdag.mutation_frac = mf;
+            cfg.mutation_frac = mf;
             let platform = homogeneous(8);
             let model = model();
             let cache = mp_cache::ResultCache::new();
@@ -749,17 +611,17 @@ mod tests {
         // (root key, then every in-version downstream), so the dirty
         // stream re-executes more and still serves the rest warm.
         assert!(
-            dirty.cache_misses > pure.cache_misses,
+            dirty.stats.cache_misses > pure.stats.cache_misses,
             "mutation must add misses: {} vs {}",
-            dirty.cache_misses,
-            pure.cache_misses
+            dirty.stats.cache_misses,
+            pure.stats.cache_misses
         );
-        assert!(dirty.cache_hits > 0, "unmutated arrivals still hit");
-        assert_eq!(dirty.decisions, dirty.cache_misses);
+        assert!(dirty.stats.cache_hits > 0, "unmutated arrivals still hit");
+        assert_eq!(serving(&dirty).decisions, dirty.stats.cache_misses);
         // Repeat-deterministic: the mutation draw is seeded, not random.
         let again = mk(0.3);
-        assert_eq!(again.schedule_hash, dirty.schedule_hash);
-        assert_eq!(again.cache_misses, dirty.cache_misses);
+        assert_eq!(serving(&again).schedule_hash, serving(&dirty).schedule_hash);
+        assert_eq!(again.stats.cache_misses, dirty.stats.cache_misses);
     }
 
     #[test]
@@ -782,11 +644,11 @@ mod tests {
             &cfg,
             None,
         );
-        assert_eq!(a.schedule_hash, b.schedule_hash);
-        assert_eq!(a.samples_us, b.samples_us);
-        assert_eq!(a.makespan_us.to_bits(), b.makespan_us.to_bits());
-        assert_eq!(b.cache_hits, 0);
-        assert_eq!(b.cache_misses, 0);
+        assert_eq!(serving(&a).schedule_hash, serving(&b).schedule_hash);
+        assert_eq!(serving(&a).samples_us, serving(&b).samples_us);
+        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+        assert_eq!(b.stats.cache_hits, 0);
+        assert_eq!(b.stats.cache_misses, 0);
     }
 
     #[test]
@@ -802,11 +664,11 @@ mod tests {
         assert_eq!(r.counters.tenant_admitted.len(), 2);
         assert_eq!(
             r.counters.tenant_admitted.iter().sum::<u64>(),
-            r.tasks_admitted
+            serving(&r).tasks_admitted
         );
         assert_eq!(
             r.counters.tenant_completed.iter().sum::<u64>(),
-            r.tasks_completed
+            r.stats.tasks as u64
         );
     }
 
@@ -829,14 +691,17 @@ mod tests {
         let mut sched = MultiPrioScheduler::with_defaults();
         let r = serve_sim(&simple(1, 1), &model, &mut sched, &cfg);
         assert!(r.is_complete(), "error: {:?}", r.error);
-        assert_eq!(r.trace.tasks.len() as u64, r.decisions);
+        assert_eq!(r.trace.tasks.len() as u64, serving(&r).decisions);
         assert!(!r.trace.transfers.is_empty(), "no transfer was traced");
         assert!(r.audit.is_empty(), "{:?}", r.audit);
+        // The closed path's statistics come with the stream's.
+        assert_eq!(r.stats.tasks as u64, serving(&r).tasks_admitted);
+        assert!(r.stats.demand_bytes > 0, "no demand transfer counted");
     }
 
-    fn bad_config(r: &ServeReport, needle: &str) -> bool {
+    fn bad_config(r: &SimResult, needle: &str) -> bool {
         matches!(&r.error, Some(SimError::BadServeConfig { reason }) if reason.contains(needle))
-            && r.tasks_admitted == 0
+            && serving(r).tasks_admitted == 0
     }
 
     #[test]
@@ -846,7 +711,7 @@ mod tests {
         };
         let empty = run(&ServeConfig::new(Vec::new(), arrivals.clone(), 0), 2);
         assert!(empty.is_complete(), "error: {:?}", empty.error);
-        assert_eq!(empty.decisions, 0);
+        assert_eq!(serving(&empty).decisions, 0);
         let r = run(&ServeConfig::new(Vec::new(), arrivals, 3), 2);
         assert!(bad_config(&r, "no tenant"), "error: {:?}", r.error);
     }
@@ -890,66 +755,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn empty_report() -> ServeReport {
-        ServeReport {
-            scheduler: "x".into(),
-            workers: 0,
-            arrivals: "poisson:1".into(),
-            makespan_us: 0.0,
-            decisions: 0,
-            tasks_admitted: 0,
-            tasks_completed: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            subdags_admitted: 0,
-            subdags_rejected: 0,
-            latency: LatencyStats::default(),
-            samples_us: Vec::new(),
-            tenants: Vec::new(),
-            counters: CounterSnapshot::default(),
-            schedule_hash: 0,
-            trace: Trace::new(0),
-            audit: Vec::new(),
-            error: None,
-            sorted: OnceLock::new(),
-        }
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut r = empty_report();
-        r.samples_us = (1..=100).rev().collect();
-        assert_eq!(r.p50_us(), 50);
-        assert_eq!(r.p99_us(), 99);
-        assert_eq!(r.percentile_us(1.0), 100);
-        assert_eq!(empty_report().p99_us(), 0);
-    }
-
-    #[test]
-    fn percentiles_sort_once_and_leave_samples_untouched() {
-        let mut r = empty_report();
-        r.samples_us = vec![30, 10, 50, 20, 40];
-        // Repeated and interleaved queries agree with nearest-rank over
-        // a fresh sort every time...
-        for _ in 0..3 {
-            assert_eq!(r.p50_us(), 30);
-            assert_eq!(r.percentile_us(0.2), 10);
-            assert_eq!(r.percentile_us(1.0), 50);
-        }
-        // ...while the raw sample order (the repeat-comparison surface)
-        // is untouched and exactly one sorted copy exists.
-        assert_eq!(r.samples_us, vec![30, 10, 50, 20, 40]);
-        assert_eq!(r.sorted.get().unwrap(), &vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn throughput_guards_zero_makespan() {
-        let mut r = empty_report();
-        assert_eq!(r.decisions_per_sec(), 0.0);
-        r.decisions = 500;
-        r.makespan_us = 2e6;
-        assert!((r.decisions_per_sec() - 250.0).abs() < 1e-9);
     }
 }

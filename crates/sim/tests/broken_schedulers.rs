@@ -10,7 +10,7 @@ use mp_platform::presets::simple;
 use mp_platform::types::{ArchClass, WorkerId};
 use mp_sched::{SchedView, Scheduler};
 use mp_serve::{ArrivalProcess, TenantSpec};
-use mp_sim::{serve_sim, simulate, ServeConfig, ServeReport, SimConfig, SimError};
+use mp_sim::{serve_sim, simulate, ServeConfig, SimConfig, SimError, SimResult};
 
 /// Two CPU-only tasks; `simple(1, 1)` provides one CPU and one GPU.
 fn cpu_only_fixture() -> (TaskGraph, mp_platform::types::Platform, TableModel) {
@@ -170,7 +170,7 @@ fn partial_progress_survives_a_late_failure() {
 
 /// Two fork-join sub-DAGs of the serving `SRV` type on `simple(1, 1)`,
 /// priced on the CPU only or (`gpu`) on both arches.
-fn serve_two_subdags(s: &mut dyn Scheduler, gpu: bool) -> ServeReport {
+fn serve_two_subdags(s: &mut dyn Scheduler, gpu: bool) -> SimResult {
     let mut m = TableModel::builder().set("SRV", ArchClass::Cpu, TimeFn::Const(100.0));
     if gpu {
         m = m.set("SRV", ArchClass::Gpu, TimeFn::Const(10.0));
@@ -213,7 +213,7 @@ fn refusing_every_pop_while_serving_is_a_typed_deadlock() {
         }
         other => panic!("expected a deadlock, got {other:?}"),
     }
-    assert_eq!(r.tasks_completed, 0);
+    assert_eq!(r.stats.tasks, 0);
 }
 
 #[test]

@@ -54,6 +54,7 @@ fn single_task_takes_delta() {
     assert_eq!(r.makespan, 100.0);
     assert_eq!(r.stats.tasks, 1);
     assert!(r.trace.validate().is_ok());
+    assert!(r.serving.is_none(), "a closed run has no serving section");
 }
 
 #[test]

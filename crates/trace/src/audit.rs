@@ -10,9 +10,7 @@
 use std::collections::BTreeMap;
 
 /// The invariant that was violated.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AuditKind {
     /// MSI coherence: a handle had more than one dirty replica.
     MultipleDirtyReplicas,
@@ -40,7 +38,7 @@ impl std::fmt::Display for AuditKind {
 }
 
 /// One invariant violation, timestamped in engine time (µs).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AuditRecord {
     /// Engine time at which the violation was detected.
     pub time: f64,

@@ -99,7 +99,7 @@ pub const COUNTER_COUNT: usize = 23;
 ///
 /// Always compiled; with the `obs` feature off every field stays at its
 /// default (zero / empty).
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// Successful pops (== tasks executed on a clean run).
     pub pops: u64,
@@ -147,8 +147,8 @@ pub struct CounterSnapshot {
     pub cache_load_rejects: u64,
     /// Persistent-log compactions this run.
     pub cache_compactions: u64,
-    /// Per-tenant admitted submissions (serving mode; indexed by tenant,
-    /// empty outside it).
+    /// Per-tenant admitted tasks (serving mode; indexed by tenant, empty
+    /// outside it).
     pub tenant_admitted: Vec<u64>,
     /// Per-tenant submissions rejected by admission control.
     pub tenant_rejected: Vec<u64>,
@@ -269,9 +269,10 @@ impl CounterSnapshot {
 ///
 /// Always compiled (independent of the `obs` feature): rank tracking is
 /// an opt-in audit instrument with its own cost (an exact mirror of the
-/// queue contents), enabled per run, and surfaced on `RunReport` /
-/// `DiffReport` rather than through the counter plumbing.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+/// queue contents), enabled per run, and read back with the
+/// front-end's `rank_stats()` (and on `DiffReport`) rather than through
+/// the counter plumbing.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RankStats {
     /// Pops observed.
     pub pops: u64,
@@ -336,7 +337,7 @@ impl RankStats {
 ///
 /// Always compiled (like [`RankStats`]): serving latency is a product
 /// metric surfaced on serve reports, not an opt-in debug counter.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LatencyStats {
     /// Tasks observed.
     pub count: u64,
@@ -504,7 +505,7 @@ pub const fn obs_enabled() -> bool {
 }
 
 /// What a runtime worker did at an instant (park/wake timeline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RuntimeEventKind {
     /// The worker went to sleep on the wake epoch.
     Park,
@@ -527,7 +528,7 @@ pub enum RuntimeEventKind {
 }
 
 /// One timestamped runtime event, for the Chrome-trace timeline.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeEvent {
     /// Worker index.
     pub worker: usize,
@@ -539,7 +540,7 @@ pub struct RuntimeEvent {
 
 /// One scheduler decision, for the Chrome-trace timeline (an "instant"
 /// event pinned to the deciding worker's lane).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecisionInstant {
     /// Time in µs.
     pub at: f64,

@@ -4,7 +4,7 @@ use mp_dag::ids::{DataId, TaskId, TaskTypeId};
 use mp_platform::types::{MemNodeId, WorkerId};
 
 /// One executed task.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TaskSpan {
     /// The task.
     pub task: TaskId,
@@ -33,7 +33,7 @@ impl TaskSpan {
 }
 
 /// Why a transfer happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransferKind {
     /// Required by a task about to execute.
     Demand,
@@ -44,7 +44,7 @@ pub enum TransferKind {
 }
 
 /// One data movement between memory nodes.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransferSpan {
     /// The handle moved.
     pub data: DataId,
@@ -63,7 +63,7 @@ pub struct TransferSpan {
 }
 
 /// A complete execution trace.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Executed tasks, in completion order.
     pub tasks: Vec<TaskSpan>,

@@ -95,12 +95,18 @@ fn counted_run(width: usize, cached: bool) -> u64 {
     let allocs = ALLOCS.load(Ordering::SeqCst);
     let report = report.expect("counted run");
     assert!(report.is_complete(), "{:?}", report.error);
-    let executed = if cached { 0 } else { graph.task_count() };
+    let n = graph.task_count();
+    let executed = if cached { 0 } else { n };
     assert_eq!(
         report.trace.tasks.len(),
         executed,
         "a cached counted run is all hits, an uncached one executes every task"
     );
+    // A closed run reports the stream's counts too, and decides nothing.
+    assert_eq!((report.tasks_admitted, report.tasks_completed), (n, n));
+    let hits = (n - executed) as u64;
+    assert_eq!((report.cache_hits, report.cache_misses), (hits, 0));
+    assert!(report.admitted.is_empty() && report.rejections.is_empty());
     allocs
 }
 

@@ -31,8 +31,8 @@ use multiprio_suite::platform::presets::{homogeneous, simple};
 use multiprio_suite::platform::types::{ArchClass, WorkerId};
 use multiprio_suite::runtime::serve::TenantSpec;
 use multiprio_suite::runtime::{
-    FaultPlan, RelaxedConfig, RelaxedMultiQueue, ResultCache, RetryPolicy, RunError, Runtime,
-    ShardedAdapter, StreamConfig, StreamReport, Submission, TaskBuilder,
+    FaultPlan, RelaxedConfig, RelaxedMultiQueue, ResultCache, RetryPolicy, RunError, RunReport,
+    Runtime, ShardedAdapter, StreamConfig, Submission, TaskBuilder,
 };
 use multiprio_suite::sched::api::{PrefetchReq, SchedEvent, SchedView, Scheduler};
 use multiprio_suite::sched::{ConcurrentScheduler, EagerPrioScheduler, GlobalLock};
@@ -94,7 +94,7 @@ fn serve_on(
     workers: usize,
     cfg: &StreamConfig,
     stream: Vec<Submission>,
-) -> Result<StreamReport, RunError> {
+) -> Result<RunReport, RunError> {
     match front {
         0 => rt.serve(Box::new(EagerPrioScheduler::new()), cfg, stream),
         1 => rt.serve_concurrent(
@@ -420,7 +420,7 @@ fn serve_fixed(
     n: usize,
     plan: Option<FaultPlan>,
     retry: RetryPolicy,
-) -> (Runtime, StreamReport) {
+) -> (Runtime, RunReport) {
     let mut rt = Runtime::new(homogeneous(WORKERS), model());
     let roots: Vec<_> = (0..3)
         .map(|i| rt.register(vec![0.0], &format!("h{i}")))
