@@ -26,7 +26,8 @@
 //! the epoch *before* its failed pop cannot miss a wakeup that raced with
 //! it. The only timed sleep left is a short bounded re-poll when the
 //! scheduler holds tasks back (`pending() > 0` but `pop` returned `None`,
-//! e.g. MultiPrio's pop condition waiting out a busy best-worker).
+//! e.g. MultiPrio's pop condition): another worker's evicting or taking
+//! pop can make a held task poppable, and no event announces a pop.
 
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -266,9 +267,11 @@ impl WakeEpoch {
     }
 }
 
-/// Bounded park when the scheduler holds work back: MultiPrio's pop
-/// condition compares against wall-clock `busy_until`, so a held-back
-/// task becomes poppable by time passing alone — no event fires.
+/// Bounded park when the scheduler holds work back. MultiPrio's pop
+/// condition reads its own `best_remaining_work`, not the clock, but
+/// another worker's pop can move that state — a take shrinks the backlog
+/// and exposes the next candidate, an eviction re-routes a task — and
+/// no wake event announces a pop.
 const HOLDBACK_REPOLL: Duration = Duration::from_micros(200);
 
 /// Typed failure of [`Runtime::run`] and [`Runtime::serve`].

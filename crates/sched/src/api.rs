@@ -54,21 +54,10 @@ impl<'a> SchedView<'a> {
         self.est.can_exec(t, self.platform().worker(w).arch)
     }
 
-    /// Typed feasibility check of a pop decision: engines call this on
-    /// every task a scheduler hands out, and reject infeasible
-    /// assignments with an [`InfeasibleAssignment`] instead of panicking
-    /// deep inside their staging paths. A scheduler that trips this has
-    /// violated the trait contract ("pop must only return tasks the
-    /// requesting worker can execute").
-    pub fn validate_assignment(&self, t: TaskId, w: WorkerId) -> Result<(), InfeasibleAssignment> {
-        if self.worker_can_exec(t, w) {
-            Ok(())
-        } else {
-            Err(InfeasibleAssignment { task: t, worker: w })
-        }
-    }
-
-    /// δ(t, arch of w), `None` when the worker cannot run the task.
+    /// δ(t, arch of w), `None` when the worker cannot run the task. The
+    /// simulator vets every pop with it: a task handed to a worker that
+    /// cannot run it breaks the trait contract and stops the run with a
+    /// typed error, and the δ it read prices the placement.
     pub fn delta_on_worker(&self, t: TaskId, w: WorkerId) -> Option<f64> {
         self.est.delta(t, self.platform().worker(w).arch)
     }
@@ -108,29 +97,6 @@ impl<'a> SchedView<'a> {
         total
     }
 }
-
-/// A scheduler handed a task to a worker whose architecture cannot run
-/// it — the engine refuses the assignment (see
-/// [`SchedView::validate_assignment`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InfeasibleAssignment {
-    /// The misrouted task.
-    pub task: TaskId,
-    /// The worker it was handed to.
-    pub worker: WorkerId,
-}
-
-impl std::fmt::Display for InfeasibleAssignment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scheduler assigned {:?} to incapable worker {:?}",
-            self.task, self.worker
-        )
-    }
-}
-
-impl std::error::Error for InfeasibleAssignment {}
 
 /// Feedback events delivered to the scheduler by the engine.
 #[derive(Clone, Copy, Debug)]
@@ -176,7 +142,17 @@ pub struct PrefetchReq {
 ///
 /// `pop` returning `None` does **not** imply the scheduler is empty: a
 /// scheduler may hold back a task from an ill-suited worker (MultiPrio's
-/// `pop_condition`). Engines must re-poll on the next state change.
+/// `pop_condition`).
+///
+/// The pop contract: whether a pop returns a task depends on the
+/// scheduler's state, the view and the asking worker, but never on the
+/// clock: not on `view.now`, and not on data still in flight either. A
+/// simulator view shows a transfer's replica from its arrival time on,
+/// and no event marks that instant, so a policy that held work back
+/// until an input landed would wait on the clock alone. A held-back task
+/// therefore becomes poppable only after a scheduler call or an engine
+/// event, so an engine with no event left has nothing to ask again:
+/// work still pending then is a deadlock.
 pub trait Scheduler: Send {
     /// Short stable identifier (`"dmdas"`, `"multiprio"`, ...).
     fn name(&self) -> &'static str;
@@ -286,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_assignment_rejects_incapable_worker() {
+    fn delta_on_worker_refuses_an_incapable_worker() {
         let mut fx = Fixture::two_arch();
         let d = fx.graph.add_data(8, "d");
         let cpu_only = fx.cpu_only;
@@ -299,15 +275,13 @@ mod tests {
         // the GPU, which has no implementation of a CPU-only kernel.
         let cpu = WorkerId(0);
         let gpu = WorkerId((p.worker_count() - 1) as u32);
-        assert!(view.validate_assignment(t, cpu).is_ok());
-        let err = view.validate_assignment(t, gpu).unwrap_err();
+        assert!(view.worker_can_exec(t, cpu));
         assert_eq!(
-            err,
-            InfeasibleAssignment {
-                task: t,
-                worker: gpu
-            }
+            view.delta_on_worker(t, cpu),
+            view.est.delta(t, p.worker(cpu).arch)
         );
-        assert!(err.to_string().contains("incapable worker"));
+        assert!(view.delta_on_worker(t, cpu).is_some());
+        assert!(!view.worker_can_exec(t, gpu));
+        assert_eq!(view.delta_on_worker(t, gpu), None);
     }
 }

@@ -37,9 +37,7 @@ pub mod relaxed;
 pub mod testutil;
 pub mod util;
 
-pub use api::{
-    DataLocator, InfeasibleAssignment, LoadInfo, PrefetchReq, SchedEvent, SchedView, Scheduler,
-};
+pub use api::{DataLocator, LoadInfo, PrefetchReq, SchedEvent, SchedView, Scheduler};
 pub use concurrent::{ConcurrentScheduler, GlobalLock, ShardedAdapter};
 pub use dm::{DequeModelScheduler, DmVariant};
 pub use fifo::FifoScheduler;

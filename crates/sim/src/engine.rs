@@ -86,6 +86,62 @@ impl LoadInfo for Loads {
     }
 }
 
+/// A set of workers, one bit each by index.
+struct WorkerSet(Vec<u64>);
+
+impl WorkerSet {
+    /// Every worker of `0..n`.
+    fn full(n: usize) -> Self {
+        let mut set = Self(vec![0; n.div_ceil(64)]);
+        (0..n).for_each(|i| set.insert(i));
+        set
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The lowest member of `from..end`.
+    fn first_in(&self, from: usize, end: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.0.get(word)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                return (i < end).then_some(i);
+            }
+            word += 1;
+            if word * 64 >= end {
+                return None;
+            }
+            bits = self.0[word];
+        }
+    }
+}
+
+/// A lookahead task staged on a GPU-class worker.
+#[derive(Clone, Copy, Debug)]
+struct Staged {
+    t: TaskId,
+    /// When its inputs are resident; `None` when the prepare was
+    /// deferred to execution time.
+    arrive: Option<f64>,
+    /// Noise factor drawn when it was staged.
+    nf: f64,
+    /// δ on the worker, as the pop's vetting read it from the model at
+    /// `model_version`.
+    delta: f64,
+    model_version: u64,
+}
+
 // -------------------------------------------------------------------
 // Staging helpers (module-level so the error paths are unit-testable).
 // -------------------------------------------------------------------
@@ -476,12 +532,6 @@ fn assert_precedence(trace: &Trace, graph: &TaskGraph, cached: bool, done: &[boo
 /// Pipeline depth of accelerator workers (StarPU's CUDA default).
 const GPU_LOOKAHEAD: usize = 2;
 
-/// Bounded re-poll of a stream whose scheduler holds back every pending
-/// task with no event left: virtual time advances by this quantum per
-/// attempt, for at most `MAX_REPOLLS` attempts.
-const REPOLL_US: f64 = 100.0;
-const MAX_REPOLLS: usize = 100_000;
-
 /// Where the loop's tasks come from.
 pub(crate) enum Feed<'g> {
     /// A closed graph, linked whole by its one submission.
@@ -585,17 +635,18 @@ pub(crate) struct Engine<'a> {
     engine_audit: Vec<AuditRecord>,
     #[cfg(feature = "audit")]
     last_event_time: f64,
-    running: Vec<bool>,
+    /// Live workers with nothing executing; dead workers are in no set.
+    idle: WorkerSet,
     exec_end: Vec<f64>,
-    /// Staged lookahead tasks per worker: (task, inputs-ready time if the
-    /// prepare succeeded — None defers it to execution time, noise).
-    next_slot: Vec<VecDeque<(TaskId, Option<f64>, f64)>>,
+    /// Staged lookahead tasks per worker.
+    next_slot: Vec<VecDeque<Staged>>,
     scratch: Scratch,
     emits_prefetches: bool,
     /// Rotating dispatch offset: removes the systematic low-id-first bias
     /// (concurrently polling workers have no global order in reality).
     rotation: usize,
-    gpu_class: Vec<bool>,
+    /// GPU-class workers, by index: the only ones that stage lookahead.
+    gpu_workers: Vec<usize>,
     /// The serving ledgers of an open run; `None` on a closed one.
     stream: Option<Stream<'a>>,
 }
@@ -655,13 +706,13 @@ impl<'a> Engine<'a> {
             engine_audit: Vec::new(),
             #[cfg(feature = "audit")]
             last_event_time: 0.0,
-            running: vec![false; nw],
+            idle: WorkerSet::full(nw),
             exec_end: vec![0.0; nw],
             next_slot: vec![VecDeque::new(); nw],
             scratch: Scratch::default(),
             rotation: 0,
-            gpu_class: (0..nw)
-                .map(|wi| {
+            gpu_workers: (0..nw)
+                .filter(|&wi| {
                     let w = platform.worker(WorkerId::from_index(wi));
                     platform.arch(w.arch).class == mp_platform::types::ArchClass::Gpu
                 })
@@ -686,17 +737,14 @@ impl<'a> Engine<'a> {
             }
             Err(e) => self.failure = Some(e),
         }
-        let mut now = 0.0;
+        // No event left ends the run. Work still pending then is a
+        // deadlock, closed or streamed: under the pop contract no later
+        // dispatch could hand out anything the last one did not.
         while self.failure.is_none() {
             let Some(Reverse(ev)) = self.events.pop() else {
-                let open = matches!(feed, Feed::Open(_));
-                let g = feed.graph();
-                if open && self.completed < g.task_count() && self.repoll(g, now) {
-                    continue;
-                }
                 break;
             };
-            now = ev.time;
+            let now = ev.time;
             #[cfg(feature = "audit")]
             {
                 use mp_trace::AuditKind;
@@ -735,20 +783,6 @@ impl<'a> Engine<'a> {
             seq: self.seq,
             kind,
         }));
-    }
-
-    /// The scheduler returned nothing everywhere, work is pending and no
-    /// event is left: advance virtual time in bounded quanta, since
-    /// policy hold-backs can expire by time alone. False on a stall.
-    fn repoll(&mut self, g: &TaskGraph, mut now: f64) -> bool {
-        for _ in 0..MAX_REPOLLS {
-            now += REPOLL_US;
-            self.dispatch(g, now);
-            if !self.events.is_empty() || self.failure.is_some() {
-                return true;
-            }
-        }
-        false
     }
 
     /// Link the tasks the last submission added to `g` and release, in
@@ -792,11 +826,15 @@ impl<'a> Engine<'a> {
         (sigma * z - sigma * sigma / 2.0).exp()
     }
 
-    /// Model-estimated δ of a task already validated for worker `w`.
-    fn delta(&self, g: &TaskGraph, t: TaskId, w: WorkerId) -> f64 {
+    /// δ of a staged task on its worker `w`: the one its pop read, unless
+    /// the model has learned since.
+    fn staged_delta(&self, g: &TaskGraph, s: &Staged, w: WorkerId) -> f64 {
+        if s.model_version == self.model.version() {
+            return s.delta;
+        }
         Estimator::new(g, self.platform, self.model)
-            .delta(t, self.platform.worker(w).arch)
-            .expect("validated in prepare_task")
+            .delta(s.t, self.platform.worker(w).arch)
+            .expect("vetted when popped")
     }
 
     /// Hand `t` back to the scheduler as a retry (failed attempt,
@@ -866,6 +904,7 @@ impl<'a> Engine<'a> {
     fn kill_worker(&mut self, g: &TaskGraph, wi: usize, now: f64) {
         let w = WorkerId::from_index(wi);
         self.alive[wi] = false;
+        self.idle.remove(wi);
         self.stats.worker_failures += 1;
         self.obs.bump(Counter::WorkerFailures);
         {
@@ -921,14 +960,24 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Begin executing a prepared task on an idle worker.
-    fn begin_exec(&mut self, g: &TaskGraph, wi: usize, t: TaskId, arrive: f64, nf: f64, now: f64) {
+    /// Begin executing a prepared task, of δ `delta` on worker `wi`, on
+    /// that idle worker.
+    #[allow(clippy::too_many_arguments)]
+    fn begin_exec(
+        &mut self,
+        g: &TaskGraph,
+        wi: usize,
+        t: TaskId,
+        delta: f64,
+        arrive: f64,
+        nf: f64,
+        now: f64,
+    ) {
         let w = WorkerId::from_index(wi);
-        let delta = self.delta(g, t, w);
         let start = now.max(arrive);
         let end = start + delta * nf;
         self.starts[t.index()] = start;
-        self.running[wi] = true;
+        self.idle.remove(wi);
         self.exec_end[wi] = end;
         // Load estimate published to the schedulers: *model-estimated*
         // end (start + δ), not the realized noisy end — no scheduler can
@@ -936,7 +985,7 @@ impl<'a> Engine<'a> {
         // dm family plans with expected durations too).
         let staged: f64 = self.next_slot[wi]
             .iter()
-            .map(|&(st, _, _)| self.delta(g, st, w))
+            .map(|s| self.staged_delta(g, s, w))
             .sum();
         self.loads.0[wi] = start + delta + staged;
         self.push_event(end, EvKind::Finish { w, t });
@@ -947,8 +996,9 @@ impl<'a> Engine<'a> {
 
     /// Pop `w`'s next task and vet it: a contract violation (double pop,
     /// incapable worker) is a typed failure instead of a downstream
-    /// panic. On success the task is marked handed-out.
-    fn pop(&mut self, g: &TaskGraph, w: WorkerId, now: f64) -> Option<TaskId> {
+    /// panic. On success the task is marked handed-out and comes back
+    /// with its δ on `w`.
+    fn pop(&mut self, g: &TaskGraph, w: WorkerId, now: f64) -> Option<(TaskId, f64)> {
         let fresh = {
             let view = view!(self, g, now);
             self.scheduler.pop(w, &view)
@@ -961,19 +1011,16 @@ impl<'a> Engine<'a> {
             self.failure = Some(SimError::DoubleExecution { task: t });
             return None;
         }
-        if let Err(e) = view!(self, g, now).validate_assignment(t, w) {
-            self.failure = Some(SimError::IncapableWorker {
-                task: e.task,
-                worker: e.worker,
-            });
+        let Some(delta) = view!(self, g, now).delta_on_worker(t, w) else {
+            self.failure = Some(SimError::IncapableWorker { task: t, worker: w });
             return None;
-        }
+        };
         self.popped[t.index()] = true;
         self.obs.bump(Counter::Pops);
         if let Some(s) = &mut self.stream {
             s.popped(t, w, now, self.pushed_at[t.index()]);
         }
-        Some(t)
+        Some((t, delta))
     }
 
     /// Stage `t` on `w` ([`prepare_task`]): `Some(None)` when a
@@ -1021,26 +1068,28 @@ impl<'a> Engine<'a> {
     }
 
     /// Hand out work until no worker can take more.
+    ///
+    /// Each pass offers work in rotation order, `[rotation, nw)` then
+    /// `[0, rotation)`: first to the idle workers, then to the busy
+    /// GPU-class workers with room in their pipeline. Busy CPU workers
+    /// are never visited.
     fn dispatch(&mut self, g: &TaskGraph, now: f64) {
         self.store.now = now;
-        let nw = self.running.len();
+        let nw = self.exec_end.len();
         loop {
             let mut progress = false;
             self.rotation = (self.rotation + 1) % nw.max(1);
+            let rot = self.rotation;
             // Pass 1: idle workers (they need work immediately).
-            for k in 0..nw {
-                let wi = (k + self.rotation) % nw;
-                let w = WorkerId::from_index(wi);
-                if self.running[wi] {
-                    continue;
-                }
-                if self.kills_on {
-                    if !self.alive[wi] {
-                        continue;
-                    }
-                    // Idle, nothing staged, threshold reached: die
-                    // before popping any more work.
-                    if self.next_slot[wi].is_empty()
+            for (lo, hi) in [(rot, nw), (0, rot)] {
+                let mut from = lo;
+                while let Some(wi) = self.idle.first_in(from, hi) {
+                    from = wi + 1;
+                    let w = WorkerId::from_index(wi);
+                    // Idle, nothing staged, threshold reached: die before
+                    // popping any more work.
+                    if self.kills_on
+                        && self.next_slot[wi].is_empty()
                         && self
                             .cfg
                             .faults
@@ -1052,51 +1101,54 @@ impl<'a> Engine<'a> {
                             return;
                         }
                         // The death re-bucketed the scheduler and may
-                        // have re-pushed recompute seeds: workers
-                        // already polled this round must poll again.
+                        // have re-pushed recompute seeds: workers already
+                        // polled this round must poll again.
                         progress = true;
                         continue;
                     }
-                }
-                // Drain a staged task first, then pop fresh. A deferred
-                // prepare runs now: earlier pipeline tasks have unpinned
-                // their data by now.
-                let strict = "strict prepare never defers";
-                let next = match self.next_slot[wi].pop_front() {
-                    Some((t, Some(arrive), nf)) => Some((t, arrive, nf)),
-                    Some((t, None, nf)) => self
-                        .stage(g, w, t, now, false)
-                        .map(|a| (t, a.expect(strict), nf)),
-                    None => match self.pop(g, w, now) {
-                        Some(t) => self
-                            .stage(g, w, t, now, false)
-                            .map(|a| (t, a.expect(strict), self.noise())),
-                        None => None,
-                    },
-                };
-                match next {
-                    Some((t, arrive, nf)) => {
-                        self.begin_exec(g, wi, t, arrive, nf, now);
-                        progress = true;
+                    // Drain a staged task first, then pop fresh. A
+                    // deferred prepare runs now: earlier pipeline tasks
+                    // have unpinned their data by now.
+                    let strict = "strict prepare never defers";
+                    let next = match self.next_slot[wi].pop_front() {
+                        Some(s) => {
+                            let delta = self.staged_delta(g, &s, w);
+                            match s.arrive {
+                                Some(arrive) => Some((s.t, delta, arrive, s.nf)),
+                                None => self
+                                    .stage(g, w, s.t, now, false)
+                                    .map(|a| (s.t, delta, a.expect(strict), s.nf)),
+                            }
+                        }
+                        None => match self.pop(g, w, now) {
+                            Some((t, delta)) => self
+                                .stage(g, w, t, now, false)
+                                .map(|a| (t, delta, a.expect(strict), self.noise())),
+                            None => None,
+                        },
+                    };
+                    match next {
+                        Some((t, delta, arrive, nf)) => {
+                            self.begin_exec(g, wi, t, delta, arrive, nf, now);
+                            progress = true;
+                        }
+                        None if self.failure.is_some() => return,
+                        None => {}
                     }
-                    None if self.failure.is_some() => return,
-                    None => {}
                 }
             }
             // Pass 2: busy GPU-class workers stage lookahead tasks so
             // the next input transfers overlap the current execution.
-            for k in 0..nw {
-                let wi = (k + self.rotation) % nw;
+            let split = self.gpu_workers.partition_point(|&wi| wi < rot);
+            for k in (split..self.gpu_workers.len()).chain(0..split) {
+                let wi = self.gpu_workers[k];
                 let w = WorkerId::from_index(wi);
-                if !self.running[wi]
-                    || !self.gpu_class[wi]
-                    || self.next_slot[wi].len() >= GPU_LOOKAHEAD
-                {
+                if self.idle.contains(wi) || self.next_slot[wi].len() >= GPU_LOOKAHEAD {
                     continue;
                 }
                 // Never stage more work onto a worker past its kill
-                // threshold: the pipeline would otherwise keep it
-                // perpetually busy and the kill would never fire.
+                // threshold (or dead): the pipeline would otherwise keep
+                // it perpetually busy and the kill would never fire.
                 if self.kills_on
                     && (!self.alive[wi]
                         || self
@@ -1108,15 +1160,23 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let staged = match self.pop(g, w, now) {
-                    Some(t) => self.stage(g, w, t, now, true).map(|a| (t, a)),
+                    Some((t, delta)) => self
+                        .stage(g, w, t, now, true)
+                        .map(|arrive| (t, delta, arrive)),
                     None => None,
                 };
                 match staged {
-                    Some((t, arrive)) => {
+                    Some((t, delta, arrive)) => {
                         let nf = self.noise();
-                        self.next_slot[wi].push_back((t, arrive, nf));
+                        self.next_slot[wi].push_back(Staged {
+                            t,
+                            arrive,
+                            nf,
+                            delta,
+                            model_version: self.model.version(),
+                        });
                         // Publish queued work so push-time mappers see it.
-                        self.loads.0[wi] += self.delta(g, t, w);
+                        self.loads.0[wi] += delta;
                         progress = true;
                     }
                     None if self.failure.is_some() => return,
@@ -1218,7 +1278,7 @@ impl<'a> Engine<'a> {
     /// Task `t`'s execution on `w` ends at `now`: commit or (transient
     /// fault) retry it, then release what it unblocks.
     fn finish(&mut self, g: &TaskGraph, w: WorkerId, t: TaskId, now: f64) {
-        self.running[w.index()] = false;
+        self.idle.insert(w.index());
         let worker = self.platform.worker(w);
         let m = worker.mem_node;
         let task = g.task(t);
@@ -1633,5 +1693,33 @@ mod tests {
 
     fn cfg_default() -> SimConfig {
         SimConfig::default()
+    }
+
+    /// `first_in` walks members in order across word boundaries and
+    /// stops at `end`, as the dispatch's two rotation ranges need.
+    #[test]
+    fn worker_set_finds_members_in_a_range_across_words() {
+        let mut set = WorkerSet::full(130);
+        for i in (0..130).filter(|i| i % 3 != 0) {
+            set.remove(i);
+        }
+        let walk = |lo: usize, hi: usize| {
+            let mut out = Vec::new();
+            let mut from = lo;
+            while let Some(i) = set.first_in(from, hi) {
+                out.push(i);
+                from = i + 1;
+            }
+            out
+        };
+        let want = |r: std::ops::Range<usize>| r.filter(|i| i % 3 == 0).collect::<Vec<_>>();
+        assert_eq!(walk(61, 130), want(61..130));
+        assert_eq!(walk(0, 61), want(0..61));
+        assert_eq!(walk(64, 64), Vec::<usize>::new());
+        assert_eq!(walk(128, 130), vec![129]);
+        assert!(set.contains(129) && !set.contains(128));
+        set.insert(128);
+        assert_eq!(set.first_in(127, 130), Some(128));
+        assert_eq!(WorkerSet::full(0).first_in(0, 0), None);
     }
 }

@@ -47,9 +47,11 @@ impl Scheduler for BlindScheduler {
     }
 }
 
-/// Accepts pushes but never hands anything out.
+/// Accepts pushes but never hands anything out, counting the pops it
+/// refused.
 struct HoardingScheduler {
     held: usize,
+    pops: usize,
 }
 
 impl Scheduler for HoardingScheduler {
@@ -60,6 +62,7 @@ impl Scheduler for HoardingScheduler {
         self.held += 1;
     }
     fn pop(&mut self, _w: WorkerId, _view: &SchedView<'_>) -> Option<TaskId> {
+        self.pops += 1;
         None
     }
     fn pending(&self) -> usize {
@@ -106,7 +109,7 @@ fn incapable_assignment_is_a_typed_error_not_an_abort() {
 #[test]
 fn refusing_every_pop_is_a_typed_deadlock() {
     let (g, p, m) = cpu_only_fixture();
-    let mut s = HoardingScheduler { held: 0 };
+    let mut s = HoardingScheduler { held: 0, pops: 0 };
     let r = simulate(&g, &p, &m, &mut s, SimConfig::default());
     match r.error {
         Some(SimError::Deadlock {
@@ -197,7 +200,8 @@ fn incapable_assignment_while_serving_is_a_typed_error() {
 
 #[test]
 fn refusing_every_pop_while_serving_is_a_typed_deadlock() {
-    let r = serve_two_subdags(&mut HoardingScheduler { held: 0 }, false);
+    let mut s = HoardingScheduler { held: 0, pops: 0 };
+    let r = serve_two_subdags(&mut s, false);
     match r.error {
         Some(SimError::Deadlock {
             completed,
@@ -214,6 +218,12 @@ fn refusing_every_pop_while_serving_is_a_typed_deadlock() {
         other => panic!("expected a deadlock, got {other:?}"),
     }
     assert_eq!(r.stats.tasks, 0);
+    // The stream stalls as soon as its last event is handled: each of
+    // the two arrivals dispatches once and asks each idle worker once.
+    // Nothing re-polls the stalled stream.
+    let asks = 2 * simple(1, 1).worker_count();
+    assert!(s.pops <= asks, "{} pops for {asks} asks", s.pops);
+    assert_eq!(r.stats.empty_pops, s.pops as u64);
 }
 
 #[test]
