@@ -6,6 +6,7 @@
 //! diagnosable report.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use mp_dag::graph::TaskGraph;
 use mp_dag::ids::DataId;
@@ -31,28 +32,17 @@ pub struct Replica {
     pub dirty: bool,
 }
 
-/// All replicas of one handle. Tiny vectors: |M| is small.
-#[derive(Clone, Debug, Default)]
-struct HandleState {
-    replicas: Vec<(MemNodeId, Replica)>,
-}
-
-impl HandleState {
-    fn get(&self, m: MemNodeId) -> Option<&Replica> {
-        self.replicas.iter().find(|(n, _)| *n == m).map(|(_, r)| r)
-    }
-
-    fn get_mut(&mut self, m: MemNodeId) -> Option<&mut Replica> {
-        self.replicas
-            .iter_mut()
-            .find(|(n, _)| *n == m)
-            .map(|(_, r)| r)
-    }
-}
-
 /// Memory + interconnect state of the simulated machine.
+///
+/// Replicas live in one dense table, one slot per handle and memory
+/// node: the replica of `d` on `m` is at `d * nodes + m`. Every lookup
+/// is one index, and a handle's replicas are one row, walked in node
+/// order.
 pub struct DataStore {
-    handles: Vec<HandleState>,
+    /// `Some` where a replica is allocated (possibly still arriving).
+    replicas: Vec<Option<Replica>>,
+    /// Memory nodes, the length of one handle's row.
+    nodes: usize,
     /// Bytes allocated per memory node.
     used: Vec<u64>,
     /// Per directed link: time until which the link is busy (FIFO model).
@@ -72,25 +62,22 @@ impl DataStore {
     /// Initialize: every handle has one valid, clean replica on main RAM.
     pub fn new(graph: &TaskGraph, platform: &Platform) -> Self {
         let sizes: Vec<u64> = graph.data().iter().map(|d| d.size).collect();
-        let mut handles = Vec::with_capacity(sizes.len());
+        let nodes = platform.mem_node_count();
         let ram = platform.ram();
-        for _ in &sizes {
-            handles.push(HandleState {
-                replicas: vec![(
-                    ram,
-                    Replica {
-                        valid_at: 0.0,
-                        last_use: 0.0,
-                        pins: 0,
-                        dirty: false,
-                    },
-                )],
+        let mut replicas = vec![None; sizes.len() * nodes];
+        for row in replicas.chunks_exact_mut(nodes) {
+            row[ram.index()] = Some(Replica {
+                valid_at: 0.0,
+                last_use: 0.0,
+                pins: 0,
+                dirty: false,
             });
         }
-        let mut used = vec![0u64; platform.mem_node_count()];
+        let mut used = vec![0u64; nodes];
         used[ram.index()] = sizes.iter().sum();
         Self {
-            handles,
+            replicas,
+            nodes,
             used,
             link_busy: HashMap::new(),
             sizes,
@@ -98,6 +85,21 @@ impl DataStore {
             now: 0.0,
             audit: Vec::new(),
         }
+    }
+
+    fn slot(&self, d: DataId, m: MemNodeId) -> usize {
+        d.index() * self.nodes + m.index()
+    }
+
+    fn replica_mut(&mut self, d: DataId, m: MemNodeId) -> Option<&mut Replica> {
+        let s = self.slot(d, m);
+        self.replicas[s].as_mut()
+    }
+
+    /// The slots of `d`'s row: one per memory node, in node order.
+    fn row(&self, d: DataId) -> Range<usize> {
+        let start = d.index() * self.nodes;
+        start..start + self.nodes
     }
 
     /// Size of a handle.
@@ -117,7 +119,7 @@ impl DataStore {
 
     /// The replica of `d` on `m`, if allocated (possibly still arriving).
     pub fn replica(&self, d: DataId, m: MemNodeId) -> Option<&Replica> {
-        self.handles[d.index()].get(m)
+        self.replicas[self.slot(d, m)].as_ref()
     }
 
     /// Time at which `d` becomes usable on `m`; `None` if not allocated.
@@ -125,27 +127,30 @@ impl DataStore {
         self.replica(d, m).map(|r| r.valid_at)
     }
 
-    /// Nodes holding a usable-or-arriving replica, with validity times.
-    pub fn holders_full(&self, d: DataId) -> &[(MemNodeId, Replica)] {
-        &self.handles[d.index()].replicas
+    /// Nodes holding a usable-or-arriving replica, with validity times,
+    /// in node order.
+    pub fn holders_full(&self, d: DataId) -> impl Iterator<Item = (MemNodeId, Replica)> + '_ {
+        self.replicas[self.row(d)]
+            .iter()
+            .enumerate()
+            .filter_map(|(m, r)| r.map(|r| (MemNodeId::from_index(m), r)))
     }
 
     /// Allocate a replica arriving at `valid_at` (space must already be
     /// reserved via [`Self::make_room`]).
     pub fn allocate(&mut self, d: DataId, m: MemNodeId, valid_at: f64, dirty: bool) {
-        let size = self.sizes[d.index()];
-        let h = &mut self.handles[d.index()];
-        assert!(h.get(m).is_none(), "replica of {d:?} already on {m:?}");
-        h.replicas.push((
-            m,
-            Replica {
-                valid_at,
-                last_use: valid_at,
-                pins: 0,
-                dirty,
-            },
-        ));
-        self.used[m.index()] += size;
+        let s = self.slot(d, m);
+        assert!(
+            self.replicas[s].is_none(),
+            "replica of {d:?} already on {m:?}"
+        );
+        self.replicas[s] = Some(Replica {
+            valid_at,
+            last_use: valid_at,
+            pins: 0,
+            dirty,
+        });
+        self.used[m.index()] += self.sizes[d.index()];
         if let Some(cap) = self.capacities[m.index()] {
             assert!(
                 self.used[m.index()] <= cap,
@@ -161,38 +166,28 @@ impl DataStore {
 
     /// Drop a replica, freeing its space. Panics if pinned.
     pub fn drop_replica(&mut self, d: DataId, m: MemNodeId) {
-        let size = self.sizes[d.index()];
-        let h = &mut self.handles[d.index()];
-        let i = h
-            .replicas
-            .iter()
-            .position(|(n, _)| *n == m)
-            .unwrap_or_else(|| panic!("no replica of {d:?} on {m:?}"));
-        assert_eq!(h.replicas[i].1.pins, 0, "dropping pinned replica of {d:?}");
-        h.replicas.swap_remove(i);
-        self.used[m.index()] -= size;
+        let s = self.slot(d, m);
+        let r = self.replicas[s].unwrap_or_else(|| panic!("no replica of {d:?} on {m:?}"));
+        assert_eq!(r.pins, 0, "dropping pinned replica of {d:?}");
+        self.replicas[s] = None;
+        self.used[m.index()] -= self.sizes[d.index()];
     }
 
     /// Pin (prevent eviction of) the replica of `d` on `m`.
     pub fn pin(&mut self, d: DataId, m: MemNodeId) {
-        self.handles[d.index()]
-            .get_mut(m)
-            .expect("pinning absent replica")
-            .pins += 1;
+        self.replica_mut(d, m).expect("pinning absent replica").pins += 1;
     }
 
     /// Release one pin.
     pub fn unpin(&mut self, d: DataId, m: MemNodeId) {
-        let r = self.handles[d.index()]
-            .get_mut(m)
-            .expect("unpinning absent replica");
+        let r = self.replica_mut(d, m).expect("unpinning absent replica");
         assert!(r.pins > 0, "unbalanced unpin of {d:?} on {m:?}");
         r.pins -= 1;
     }
 
     /// Touch the LRU clock of `d` on `m`.
     pub fn touch(&mut self, d: DataId, m: MemNodeId, now: f64) {
-        if let Some(r) = self.handles[d.index()].get_mut(m) {
+        if let Some(r) = self.replica_mut(d, m) {
             r.last_use = r.last_use.max(now);
         }
     }
@@ -201,18 +196,14 @@ impl DataStore {
     /// copy from `at` on; all other replicas are dropped (unless pinned by
     /// a concurrent reader — the STF dependency engine prevents that).
     pub fn commit_write(&mut self, d: DataId, m: MemNodeId, at: f64) {
-        let others: Vec<MemNodeId> = self.handles[d.index()]
-            .replicas
-            .iter()
-            .filter(|(n, r)| *n != m && r.pins == 0)
-            .map(|(n, _)| *n)
-            .collect();
-        for n in others {
-            self.drop_replica(d, n);
+        let (size, row) = (self.sizes[d.index()], self.row(d));
+        for (n, slot) in self.replicas[row].iter_mut().enumerate() {
+            if n != m.index() && slot.is_some_and(|r| r.pins == 0) {
+                *slot = None;
+                self.used[n] -= size;
+            }
         }
-        let r = self.handles[d.index()]
-            .get_mut(m)
-            .expect("writer's replica exists");
+        let r = self.replica_mut(d, m).expect("writer's replica exists");
         // The write defines the value: validity is exactly the commit time
         // (write-only replicas are allocated with valid_at = f64::MAX).
         r.valid_at = at;
@@ -224,7 +215,7 @@ impl DataStore {
 
     /// Mark a replica clean (after write-back to RAM).
     pub fn mark_clean(&mut self, d: DataId, m: MemNodeId) {
-        if let Some(r) = self.handles[d.index()].get_mut(m) {
+        if let Some(r) = self.replica_mut(d, m) {
             r.dirty = false;
         }
         #[cfg(feature = "audit")]
@@ -235,7 +226,7 @@ impl DataStore {
     /// copy to the sole authoritative value, which must be written back
     /// before any future eviction.
     pub fn mark_dirty(&mut self, d: DataId, m: MemNodeId) {
-        if let Some(r) = self.handles[d.index()].get_mut(m) {
+        if let Some(r) = self.replica_mut(d, m) {
             r.dirty = true;
         }
         #[cfg(feature = "audit")]
@@ -286,13 +277,14 @@ impl DataStore {
         while self.used[m.index()] + needed > cap {
             // LRU victim among unpinned replicas on m.
             let victim = self
-                .handles
+                .replicas
                 .iter()
+                .skip(m.index())
+                .step_by(self.nodes)
                 .enumerate()
-                .filter_map(|(i, h)| {
-                    h.get(m).and_then(|r| {
-                        (r.pins == 0).then_some((DataId::from_index(i), r.last_use, r.dirty))
-                    })
+                .filter_map(|(i, r)| {
+                    r.filter(|r| r.pins == 0)
+                        .map(|r| (DataId::from_index(i), r.last_use, r.dirty))
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             let Some((d, _, dirty)) = victim else {
@@ -306,7 +298,7 @@ impl DataStore {
                     let start = self.link_start(m, ram, now);
                     let end = start + platform.transfer_time(self.size(d), m, ram);
                     self.set_link_busy(m, ram, end);
-                    let r = self.handles[d.index()].get_mut(ram).expect("checked above");
+                    let r = self.replica_mut(d, ram).expect("checked above");
                     r.valid_at = end;
                     writebacks.push((d, start, end));
                     end
@@ -359,15 +351,17 @@ impl DataStore {
     /// (every pin is released at task completion or on a rejected
     /// staging attempt). Each entry is `(data, node, pins)`.
     pub fn leaked_pins(&self) -> Vec<(DataId, MemNodeId, u32)> {
-        let mut out = Vec::new();
-        for (i, h) in self.handles.iter().enumerate() {
-            for &(m, ref r) in &h.replicas {
-                if r.pins > 0 {
-                    out.push((DataId::from_index(i), m, r.pins));
-                }
-            }
-        }
-        out
+        self.replicas
+            .iter()
+            .enumerate()
+            .filter_map(|(s, r)| {
+                let pins = r.as_ref()?.pins;
+                (pins > 0).then(|| {
+                    let (d, m) = (s / self.nodes, s % self.nodes);
+                    (DataId::from_index(d), MemNodeId::from_index(m), pins)
+                })
+            })
+            .collect()
     }
 
     /// Drain the violations recorded so far (engine merges them into the
@@ -382,11 +376,10 @@ impl DataStore {
     /// alive by pinned concurrent readers.
     #[cfg(feature = "audit")]
     fn audit_coherence(&mut self, d: DataId) {
-        let reps = &self.handles[d.index()].replicas;
-        let dirty: Vec<MemNodeId> = reps
-            .iter()
+        let dirty: Vec<MemNodeId> = self
+            .holders_full(d)
             .filter(|(_, r)| r.dirty)
-            .map(|&(m, _)| m)
+            .map(|(m, _)| m)
             .collect();
         if dirty.len() > 1 {
             self.audit.push(AuditRecord::new(
@@ -400,15 +393,11 @@ impl DataStore {
             // committed (prefetches, shared reads) are coherent: their
             // valid_at postdates the commit. Only copies predating the
             // commit hold a stale value.
-            let owner_valid = reps
-                .iter()
-                .find(|&&(m, _)| m == owner)
-                .map(|(_, r)| r.valid_at)
-                .unwrap();
-            let stale_unpinned: Vec<MemNodeId> = reps
-                .iter()
-                .filter(|&&(m, ref r)| m != owner && r.pins == 0 && r.valid_at + 1e-9 < owner_valid)
-                .map(|&(m, _)| m)
+            let owner_valid = self.replica(d, owner).map(|r| r.valid_at).unwrap();
+            let stale_unpinned: Vec<MemNodeId> = self
+                .holders_full(d)
+                .filter(|&(m, r)| m != owner && r.pins == 0 && r.valid_at + 1e-9 < owner_valid)
+                .map(|(m, _)| m)
                 .collect();
             if !stale_unpinned.is_empty() {
                 self.audit.push(AuditRecord::new(
@@ -457,17 +446,17 @@ impl DataLocator for DataStore {
     }
 
     fn holders(&self, d: DataId) -> Vec<MemNodeId> {
-        self.handles[d.index()]
-            .replicas
-            .iter()
+        self.holders_full(d)
             .filter(|(_, r)| r.valid_at <= self.now)
-            .map(|(n, _)| *n)
+            .map(|(n, _)| n)
             .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use mp_dag::access::AccessMode;
     use mp_platform::presets::simple;
@@ -691,6 +680,226 @@ mod tests {
         );
         assert!(kinds.contains(&AuditKind::PinLeak), "{records:?}");
         assert!(store.take_audit().is_empty(), "take_audit drains");
+    }
+
+    /// The reference model of the store: every replica by (handle, node).
+    type Model = BTreeMap<(DataId, MemNodeId), Replica>;
+
+    /// Bytes the model holds on `m`.
+    fn model_used(model: &Model, sizes: &[u64], m: MemNodeId) -> u64 {
+        model
+            .keys()
+            .filter(|&&(_, n)| n == m)
+            .map(|&(d, _)| sizes[d.index()])
+            .sum()
+    }
+
+    /// [`DataStore::try_make_room`] over a map of replicas: the same LRU
+    /// victims, write-backs over the same FIFO link model, the same
+    /// result. Returns the result and how many victims were dropped.
+    fn model_make_room(
+        model: &mut Model,
+        links: &mut BTreeMap<(MemNodeId, MemNodeId), f64>,
+        sizes: &[u64],
+        p: &Platform,
+        (m, needed, now): (MemNodeId, u64, f64),
+    ) -> (Result<RoomPlan, (u64, u64)>, usize) {
+        let used = |model: &Model| model_used(model, sizes, m);
+        let Some(cap) = p.mem_node(m).capacity else {
+            return (Ok((now, Vec::new())), 0);
+        };
+        let ram = p.ram();
+        let (mut ready, mut writebacks, mut victims) = (now, Vec::new(), 0);
+        while used(model) + needed > cap {
+            let victim = model
+                .iter()
+                .filter(|&(&(_, n), r)| n == m && r.pins == 0)
+                .min_by(|a, b| a.1.last_use.total_cmp(&b.1.last_use).then(a.0.cmp(b.0)))
+                .map(|(&(d, _), r)| (d, r.dirty));
+            let Some((d, dirty)) = victim else {
+                return (Err((used(model), cap)), victims);
+            };
+            if dirty {
+                let link = links.entry((m, ram)).or_insert(0.0);
+                let start = link.max(now);
+                let end = start + p.transfer_time(sizes[d.index()], m, ram);
+                *link = link.max(end);
+                model
+                    .entry((d, ram))
+                    .and_modify(|r| r.valid_at = end)
+                    .or_insert(Replica {
+                        valid_at: end,
+                        last_use: end,
+                        pins: 0,
+                        dirty: false,
+                    });
+                writebacks.push((d, start, end));
+                ready = ready.max(end);
+            }
+            model.remove(&(d, m));
+            victims += 1;
+        }
+        (Ok((ready, writebacks)), victims)
+    }
+
+    /// The dense table against a map model: seeded random sequences of
+    /// every mutator on RAM plus two GPUs capped below the working set
+    /// (so clean drops and dirty write-backs both happen), compared after
+    /// every step on replicas, validity at several instants, holders,
+    /// bytes per node and outstanding pins.
+    #[test]
+    fn store_matches_a_map_model_under_random_operations() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut g = TaskGraph::new();
+        let k = g.register_type("K", true, true);
+        let ds: Vec<DataId> = (0..6)
+            .map(|i| g.add_data(100 + 10 * i, format!("d{i}")))
+            .collect();
+        g.add_task(k, vec![(ds[0], AccessMode::Read)], 1.0, "t");
+        let sizes: Vec<u64> = g.data().iter().map(|d| d.size).collect();
+        let link = mp_platform::link::Link::new(0.001, 5.0);
+        let p = mp_platform::presets::hetero_node("capped", 3, 1.0, 2, 1.0, 300, 1, link);
+        let nodes: Vec<MemNodeId> = (0..p.mem_node_count()).map(MemNodeId::from_index).collect();
+        assert_eq!(nodes.len(), 3);
+        let ram = p.ram();
+        let bits = |r: &Replica| (r.valid_at.to_bits(), r.last_use.to_bits(), r.pins, r.dirty);
+        let used = |model: &Model, m: MemNodeId| model_used(model, &sizes, m);
+        let (mut clean_drops, mut writebacks) = (0, 0);
+        for seed in 0..48 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = DataStore::new(&g, &p);
+            let fresh = Replica {
+                valid_at: 0.0,
+                last_use: 0.0,
+                pins: 0,
+                dirty: false,
+            };
+            let mut model: Model = ds.iter().map(|&d| ((d, ram), fresh)).collect();
+            let mut links = BTreeMap::new();
+            let mut now = 0.0f64;
+            for step in 0..300 {
+                // Whole-µs steps, so LRU ties (broken by handle id) occur.
+                now += rng.gen_range(0..3u32) as f64;
+                let d = ds[rng.gen_range(0..ds.len())];
+                let m = nodes[rng.gen_range(0..nodes.len())];
+                let present = model.get(&(d, m)).copied();
+                match rng.gen_range(0..9) {
+                    0 => {
+                        let fits = p
+                            .mem_node(m)
+                            .capacity
+                            .is_none_or(|cap| used(&model, m) + sizes[d.index()] <= cap);
+                        if present.is_none() && fits {
+                            let valid_at = if rng.gen_bool(0.1) {
+                                f64::MAX // a write-only placeholder
+                            } else {
+                                now + rng.gen_range(0..8u32) as f64
+                            };
+                            let dirty = rng.gen_bool(0.2);
+                            store.allocate(d, m, valid_at, dirty);
+                            let r = Replica {
+                                valid_at,
+                                last_use: valid_at,
+                                pins: 0,
+                                dirty,
+                            };
+                            model.insert((d, m), r);
+                        }
+                    }
+                    1 => {
+                        if let Some(r) = model.get_mut(&(d, m)) {
+                            store.pin(d, m);
+                            r.pins += 1;
+                        }
+                    }
+                    2 => {
+                        if let Some(r) = model.get_mut(&(d, m)).filter(|r| r.pins > 0) {
+                            store.unpin(d, m);
+                            r.pins -= 1;
+                        }
+                    }
+                    3 => {
+                        store.touch(d, m, now);
+                        if let Some(r) = model.get_mut(&(d, m)) {
+                            r.last_use = r.last_use.max(now);
+                        }
+                    }
+                    4 => {
+                        if present.is_some() {
+                            store.commit_write(d, m, now);
+                            model.retain(|&(od, on), r| od != d || on == m || r.pins > 0);
+                            let r = model.get_mut(&(d, m)).unwrap();
+                            (r.valid_at, r.last_use, r.dirty) = (now, now, true);
+                        }
+                    }
+                    5 => {
+                        store.mark_clean(d, m);
+                        if let Some(r) = model.get_mut(&(d, m)) {
+                            r.dirty = false;
+                        }
+                    }
+                    6 => {
+                        store.mark_dirty(d, m);
+                        if let Some(r) = model.get_mut(&(d, m)) {
+                            r.dirty = true;
+                        }
+                    }
+                    7 => {
+                        if present.is_some_and(|r| r.pins == 0) {
+                            store.drop_replica(d, m);
+                            model.remove(&(d, m));
+                        }
+                    }
+                    _ => {
+                        let needed = rng.gen_range(0..=350u64);
+                        let got = store.try_make_room(m, needed, now, &p);
+                        let (want, victims) =
+                            model_make_room(&mut model, &mut links, &sizes, &p, (m, needed, now));
+                        assert_eq!(got, want, "seed {seed} step {step}: make room on {m:?}");
+                        let wb = want.as_ref().map_or(0, |(_, wb)| wb.len());
+                        writebacks += wb;
+                        clean_drops += victims - wb;
+                    }
+                }
+                let ctx = format!("seed {seed} step {step}");
+                for &d in &ds {
+                    for &m in &nodes {
+                        let (got, want) = (store.replica(d, m), model.get(&(d, m)));
+                        assert_eq!(got.map(bits), want.map(bits), "{ctx}: {d:?} on {m:?}");
+                    }
+                }
+                for &m in &nodes {
+                    assert_eq!(store.used(m), used(&model, m), "{ctx}: bytes on {m:?}");
+                }
+                for t in [0.0, now, now + 10.0, f64::MAX] {
+                    store.now = t;
+                    for &d in &ds {
+                        let valid =
+                            |m: MemNodeId| model.get(&(d, m)).is_some_and(|r| r.valid_at <= t);
+                        for &m in &nodes {
+                            assert_eq!(store.is_on(d, m), valid(m), "{ctx}: {d:?} on {m:?} at {t}");
+                        }
+                        let mut holders = store.holders(d);
+                        holders.sort();
+                        let want: Vec<MemNodeId> =
+                            nodes.iter().copied().filter(|&m| valid(m)).collect();
+                        assert_eq!(holders, want, "{ctx}: holders of {d:?} at {t}");
+                    }
+                }
+                let pinned: Vec<(DataId, MemNodeId, u32)> = model
+                    .iter()
+                    .filter(|(_, r)| r.pins > 0)
+                    .map(|(&(d, m), r)| (d, m, r.pins))
+                    .collect();
+                assert_eq!(store.leaked_pins(), pinned, "{ctx}: pins");
+            }
+        }
+        assert!(
+            clean_drops > 0 && writebacks > 0,
+            "{clean_drops} clean drops and {writebacks} write-backs: both paths must run"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@ use mp_perfmodel::{Estimator, PerfModel};
 use mp_platform::types::{MemNodeId, Platform, WorkerId};
 use mp_sched::api::{LoadInfo, PrefetchReq, SchedEvent, SchedView, Scheduler};
 use mp_trace::{
-    AuditRecord, Counter, ObsCell, RuntimeEvent, RuntimeEventKind, SpanTable, TaskSpan, Trace,
-    TransferKind, TransferSpan,
+    AuditRecord, Counter, EdgeViolation, ObsCell, RuntimeEvent, RuntimeEventKind, SpanTable,
+    TaskSpan, Trace, TransferKind, TransferSpan,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -211,9 +211,8 @@ fn pick_source(
     let size = store.size(d);
     store
         .holders_full(d)
-        .iter()
-        .filter(|(n, _)| *n != to)
-        .map(|&(src, rep)| {
+        .filter(|&(n, _)| n != to)
+        .map(|(src, rep)| {
             let start = store.link_start(src, to, now).max(rep.valid_at);
             let end = start + platform.transfer_time(size, src, to);
             (src, start, end)
@@ -245,14 +244,15 @@ fn rollback_pins(store: &mut DataStore, scratch: &Scratch, m: MemNodeId, fetched
 /// pinned working sets) rolls back the pins and returns `Ok(None)` — the
 /// caller defers preparation to execution time, when the pipeline's
 /// earlier tasks have unpinned their data. Without it, the same failure
-/// is [`SimError::OutOfMemory`]. An incapable worker or a handle with no
-/// replica anywhere is a typed error either way, with every pin taken so
-/// far rolled back.
+/// is [`SimError::OutOfMemory`]. A handle with no replica anywhere is a
+/// typed error either way, with every pin taken so far rolled back.
+///
+/// Every task that reaches staging was vetted by [`Engine::pop`] against
+/// `w`'s arch, so staging asks the model nothing.
 #[allow(clippy::too_many_arguments)]
 fn prepare_task(
     graph: &TaskGraph,
     platform: &Platform,
-    model: &dyn PerfModel,
     store: &mut DataStore,
     cfg: &SimConfig,
     trace: &mut Trace,
@@ -263,12 +263,7 @@ fn prepare_task(
     now: f64,
     best_effort: bool,
 ) -> Result<Option<f64>, SimError> {
-    let worker = platform.worker(w);
-    let m = worker.mem_node;
-    let est = Estimator::new(graph, platform, model);
-    if est.delta(t, worker.arch).is_none() {
-        return Err(SimError::IncapableWorker { task: t, worker: w });
-    }
+    let m = platform.worker(w).mem_node;
     let task = graph.task(t);
 
     // Pin present replicas first so eviction cannot take them.
@@ -406,12 +401,11 @@ fn recover_node(
         }
         let survivor = store
             .holders_full(d)
-            .iter()
-            .filter(|&&(n, r)| n != m && r.valid_at < f64::MAX)
+            .filter(|&(n, r)| n != m && r.valid_at < f64::MAX)
             // A dirty victim is the authoritative value: only copies
             // fetched at/after it became valid carry that value.
-            .filter(|&&(_, r)| !dirty || r.valid_at >= valid_at - 1e-9)
-            .map(|&(n, r)| (n, r.valid_at))
+            .filter(|&(_, r)| !dirty || r.valid_at >= valid_at - 1e-9)
+            .map(|(n, r)| (n, r.valid_at))
             // Freshest copy; lowest node id breaks ties deterministically.
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
         store.drop_replica(d, m);
@@ -458,10 +452,7 @@ fn recover_node(
         obs.bump(Counter::TasksRecomputed);
         members.push(q);
         for d in graph.task(q).reads() {
-            let present = store
-                .holders_full(d)
-                .iter()
-                .any(|&(_, r)| r.valid_at < f64::MAX);
+            let present = store.holders_full(d).any(|(_, r)| r.valid_at < f64::MAX);
             if present {
                 continue;
             }
@@ -510,18 +501,22 @@ fn recover_node(
 
 /// Post-run precedence validation: every task starts at or after all
 /// its predecessors end, checked over every edge in O(tasks + edges).
-/// A predecessor without a span is legal only when a result cache served
-/// it (`cached`), in which case it completed (`done`) at or before the
-/// instant it released its successor.
-fn assert_precedence(trace: &Trace, graph: &TaskGraph, cached: bool, done: &[bool]) {
+/// With a result cache attached, `served` holds the instant the cache
+/// served each task (`None` where it did not); without one it is empty.
+/// A served predecessor released its successors at that instant, so it
+/// needs no span, and a successor that started at or after the hit is
+/// legal even when a node loss later recomputed the predecessor.
+fn assert_precedence(trace: &Trace, graph: &TaskGraph, served: &[Option<f64>]) {
+    let served_at = |p: TaskId| served.get(p.index()).copied().flatten();
     let precedence = SpanTable::new(trace, graph).check_precedence();
     for &(_, p) in &precedence.unspanned {
         assert!(
-            cached && done[p.index()],
+            served_at(p).is_some(),
             "predecessor {p:?} executed without a span"
         );
     }
-    if let Some(v) = precedence.violations.first() {
+    let unserved = |v: &&EdgeViolation| !served_at(v.pred).is_some_and(|hit| v.start >= hit);
+    if let Some(v) = precedence.violations.iter().find(unserved) {
         panic!(
             "{:?} started at {} before predecessor {:?} ended at {}",
             v.task, v.start, v.pred, v.pred_end
@@ -599,6 +594,8 @@ pub(crate) struct Engine<'a> {
     rindeg: Vec<u32>,
     /// Execution start per task.
     starts: Vec<f64>,
+    /// When the result cache served each task; grown only with a cache.
+    served_at: Vec<Option<f64>>,
     completed: usize,
     // --- Fault-injection state (all dormant without a fault plan) ---
     kills_on: bool,
@@ -686,6 +683,7 @@ impl<'a> Engine<'a> {
             recomputing: Vec::new(),
             rindeg: Vec::new(),
             starts: Vec::new(),
+            served_at: Vec::new(),
             completed: 0,
             kills_on: cfg.faults.kills_any(),
             transients_on: cfg.faults.transient_fail_prob > 0.0,
@@ -800,6 +798,9 @@ impl<'a> Engine<'a> {
         self.recomputing.resize(n, false);
         self.rindeg.resize(n, 0);
         self.starts.resize(n, 0.0);
+        if self.cache.is_some() {
+            self.served_at.resize(n, None);
+        }
         let mut ready = Vec::new();
         for i in first..n {
             let t = TaskId::from_index(i);
@@ -1037,7 +1038,6 @@ impl<'a> Engine<'a> {
         let staged = prepare_task(
             g,
             self.platform,
-            self.model,
             &mut self.store,
             &self.cfg,
             &mut self.trace,
@@ -1250,6 +1250,7 @@ impl<'a> Engine<'a> {
                 bytes += self.store.size(d);
             }
             self.done[t.index()] = true;
+            self.served_at[t.index()] = Some(now);
             self.completed += 1;
             self.hit_end = now;
             self.stats.cache_hits += 1;
@@ -1452,7 +1453,7 @@ impl<'a> Engine<'a> {
             self.store.audit_quiesce();
             if self.cfg.validate && self.cfg.record_trace {
                 self.trace.validate().expect("trace validation failed");
-                assert_precedence(&self.trace, g, self.cache.is_some(), &self.done);
+                assert_precedence(&self.trace, g, &self.served_at);
             }
         }
 
@@ -1581,21 +1582,39 @@ mod tests {
     #[test]
     fn precedence_validation_accepts_an_ordered_trace() {
         let (g, trace) = chain_trace(10.0);
-        assert_precedence(&trace, &g, false, &[true, true]);
+        assert_precedence(&trace, &g, &[]);
     }
 
     #[test]
     #[should_panic(expected = "t1 started at 9 before predecessor t0 ended at 10")]
     fn precedence_validation_panics_on_an_early_start() {
         let (g, trace) = chain_trace(9.0);
-        assert_precedence(&trace, &g, false, &[true, true]);
+        assert_precedence(&trace, &g, &[]);
     }
 
     #[test]
     fn precedence_validation_exempts_cache_served_predecessors() {
         let (g, mut trace) = chain_trace(10.0);
         trace.tasks.remove(0);
-        assert_precedence(&trace, &g, true, &[true, true]);
+        assert_precedence(&trace, &g, &[Some(0.0), None]);
+    }
+
+    /// A predecessor the cache served and a node loss later recomputed
+    /// has a span that ends after its successor started: the successor
+    /// is legal when it started at or after the hit, and still caught
+    /// when it started before.
+    #[test]
+    fn precedence_validation_accepts_successors_of_a_recomputed_cache_hit() {
+        let (g, trace) = chain_trace(5.0);
+        assert_precedence(&trace, &g, &[Some(5.0), None]);
+        assert_precedence(&trace, &g, &[Some(2.0), None]);
+    }
+
+    #[test]
+    #[should_panic(expected = "t1 started at 5 before predecessor t0 ended at 10")]
+    fn precedence_validation_panics_on_a_start_before_the_predecessors_hit() {
+        let (g, trace) = chain_trace(5.0);
+        assert_precedence(&trace, &g, &[Some(7.0), None]);
     }
 
     #[test]
@@ -1603,14 +1622,42 @@ mod tests {
     fn precedence_validation_panics_on_a_spanless_predecessor_without_a_cache() {
         let (g, mut trace) = chain_trace(10.0);
         trace.tasks.remove(0);
-        assert_precedence(&trace, &g, false, &[true, true]);
+        assert_precedence(&trace, &g, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "predecessor t0 executed without a span")]
+    fn precedence_validation_panics_on_a_spanless_predecessor_the_cache_never_served() {
+        let (g, mut trace) = chain_trace(10.0);
+        trace.tasks.remove(0);
+        assert_precedence(&trace, &g, &[None, Some(0.0)]);
+    }
+
+    /// Two sources whose copies arrive equally fast tie on node id: the
+    /// lower one wins, whichever replica was allocated first.
+    #[test]
+    fn pick_source_breaks_equal_cost_ties_by_lower_node_id() {
+        let (g, _, _) = fixture();
+        let p = simple(1, 2);
+        let (d, ram, g0, g1) = (DataId(0), p.ram(), MemNodeId(1), MemNodeId(2));
+        let cost = p.transfer_time(64, g0, ram);
+        assert_eq!(cost, p.transfer_time(64, g1, ram), "equal-cost sources");
+        for order in [[g0, g1], [g1, g0]] {
+            let mut store = DataStore::new(&g, &p);
+            for m in order {
+                store.allocate(d, m, 0.0, false);
+            }
+            store.drop_replica(d, ram);
+            let picked = pick_source(&store, &p, d, ram, 1.0);
+            assert_eq!(picked, Some((g0, 1.0, 1.0 + cost)), "allocated {order:?}");
+        }
     }
 
     /// An orphaned handle (no replica anywhere) surfaces as a typed
     /// `NoValidReplica`, and the rejected staging attempt leaks no pins.
     #[test]
     fn stage_without_any_replica_is_typed_error() {
-        let (g, p, m) = fixture();
+        let (g, p, _) = fixture();
         let d = DataId(0);
         let t = TaskId(0);
         let mut store = DataStore::new(&g, &p);
@@ -1624,7 +1671,6 @@ mod tests {
         let err = prepare_task(
             &g,
             &p,
-            &m,
             &mut store,
             &cfg,
             &mut trace,
@@ -1650,45 +1696,50 @@ mod tests {
         );
     }
 
-    /// A task without an implementation for the worker's arch is a typed
-    /// `IncapableWorker` (the old panic path at the top of staging).
+    /// Lookahead pops are vetted like idle ones: a scheduler that hands
+    /// a CPU-only task to the busy GPU's pipeline stops the run with a
+    /// typed `IncapableWorker`, so staging never sees an incapable worker.
     #[test]
-    fn stage_on_incapable_worker_is_typed_error() {
+    fn lookahead_pop_on_incapable_worker_is_typed_error() {
+        /// Serves only the GPU worker, oldest push first.
+        struct GpuOnly(VecDeque<TaskId>);
+        impl Scheduler for GpuOnly {
+            fn name(&self) -> &'static str {
+                "gpu-only"
+            }
+            fn push(&mut self, t: TaskId, _releaser: Option<WorkerId>, _view: &SchedView<'_>) {
+                self.0.push_back(t);
+            }
+            fn pop(&mut self, w: WorkerId, _view: &SchedView<'_>) -> Option<TaskId> {
+                (w == WorkerId(1)).then(|| self.0.pop_front()).flatten()
+            }
+            fn pending(&self) -> usize {
+                self.0.len()
+            }
+        }
         let mut g = TaskGraph::new();
-        let k = g.register_type("CPUONLY", true, false);
-        let d = g.add_data(64, "d");
-        let t = g.add_task(k, vec![(d, AccessMode::Read)], 1.0, "t");
+        let both = g.register_type("BOTH", true, true);
+        let cpu_only = g.register_type("CPUONLY", true, false);
+        let (d0, d1) = (g.add_data(64, "d0"), g.add_data(64, "d1"));
+        g.add_task(both, vec![(d0, AccessMode::ReadWrite)], 1.0, "t0");
+        let t1 = g.add_task(cpu_only, vec![(d1, AccessMode::ReadWrite)], 1.0, "t1");
         let p = simple(1, 1);
         let m = TableModel::builder()
+            .set("BOTH", ArchClass::Cpu, TimeFn::Const(10.0))
+            .set("BOTH", ArchClass::Gpu, TimeFn::Const(5.0))
             .set("CPUONLY", ArchClass::Cpu, TimeFn::Const(10.0))
             .build();
-        let mut store = DataStore::new(&g, &p);
-        let mut scratch = Scratch::default();
-        let mut trace = Trace::new(p.worker_count());
-        let mut stats = SimStats::default();
-        let err = prepare_task(
-            &g,
-            &p,
-            &m,
-            &mut store,
-            &cfg_default(),
-            &mut trace,
-            &mut stats,
-            &mut scratch,
-            WorkerId(1), // the GPU worker
-            t,
-            0.0,
-            false,
-        )
-        .unwrap_err();
+        // The GPU (worker 1) starts t0 in pass 1, then asks for a
+        // lookahead task in pass 2 and is handed t1.
+        let r = simulate(&g, &p, &m, &mut GpuOnly(VecDeque::new()), cfg_default());
         assert_eq!(
-            err,
-            SimError::IncapableWorker {
-                task: t,
+            r.error,
+            Some(SimError::IncapableWorker {
+                task: t1,
                 worker: WorkerId(1),
-            }
+            })
         );
-        assert!(store.leaked_pins().is_empty());
+        assert_eq!(r.stats.tasks, 0);
     }
 
     fn cfg_default() -> SimConfig {

@@ -1,12 +1,15 @@
-//! Steady-state `pop` must not allocate, and MultiPrio's push-plan
-//! misses allocate nothing per plan (DESIGN.md §6b).
+//! Steady-state `pop` must not allocate, MultiPrio's push-plan misses
+//! allocate nothing per plan, and a simulated run allocates nothing per
+//! task or replica (DESIGN.md §6b).
 //!
 //! A counting global allocator is armed only while the calls under test
 //! run. For `pop`, every scheduler gets one full warm-up replay (scratch
 //! buffers, slabs and caches grow there), then a second replay over the
 //! same graph during which any pop-path allocation fails the test. For
 //! `push`, a fresh MultiPrio replays a graph whose every task brings a
-//! new plan key, so every push misses the plan cache.
+//! new plan key, so every push misses the plan cache. For a simulated
+//! run, two sizes of one workload are counted and only the growth is
+//! bounded.
 //!
 //! `multiprio-reference` is deliberately excluded: it is the retained
 //! pre-arena implementation whose allocation cost *is* the measured
@@ -15,15 +18,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use multiprio_suite::apps::dense::{potrf, DenseConfig};
+use multiprio_suite::apps::dense_model;
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
 use multiprio_suite::bench::{make_scheduler, SCHEDULER_NAMES};
 use multiprio_suite::dag::TaskGraph;
 use multiprio_suite::dag::TaskId;
 use multiprio_suite::multiprio::MultiPrioScheduler;
 use multiprio_suite::perfmodel::{Estimator, PerfModel};
-use multiprio_suite::platform::presets::simple;
+use multiprio_suite::platform::presets::{intel_v100, simple};
 use multiprio_suite::platform::types::{MemNodeId, Platform, WorkerId};
 use multiprio_suite::sched::api::{DataLocator, LoadInfo, SchedView, Scheduler};
+use multiprio_suite::sim::{simulate, SimConfig};
 
 struct CountingAlloc;
 
@@ -234,5 +240,45 @@ fn cold_pushes_allocate_nothing_per_plan() {
     assert!(
         allocs <= 128,
         "2,048 cold pushes allocated {allocs} times (at most 128 allowed)"
+    );
+}
+
+/// A simulated run allocates per run, never per task or per replica:
+/// the memory state is one dense replica table, staging and completion
+/// reuse the engine's scratch, and a committed write drops the other
+/// copies in place. Going from potrf 16×16 to 32×32 (816 to 5,984
+/// tasks) on Intel-V100 under MultiPrio may therefore add only the
+/// O(log n) regrowths of the run's vectors and heaps. Same obs
+/// exemption as the pop gate.
+#[test]
+fn simulated_run_allocates_nothing_per_replica() {
+    if multiprio_suite::trace::obs::obs_enabled() {
+        eprintln!("alloc-free gate skipped: built with --features obs");
+        return;
+    }
+    let model = dense_model();
+    let platform = intel_v100();
+    let count = |nt: usize| {
+        let w = potrf(DenseConfig::new(nt * 960, 960));
+        let mut s = make_scheduler("multiprio");
+        take_allocs();
+        arm(true);
+        let r = simulate(
+            &w.graph,
+            &platform,
+            &model,
+            s.as_mut(),
+            SimConfig::default(),
+        );
+        arm(false);
+        assert!(r.error.is_none(), "{nt}x{nt}: {:?}", r.error);
+        take_allocs()
+    };
+    // Warm-up: one-time lazy initialisation is not the run's cost.
+    count(4);
+    let (small, large) = (count(16), count(32));
+    assert!(
+        large <= small + 256,
+        "potrf 32x32 allocated {large} times against {small} for 16x16 (at most 256 more allowed)"
     );
 }

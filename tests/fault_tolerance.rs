@@ -10,17 +10,18 @@
 
 use std::sync::Arc;
 
-use multiprio_suite::apps::dense::{potrf, DenseConfig};
+use multiprio_suite::apps::dense::{geqrf, potrf, DenseConfig};
 use multiprio_suite::apps::dense_model;
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
 use multiprio_suite::audit::{differential, schedule_hash, DiffConfig};
-use multiprio_suite::bench::make_scheduler_factory;
+use multiprio_suite::bench::{make_scheduler, make_scheduler_factory};
+use multiprio_suite::cache::ResultCache;
 use multiprio_suite::dag::{AccessMode, TaskGraph};
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
-use multiprio_suite::platform::presets::simple;
+use multiprio_suite::platform::presets::{intel_v100, simple};
 use multiprio_suite::platform::types::ArchClass;
 use multiprio_suite::runtime::{FaultPlan, RetryPolicy};
-use multiprio_suite::sim::{simulate, SimConfig, SimError};
+use multiprio_suite::sim::{simulate, simulate_cached, SimConfig, SimError};
 use multiprio_suite::trace::Trace;
 use proptest::prelude::*;
 
@@ -199,6 +200,32 @@ fn fault_schedules_are_bit_identical_across_repeats() {
             "{sched}: fault schedule not repeat-deterministic"
         );
     }
+}
+
+/// A warm rerun whose cache-served task is later recomputed after a node
+/// loss validates instead of panicking: the recompute span of such a
+/// predecessor ends after successors that started at its hit. On Intel-
+/// V100, worker 1 is a CPU and worker 31 the last GPU. The cold run only
+/// fills the cache: it ends in a `Deadlock` of its own (recompute seeds
+/// held in the scheduler), which this test does not cover.
+#[test]
+fn warm_rerun_with_a_recomputed_cache_hit_validates() {
+    let w = geqrf(DenseConfig::new(8 * 960, 960));
+    let model = dense_model();
+    let platform = intel_v100();
+    let cfg = SimConfig::default()
+        .with_faults(FaultPlan::default().kill_worker(1, 3).kill_worker(31, 5))
+        .with_retry(RetryPolicy::new(4, 0.0));
+    let cache = ResultCache::new();
+    let run = || {
+        let mut s = make_scheduler("multiprio");
+        simulate_cached(&w.graph, &platform, &model, s.as_mut(), cfg, Some(&cache))
+    };
+    let _cold = run();
+    let warm = run();
+    assert!(warm.error.is_none(), "{:?}", warm.error);
+    assert!(warm.stats.cache_hits > 0 && warm.stats.tasks_recomputed > 0);
+    assert_eq!(warm.stats.tasks, w.graph.task_count());
 }
 
 /// Mixed-capability graph for the survivor proptest: chains of CPU-only,
