@@ -14,12 +14,11 @@
 //!
 //! `BENCH_QUICK=1` shrinks both workloads to CI scale.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use mp_apps::dense::{potrf, DenseConfig};
 use mp_apps::fmm::{fmm, Distribution, FmmConfig};
-use mp_bench::make_scheduler;
+use mp_bench::{make_scheduler, BenchJson};
 use mp_cache::{changed_tasks, resubmit_with_mutation, ResultCache};
 use mp_dag::graph::TaskGraph;
 use mp_dag::ids::TaskId;
@@ -182,46 +181,39 @@ fn main() {
         inc.stats.cache_hits,
     );
 
-    // ---- JSON emission (hand-rolled: no serde_json in this tree) ----
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"bench-cache/v1\",");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    let _ = writeln!(j, "  \"warm_vs_cold\": [");
-    for (i, s) in scenarios.iter().enumerate() {
-        let comma = if i + 1 < scenarios.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"tasks\": {}, \"cold_wall_ms\": {:.2}, \
-             \"warm_wall_ms\": {:.3}, \"warm_speedup\": {:.2}, \
-             \"cold_makespan_us\": {:.1}, \"warm_hit_rate\": {:.4}}}{comma}",
-            s.name,
-            s.tasks,
-            s.cold_wall_ms,
-            s.warm_wall_ms,
-            s.speedup,
-            s.cold_makespan_us,
-            s.warm_hit_rate
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(
-        j,
-        "  \"incremental\": {{\"tasks\": {}, \"mutate_frac\": {mutate_frac}, \
-         \"dirty_cone\": {}, \"re_executed\": {}, \"cache_hits\": {}, \
-         \"exact_cone\": {exact}, \"wall_ms\": {inc_ms:.2}}},",
-        chol.graph.task_count(),
-        cone.len(),
-        executed.len(),
-        inc.stats.cache_hits
-    );
-    let _ = writeln!(j, "  \"failed\": {failed}");
-    let _ = writeln!(j, "}}");
-
-    let out = std::env::var("BENCH_CACHE_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_cache.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, &j).expect("write BENCH_cache.json");
-    eprintln!("wrote {out}");
+    BenchJson::new("bench-cache/v1")
+        .field("quick", quick)
+        .rows(
+            "warm_vs_cold",
+            scenarios.iter().map(|s| {
+                format!(
+                    "{{\"name\": \"{}\", \"tasks\": {}, \"cold_wall_ms\": {:.2}, \
+                     \"warm_wall_ms\": {:.3}, \"warm_speedup\": {:.2}, \
+                     \"cold_makespan_us\": {:.1}, \"warm_hit_rate\": {:.4}}}",
+                    s.name,
+                    s.tasks,
+                    s.cold_wall_ms,
+                    s.warm_wall_ms,
+                    s.speedup,
+                    s.cold_makespan_us,
+                    s.warm_hit_rate
+                )
+            }),
+        )
+        .field(
+            "incremental",
+            format!(
+                "{{\"tasks\": {}, \"mutate_frac\": {mutate_frac}, \
+                 \"dirty_cone\": {}, \"re_executed\": {}, \"cache_hits\": {}, \
+                 \"exact_cone\": {exact}, \"wall_ms\": {inc_ms:.2}}}",
+                chol.graph.task_count(),
+                cone.len(),
+                executed.len(),
+                inc.stats.cache_hits
+            ),
+        )
+        .field("failed", failed)
+        .write("BENCH_CACHE_OUT", "BENCH_cache.json");
 
     if failed {
         eprintln!("FAIL: cache bench gate");

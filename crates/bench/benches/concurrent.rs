@@ -14,13 +14,12 @@
 //! `BENCH_QUICK=1` restricts the sweep to 16/32 threads with one timing
 //! sample.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mp_apps::random::{random_dag, random_model, RandomDagConfig};
 use mp_audit::{differential, schedule_hash, DiffConfig};
-use mp_bench::{make_scheduler, make_scheduler_factory};
+use mp_bench::{make_scheduler, make_scheduler_factory, BenchJson};
 use mp_dag::graph::TaskGraph;
 use mp_dag::ids::TaskId;
 use mp_perfmodel::{Estimator, PerfModel, TableModel, TimeFn};
@@ -449,73 +448,60 @@ fn main() {
         }
     }
 
-    // ---- JSON emission (hand-rolled: no serde_json in this tree) ----
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"bench-concurrent/v1\",");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    let _ = writeln!(j, "  \"samples\": {samples},");
-    let _ = writeln!(j, "  \"frontend_drive\": [");
-    for (i, d) in drives.iter().enumerate() {
-        let comma = if i + 1 < drives.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"workers\": {}, \"front\": \"{}\", \"pops_per_sec\": {:.0}}}{comma}",
-            d.workers, d.front, d.pops_per_sec
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    match speedup_32 {
-        Some(s) => {
-            let _ = writeln!(j, "  \"relaxed_vs_sharded_32w\": {s:.2},");
-        }
-        None => {
-            let _ = writeln!(j, "  \"relaxed_vs_sharded_32w\": null,");
-        }
-    }
-    let _ = writeln!(j, "  \"relaxed_rank_error\": [");
-    for (i, (w, mean, max)) in relaxed_rank.iter().enumerate() {
-        let comma = if i + 1 < relaxed_rank.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"workers\": {w}, \"mean\": {mean:.3}, \"max\": {max}}}{comma}"
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"engine\": [");
-    for (i, e) in engines.iter().enumerate() {
-        let comma = if i + 1 < engines.len() { "," } else { "" };
-        let rank = match (e.rank_mean, e.rank_max) {
-            (Some(m), Some(x)) => format!("{{\"mean\": {m:.3}, \"max\": {x}}}"),
-            _ => "null".to_string(),
-        };
-        let _ = writeln!(
-            j,
-            "    {{\"workers\": {}, \"front\": \"{}\", \"wall_ms\": {:.1}, \
-             \"makespan_us\": {:.1}, \"rank_error\": {rank}}}{comma}",
-            e.workers, e.front, e.wall_ms, e.makespan_us
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"differential\": [");
-    for (i, a) in audits.iter().enumerate() {
-        let comma = if i + 1 < audits.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"workers\": {}, \"plan\": \"{}\", \"clean\": {}, \"mismatches\": {}, \
-             \"sim_rank_mean\": {:.3}, \"runtime_rank_mean\": {:.3}, \"runtime_rank_max\": {}}}{comma}",
-            a.workers, a.plan, a.clean, a.mismatches, a.sim_rank_mean, a.runtime_rank_mean,
-            a.runtime_rank_max
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"diverged\": {diverged}");
-    let _ = writeln!(j, "}}");
-
-    let out = std::env::var("BENCH_CONCURRENT_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_concurrent.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, &j).expect("write BENCH_concurrent.json");
-    eprintln!("wrote {out}");
+    BenchJson::new("bench-concurrent/v1")
+        .field("quick", quick)
+        .field("samples", samples)
+        .rows(
+            "frontend_drive",
+            drives.iter().map(|d| {
+                format!(
+                    "{{\"workers\": {}, \"front\": \"{}\", \"pops_per_sec\": {:.0}}}",
+                    d.workers, d.front, d.pops_per_sec
+                )
+            }),
+        )
+        .field(
+            "relaxed_vs_sharded_32w",
+            speedup_32.map_or("null".to_string(), |s| format!("{s:.2}")),
+        )
+        .rows(
+            "relaxed_rank_error",
+            relaxed_rank.iter().map(|(w, mean, max)| {
+                format!("{{\"workers\": {w}, \"mean\": {mean:.3}, \"max\": {max}}}")
+            }),
+        )
+        .rows(
+            "engine",
+            engines.iter().map(|e| {
+                let rank = match (e.rank_mean, e.rank_max) {
+                    (Some(m), Some(x)) => format!("{{\"mean\": {m:.3}, \"max\": {x}}}"),
+                    _ => "null".to_string(),
+                };
+                format!(
+                    "{{\"workers\": {}, \"front\": \"{}\", \"wall_ms\": {:.1}, \
+                     \"makespan_us\": {:.1}, \"rank_error\": {rank}}}",
+                    e.workers, e.front, e.wall_ms, e.makespan_us
+                )
+            }),
+        )
+        .rows(
+            "differential",
+            audits.iter().map(|a| {
+                format!(
+                    "{{\"workers\": {}, \"plan\": \"{}\", \"clean\": {}, \"mismatches\": {}, \
+                     \"sim_rank_mean\": {:.3}, \"runtime_rank_mean\": {:.3}, \"runtime_rank_max\": {}}}",
+                    a.workers,
+                    a.plan,
+                    a.clean,
+                    a.mismatches,
+                    a.sim_rank_mean,
+                    a.runtime_rank_mean,
+                    a.runtime_rank_max
+                )
+            }),
+        )
+        .field("diverged", diverged)
+        .write("BENCH_CONCURRENT_OUT", "BENCH_concurrent.json");
 
     if unclean {
         eprintln!("FAIL: differential audit mismatch");

@@ -15,14 +15,13 @@
 //! `decision_improvement` section reports the measured speedup of the
 //! slab-backed `multiprio` over it on the largest Cholesky sweep.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use mp_apps::dense::{potrf, DenseConfig};
 use mp_apps::fmm::{fmm, Distribution, FmmConfig};
 use mp_apps::{dense_model, fmm_model};
 use mp_bench::replay::{replay, ReplayStats};
-use mp_bench::{make_scheduler, SCHEDULER_NAMES};
+use mp_bench::{make_scheduler, BenchJson, SCHEDULER_NAMES};
 use mp_dag::TaskGraph;
 use mp_perfmodel::PerfModel;
 use mp_platform::presets::simple;
@@ -178,7 +177,6 @@ fn main() {
             let mut s = make_scheduler(sched);
             let cfg = SimConfig {
                 record_trace: false,
-                validate: false,
                 ..SimConfig::seeded(1)
             };
             let t0 = Instant::now();
@@ -201,7 +199,7 @@ fn main() {
     }
 
     // Improvement of slab multiprio over the retained reference on the
-    // largest Cholesky sweep present in this run.
+    // largest Cholesky sweep present in this run, as a JSON value.
     let improvement = {
         let largest = decisions
             .iter()
@@ -215,63 +213,46 @@ fn main() {
                 })
                 .map(|bef| (bef, aft))
         });
-        before.map(|(bef, aft)| {
-            (
-                bef.tasks,
-                bef.ns_per_decision,
-                aft.ns_per_decision,
-                bef.ns_per_decision / aft.ns_per_decision,
-            )
-        })
+        before.map_or_else(
+            || "null".to_string(),
+            |(bef, aft)| {
+                format!(
+                    "{{\"sweep_tasks\": {}, \"before_ns\": {:.1}, \"after_ns\": {:.1}, \
+                     \"ratio\": {:.2}}}",
+                    bef.tasks,
+                    bef.ns_per_decision,
+                    aft.ns_per_decision,
+                    bef.ns_per_decision / aft.ns_per_decision,
+                )
+            },
+        )
     };
-
-    // ---- JSON emission (hand-rolled: no serde_json in this tree) ----
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"bench-scaling/v1\",");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    let _ = writeln!(j, "  \"samples\": {samples},");
-    let _ = writeln!(j, "  \"decision_cost\": [");
-    for (i, d) in decisions.iter().enumerate() {
-        let comma = if i + 1 < decisions.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"app\": \"{}\", \"label\": \"{}\", \"tasks\": {}, \"sched\": \"{}\", \
-             \"ns_per_decision\": {:.1}, \"pops\": {}, \"schedule_hash\": \"{:016x}\"}}{comma}",
-            d.app, d.label, d.tasks, d.sched, d.ns_per_decision, d.pops, d.schedule_hash
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"sim\": [");
-    for (i, s) in sims.iter().enumerate() {
-        let comma = if i + 1 < sims.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"app\": \"{}\", \"label\": \"{}\", \"tasks\": {}, \"sched\": \"{}\", \
-             \"wall_ms\": {:.1}, \"makespan_us\": {:.1}}}{comma}",
-            s.app, s.label, s.tasks, s.sched, s.wall_ms, s.makespan_us
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    match improvement {
-        Some((tasks, before, after, ratio)) => {
-            let _ = writeln!(
-                j,
-                "  \"decision_improvement\": {{\"sweep_tasks\": {tasks}, \
-                 \"before_ns\": {before:.1}, \"after_ns\": {after:.1}, \"ratio\": {ratio:.2}}},"
-            );
-        }
-        None => {
-            let _ = writeln!(j, "  \"decision_improvement\": null,");
-        }
-    }
-    let _ = writeln!(j, "  \"diverged\": {diverged_any}");
-    let _ = writeln!(j, "}}");
-
-    let out = std::env::var("BENCH_SCALING_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_scaling.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, &j).expect("write BENCH_scaling.json");
-    eprintln!("wrote {out}");
+    BenchJson::new("bench-scaling/v1")
+        .field("quick", quick)
+        .field("samples", samples)
+        .rows(
+            "decision_cost",
+            decisions.iter().map(|d| {
+                format!(
+                    "{{\"app\": \"{}\", \"label\": \"{}\", \"tasks\": {}, \"sched\": \"{}\", \
+                     \"ns_per_decision\": {:.1}, \"pops\": {}, \"schedule_hash\": \"{:016x}\"}}",
+                    d.app, d.label, d.tasks, d.sched, d.ns_per_decision, d.pops, d.schedule_hash
+                )
+            }),
+        )
+        .rows(
+            "sim",
+            sims.iter().map(|s| {
+                format!(
+                    "{{\"app\": \"{}\", \"label\": \"{}\", \"tasks\": {}, \"sched\": \"{}\", \
+                     \"wall_ms\": {:.1}, \"makespan_us\": {:.1}}}",
+                    s.app, s.label, s.tasks, s.sched, s.wall_ms, s.makespan_us
+                )
+            }),
+        )
+        .field("decision_improvement", improvement)
+        .field("diverged", diverged_any)
+        .write("BENCH_SCALING_OUT", "BENCH_scaling.json");
 
     if diverged_any {
         eprintln!("FAIL: schedule divergence detected");

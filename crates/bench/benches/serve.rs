@@ -28,9 +28,7 @@
 //!
 //! `BENCH_QUICK=1` shrinks the sweep to CI scale.
 
-use std::fmt::Write as _;
-
-use mp_bench::make_scheduler;
+use mp_bench::{make_scheduler, BenchJson};
 use mp_cache::ResultCache;
 use mp_perfmodel::{PerfModel, TableModel, TimeFn};
 use mp_platform::presets::homogeneous;
@@ -286,88 +284,68 @@ fn main() {
         }
     }
 
-    let mut cj = String::new();
-    let _ = writeln!(cj, "{{");
-    let _ = writeln!(cj, "  \"schema\": \"bench-serve-cache/v1\",");
-    let _ = writeln!(cj, "  \"quick\": {quick},");
-    let _ = writeln!(cj, "  \"policy\": \"prio\",");
-    let _ = writeln!(cj, "  \"task_us\": {TASK_US},");
-    let _ = writeln!(cj, "  \"overload\": 20.0,");
-    let _ = writeln!(cj, "  \"rows\": [");
-    for (i, r) in crows.iter().enumerate() {
-        let comma = if i + 1 < crows.len() { "," } else { "" };
-        let _ = writeln!(
-            cj,
-            "    {{\"workers\": {}, \"mutation_frac\": {:.2}, \"submissions\": {}, \
-             \"cold_decisions\": {}, \"warm_decisions\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"hit_rate\": {:.4}, \"cold_served_per_sec\": {:.1}, \
-             \"warm_served_per_sec\": {:.1}, \"speedup_served\": {:.2}, \
-             \"cold_schedule_hash\": \"{:016x}\", \"warm_schedule_hash\": \"{:016x}\"}}{comma}",
-            r.workers,
-            r.mutation_frac,
-            r.submissions,
-            r.cold_decisions,
-            r.warm_decisions,
-            r.cache_hits,
-            r.cache_misses,
-            r.hit_rate,
-            r.cold_served_per_sec,
-            r.warm_served_per_sec,
-            r.speedup_served,
-            r.cold_hash,
-            r.warm_hash
-        );
-    }
-    let _ = writeln!(cj, "  ],");
-    let _ = writeln!(cj, "  \"failed\": {failed}");
-    let _ = writeln!(cj, "}}");
-    let cache_out = std::env::var("BENCH_SERVE_CACHE_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_serve_cache.json",
-            env!("CARGO_MANIFEST_DIR")
+    BenchJson::new("bench-serve-cache/v1")
+        .field("quick", quick)
+        .string("policy", "prio")
+        .field("task_us", TASK_US)
+        .field("overload", "20.0")
+        .rows(
+            "rows",
+            crows.iter().map(|r| {
+                format!(
+                    "{{\"workers\": {}, \"mutation_frac\": {:.2}, \"submissions\": {}, \
+                     \"cold_decisions\": {}, \"warm_decisions\": {}, \"cache_hits\": {}, \
+                     \"cache_misses\": {}, \"hit_rate\": {:.4}, \"cold_served_per_sec\": {:.1}, \
+                     \"warm_served_per_sec\": {:.1}, \"speedup_served\": {:.2}, \
+                     \"cold_schedule_hash\": \"{:016x}\", \"warm_schedule_hash\": \"{:016x}\"}}",
+                    r.workers,
+                    r.mutation_frac,
+                    r.submissions,
+                    r.cold_decisions,
+                    r.warm_decisions,
+                    r.cache_hits,
+                    r.cache_misses,
+                    r.hit_rate,
+                    r.cold_served_per_sec,
+                    r.warm_served_per_sec,
+                    r.speedup_served,
+                    r.cold_hash,
+                    r.warm_hash
+                )
+            }),
         )
-    });
-    std::fs::write(&cache_out, &cj).expect("write BENCH_serve_cache.json");
-    eprintln!("wrote {cache_out}");
+        .field("failed", failed)
+        .write("BENCH_SERVE_CACHE_OUT", "BENCH_serve_cache.json");
 
-    // ---- JSON emission (hand-rolled: no serde_json in this tree).
     // Virtual-time quantities only — the file is repeat-deterministic.
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"bench-serve/v1\",");
-    let _ = writeln!(j, "  \"quick\": {quick},");
-    let _ = writeln!(j, "  \"policy\": \"prio\",");
-    let _ = writeln!(j, "  \"task_us\": {TASK_US},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"workers\": {}, \"arrivals\": \"{}\", \"submissions\": {}, \
-             \"decisions\": {}, \"decisions_per_sec\": {:.1}, \"p50_us\": {}, \
-             \"p99_us\": {}, \"subdags_admitted\": {}, \"subdags_rejected\": {}, \
-             \"makespan_us\": {:.3}, \"schedule_hash\": \"{:016x}\"}}{comma}",
-            r.workers,
-            r.arrivals,
-            r.submissions,
-            r.decisions,
-            r.decisions_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.subdags_admitted,
-            r.subdags_rejected,
-            r.makespan_us,
-            r.schedule_hash
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"failed\": {failed}");
-    let _ = writeln!(j, "}}");
-
-    let out = std::env::var("BENCH_SERVE_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out, &j).expect("write BENCH_serve.json");
-    eprintln!("wrote {out}");
+    BenchJson::new("bench-serve/v1")
+        .field("quick", quick)
+        .string("policy", "prio")
+        .field("task_us", TASK_US)
+        .rows(
+            "rows",
+            rows.iter().map(|r| {
+                format!(
+                    "{{\"workers\": {}, \"arrivals\": \"{}\", \"submissions\": {}, \
+                     \"decisions\": {}, \"decisions_per_sec\": {:.1}, \"p50_us\": {}, \
+                     \"p99_us\": {}, \"subdags_admitted\": {}, \"subdags_rejected\": {}, \
+                     \"makespan_us\": {:.3}, \"schedule_hash\": \"{:016x}\"}}",
+                    r.workers,
+                    r.arrivals,
+                    r.submissions,
+                    r.decisions,
+                    r.decisions_per_sec,
+                    r.p50_us,
+                    r.p99_us,
+                    r.subdags_admitted,
+                    r.subdags_rejected,
+                    r.makespan_us,
+                    r.schedule_hash
+                )
+            }),
+        )
+        .field("failed", failed)
+        .write("BENCH_SERVE_OUT", "BENCH_serve.json");
 
     if failed {
         eprintln!("FAIL: serve bench gate");

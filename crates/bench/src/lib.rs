@@ -18,8 +18,10 @@
 
 pub mod figures;
 pub mod harness;
+pub mod json;
 pub mod replay;
 pub mod report;
 
 pub use harness::{make_scheduler, make_scheduler_factory, run_noisy, run_once, SCHEDULER_NAMES};
+pub use json::BenchJson;
 pub use replay::{replay, ReplayStats};

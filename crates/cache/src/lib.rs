@@ -55,6 +55,14 @@ pub mod persist;
 
 pub use persist::{BitFlip, LoadReport, PersistConfig, PersistFaultPlan, PersistStats};
 
+/// A cache's lifetime eviction and persistence counts at one instant
+/// ([`ResultCache::mark`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CacheMark {
+    evictions: u64,
+    persist: PersistStats,
+}
+
 /// One memoized result: the fingerprint it was stored under, the data
 /// versions of its outputs, and (runtime only) the written buffers.
 #[derive(Clone, Debug)]
@@ -480,10 +488,32 @@ impl ResultCache {
     }
 
     /// Lifetime persistence counters (all zero when persistence was
-    /// never attached). Engines fold per-run deltas of these into the
-    /// observability snapshot, like capacity evictions.
+    /// never attached). Engines report per-run deltas of these, like
+    /// capacity evictions (see [`Self::mark`]).
     pub fn persist_stats(&self) -> PersistStats {
         self.pstats.snapshot()
+    }
+
+    /// The lifetime eviction and persistence counts now. One cache can
+    /// outlive many runs, so a run marks the cache when it starts and
+    /// reports what it added with [`Self::since`].
+    pub fn mark(&self) -> CacheMark {
+        CacheMark {
+            evictions: self.evictions(),
+            persist: self.persist_stats(),
+        }
+    }
+
+    /// Capacity evictions and persistence traffic since `mark`.
+    pub fn since(&self, mark: &CacheMark) -> (u64, PersistStats) {
+        let (now, then) = (self.persist_stats(), mark.persist);
+        let persist = PersistStats {
+            writes: now.writes - then.writes,
+            loaded: now.loaded - then.loaded,
+            load_rejects: now.load_rejects - then.load_rejects,
+            compactions: now.compactions - then.compactions,
+        };
+        (self.evictions() - mark.evictions, persist)
     }
 
     /// The [`LoadReport`] of the replay that opened this cache, if it

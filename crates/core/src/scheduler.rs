@@ -257,8 +257,8 @@ pub struct MultiPrioScheduler {
     evictions: u64,
     /// Diagnostics: pops rejected by the pop condition.
     holds: u64,
-    /// Observability counters (push-plan-arena hits/misses, estimator
-    /// consults). A no-op ZST unless built with `--features obs`.
+    /// Observability counters (push-plan-arena hits and misses). A
+    /// no-op ZST unless built with `--features obs`.
     obs: mp_trace::ObsCell,
     /// Decision-provenance ring; populated only with `--features obs`.
     provenance: ProvenanceRing,
@@ -614,7 +614,6 @@ impl MultiPrioScheduler {
     fn plan_for(&mut self, t: TaskId, key: PlanKey, view: &SchedView<'_>) -> u32 {
         let epoch = self.gain.epoch();
         let model_version = view.est.model_version();
-        self.obs.bump(mp_trace::Counter::EstimatorConsults);
         let cached = self.plans.get(&key).copied();
         if let Some(idx) = cached {
             let p = &self.plan_arena[idx as usize];

@@ -34,12 +34,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use mp_cache::{Lookup, PersistStats, ResultCache};
+use mp_cache::{CacheMark, Lookup, PersistStats, ResultCache};
 use mp_dag::access::AccessMode;
 use mp_dag::hash;
 use mp_dag::ids::{DataId, TaskId, TaskTypeId};
 use mp_dag::stf::{StfBuilder, StfState};
 use mp_dag::{Task, TaskGraph};
+use mp_fault::{FaultPlan, RetryPolicy, SkewedModel};
 use mp_perfmodel::{DeltaEstimate, Estimator, FallbackWarnings, PerfModel};
 use mp_platform::types::{ArchClass, MemNodeId, Platform, WorkerId};
 use mp_sched::api::{DataLocator, LoadInfo, SchedEvent, SchedView, Scheduler};
@@ -51,8 +52,7 @@ use mp_trace::{
 };
 
 use crate::data::{BufRef, TaskCtx};
-use crate::fault::{FaultPlan, RetryPolicy, SkewedModel};
-use crate::serve::{Decisions, TenantLedger};
+use crate::serve::{Decisions, TenantCounts, TenantLedger};
 
 /// A kernel implementation.
 pub type KernelFn = Arc<dyn Fn(&mut TaskCtx<'_>) + Send + Sync>;
@@ -415,7 +415,9 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Result of a run, closed or streamed: wall-clock makespan and trace,
-/// the task and cache counts, and a stream's admission decisions.
+/// the task, cache and fault counts, and a stream's admission decisions
+/// and per-tenant counts. Every count is recorded whatever the build's
+/// features.
 #[derive(Debug)]
 pub struct RunReport {
     /// Wall-clock makespan in µs.
@@ -432,9 +434,9 @@ pub struct RunReport {
     /// submit-time [`RunError::NoUsableImpl`] makes
     /// [`Runtime::run`] return `Err`.
     pub error: Option<RunError>,
-    /// Scheduler/engine observability counters, merged at quiesce.
-    /// All-zero unless built with `--features obs`, except the result
-    /// cache's eviction and persistence deltas, which are always folded.
+    /// The front-end's and the workers' internal counters (pops, pushes,
+    /// hold-backs, shard steals, ...), merged at quiesce. Empty unless
+    /// built with `--features obs`; every run fact has its own field.
     pub counters: CounterSnapshot,
     /// Worker park/wake timeline. Empty unless built with
     /// `--features obs`.
@@ -451,6 +453,24 @@ pub struct RunReport {
     /// Cache probes that missed (or were invalidated) and executed
     /// normally. Always 0 without a cache.
     pub cache_misses: u64,
+    /// Cache entries evicted on fingerprint mismatch (stale, poisoned or
+    /// colliding); each also counts as a miss.
+    pub cache_invalidations: u64,
+    /// Output bytes materialized from the cache on hits.
+    pub bytes_materialized: u64,
+    /// Cache entries evicted by the byte-capacity bound during this run.
+    pub cache_evictions: u64,
+    /// The cache's persistence traffic during this run (all zero without
+    /// a persistence directory).
+    pub persist: PersistStats,
+    /// Workers lost to an injected kill.
+    pub worker_failures: u64,
+    /// Failed attempts (injected transients, kernel panics) re-enqueued
+    /// for retry.
+    pub tasks_retried: u64,
+    /// Per-tenant counts of a stream, indexed by tenant. Empty on a
+    /// closed run.
+    pub tenants: Vec<TenantCounts>,
     /// Per streamed submission: the committed task ids, or `None` if it
     /// was not admitted. Empty on a closed run.
     pub admitted: Vec<Option<Vec<TaskId>>>,
@@ -716,10 +736,11 @@ impl Runtime {
             events: Mutex::new(Vec::new()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            // The shared cache outlives runs: this run's evictions and
-            // persistence traffic are deltas over its lifetime counters.
-            cache_base: cache
-                .map_or_else(Default::default, |rc| (rc.evictions(), rc.persist_stats())),
+            cache_invalidations: AtomicU64::new(0),
+            bytes_materialized: AtomicU64::new(0),
+            worker_failures: AtomicU64::new(0),
+            tasks_retried: AtomicU64::new(0),
+            cache_mark: cache.map_or_else(Default::default, ResultCache::mark),
             cells: (0..nw).map(|_| ObsCell::new()).collect(),
             host_obs: ObsCell::new(),
             start: Instant::now(),
@@ -908,9 +929,13 @@ pub(crate) struct Engine<'a> {
     events: Mutex<Vec<RuntimeEvent>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// The cache's lifetime eviction count and persistence counters when
-    /// the execution started.
-    cache_base: (u64, PersistStats),
+    cache_invalidations: AtomicU64,
+    bytes_materialized: AtomicU64,
+    worker_failures: AtomicU64,
+    tasks_retried: AtomicU64,
+    /// The cache's counts when the execution started: one cache can
+    /// serve many runs.
+    cache_mark: CacheMark,
     /// Per-worker observability cells (no-ops unless `--features obs`).
     cells: Vec<ObsCell>,
     /// The calling thread's cell: admission of the submitted tasks and of
@@ -1105,11 +1130,10 @@ impl Engine<'_> {
                 Some(Lookup::Hit(e)) => e,
                 other => {
                     if matches!(other, Some(Lookup::Invalidated)) {
-                        obs.bump(Counter::CacheInvalidations);
+                        self.cache_invalidations.fetch_add(1, Ordering::Relaxed);
                         self.event(lane, RuntimeEventKind::CacheInvalidated);
                     }
                     self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    obs.bump(Counter::CacheMisses);
                     misses.push(t);
                     continue;
                 }
@@ -1129,8 +1153,8 @@ impl Engine<'_> {
                 buf.extend_from_slice(src);
             }
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            obs.bump(Counter::CacheHits);
-            obs.add(Counter::BytesMaterialized, entry.bytes);
+            self.bytes_materialized
+                .fetch_add(entry.bytes, Ordering::Relaxed);
             self.event(lane, RuntimeEventKind::CacheHit);
             g.done[t.index()].store(true, Ordering::Release);
             self.ledger.complete(g.tenant_of[t.index()] as usize, true);
@@ -1148,8 +1172,8 @@ impl Engine<'_> {
     /// A worker's self-published death: re-route its queued work, and
     /// abort typed instead of hanging when some remaining task keeps no
     /// capable surviving worker.
-    fn quarantine(&self, w: WorkerId, obs: &ObsCell) {
-        obs.bump(Counter::WorkerFailures);
+    fn quarantine(&self, w: WorkerId) {
+        self.worker_failures.fetch_add(1, Ordering::Relaxed);
         self.event(w.index(), RuntimeEventKind::WorkerFailed);
         let g = self.read();
         self.front.worker_disabled(w, &self.view(&g, self.now_us()));
@@ -1174,7 +1198,7 @@ impl Engine<'_> {
             self.fail(exhausted(made));
             return false;
         }
-        obs.bump(Counter::TasksRetried);
+        self.tasks_retried.fetch_add(1, Ordering::Relaxed);
         self.event(w.index(), RuntimeEventKind::TaskRetried);
         let backoff = self.retry.backoff_for(made);
         if backoff > 0.0 {
@@ -1223,7 +1247,7 @@ impl Engine<'_> {
             if kill_after.is_some_and(|k| my_done >= k)
                 && self.alive[wi].swap(false, Ordering::AcqRel)
             {
-                self.quarantine(w, obs);
+                self.quarantine(w);
                 return;
             }
             if self.aborted()
@@ -1427,16 +1451,9 @@ impl Engine<'_> {
         for c in &self.cells {
             c.drain_into(&mut counters);
         }
-        if let Some(rc) = self.cache {
-            let (evictions, base) = self.cache_base;
-            counters.cache_evictions += rc.evictions() - evictions;
-            let ps = rc.persist_stats();
-            counters.cache_persist_writes += ps.writes - base.writes;
-            counters.cache_loaded += ps.loaded - base.loaded;
-            counters.cache_load_rejects += ps.load_rejects - base.load_rejects;
-            counters.cache_compactions += ps.compactions - base.compactions;
-        }
-        self.ledger.fold(&mut counters);
+        let (cache_evictions, persist) = self
+            .cache
+            .map_or_else(Default::default, |rc| rc.since(&self.cache_mark));
         let mut events = self.events.into_inner().unwrap_or_else(|p| p.into_inner());
         events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.worker.cmp(&b.worker)));
         let report = RunReport {
@@ -1450,6 +1467,13 @@ impl Engine<'_> {
             tasks_completed: self.completed.into_inner(),
             cache_hits: self.cache_hits.into_inner(),
             cache_misses: self.cache_misses.into_inner(),
+            cache_invalidations: self.cache_invalidations.into_inner(),
+            bytes_materialized: self.bytes_materialized.into_inner(),
+            cache_evictions,
+            persist,
+            worker_failures: self.worker_failures.into_inner(),
+            tasks_retried: self.tasks_retried.into_inner(),
+            tenants: self.ledger.counts(),
             subdags_admitted: admitted.iter().flatten().count() as u64,
             subdags_rejected: rejections.len() as u64,
             admitted,
@@ -1762,11 +1786,12 @@ mod tests {
                     .flops(1.0),
             );
         }
-        rt.set_faults(FaultPlan {
+        let plan = FaultPlan {
             seed: 7,
             transient_fail_prob: 0.5,
             ..FaultPlan::default()
-        });
+        };
+        rt.set_faults(plan);
         rt.set_retry_policy(RetryPolicy::new(16, 0.0));
         let report = rt.run(Box::new(FifoScheduler::new())).expect("run failed");
         assert!(report.is_complete(), "{:?}", report.error);
@@ -1774,6 +1799,14 @@ mod tests {
         // execution (and one span) per task despite the retries.
         assert_eq!(report.trace.tasks.len(), 4);
         assert_eq!(rt.buffer(x)[0], 4.0);
+        // Every failed attempt was retried, and the report counts each
+        // one whatever the build's features.
+        let failed: u64 = (0..4)
+            .map(|ti| (0..16).take_while(|&a| plan.transient_fails(ti, a)).count() as u64)
+            .sum();
+        assert!(failed > 0, "the plan never failed an attempt");
+        assert_eq!(report.tasks_retried, failed);
+        assert_eq!(report.worker_failures, 0);
     }
 
     #[test]
@@ -1824,6 +1857,9 @@ mod tests {
             report.error
         );
         assert!(report.trace.tasks.is_empty(), "both workers died at start");
+        // The report counts both kills whatever the build's features.
+        assert_eq!(report.worker_failures, 2);
+        assert_eq!(report.tasks_retried, 0);
     }
 
     /// A pipeline with real data flow: init writes, two scale passes,
@@ -1948,30 +1984,33 @@ mod tests {
         assert_eq!(warm.buffers_digest(), digest);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn cache_counters_balance_and_hit_tasks_skip_the_scheduler() {
         let cache = Arc::new(ResultCache::new());
         let (mut cold, _, _) = cached_pipeline(1.0);
         cold.set_cache(Arc::clone(&cache));
         let cold_report = cold.run(Box::new(FifoScheduler::new())).expect("cold run");
-        assert_eq!(cold_report.counters.cache_hits, 0);
-        assert_eq!(cold_report.counters.cache_misses, 3);
+        assert_eq!(cold_report.cache_hits, 0);
+        assert_eq!(cold_report.cache_misses, 3);
 
         let (mut warm, _, _) = cached_pipeline(1.0);
         warm.set_cache(Arc::clone(&cache));
         let warm_report = warm.run(Box::new(FifoScheduler::new())).expect("warm run");
-        assert_eq!(warm_report.counters.cache_hits, 3);
-        assert_eq!(warm_report.counters.cache_misses, 0);
-        assert!(warm_report.counters.bytes_materialized > 0);
-        // Hit tasks bypass the scheduler front entirely — no pushes, no
-        // pops, and therefore no estimator consults for them.
-        assert_eq!(warm_report.counters.pushes, 0);
-        assert_eq!(warm_report.counters.pops, 0);
-        assert!(warm_report
-            .events
-            .iter()
-            .any(|e| e.kind == RuntimeEventKind::CacheHit));
+        assert_eq!(warm_report.cache_hits, 3);
+        assert_eq!(warm_report.cache_misses, 0);
+        assert!(warm_report.bytes_materialized > 0);
+        // Hit tasks bypass the scheduler front entirely: no pushes and
+        // no pops.
+        if obs_enabled() {
+            assert_eq!(warm_report.counters.pushes, 0);
+            assert_eq!(warm_report.counters.pops, 0);
+            assert!(warm_report
+                .events
+                .iter()
+                .any(|e| e.kind == RuntimeEventKind::CacheHit));
+        } else {
+            assert!(warm_report.counters.is_empty());
+        }
     }
 
     #[test]

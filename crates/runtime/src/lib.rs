@@ -31,16 +31,15 @@
 
 pub mod data;
 pub mod engine;
-pub mod fault;
 pub mod serve;
 
 pub use data::{BufRef, TaskCtx};
 pub use engine::{RunError, RunReport, Runtime, TaskBuilder};
-pub use fault::{FaultPlan, KillSpec, RetryPolicy};
 pub use mp_cache::{
     BitFlip, LoadReport, Lookup, PersistConfig, PersistFaultPlan, PersistStats, ResultCache,
 };
+pub use mp_fault::{FaultPlan, KillSpec, RetryPolicy};
 pub use mp_sched::concurrent::{
     RelaxedConfig, RelaxedMultiQueue, RelaxedSeqScheduler, ShardedAdapter,
 };
-pub use serve::{StreamConfig, StreamReport, Submission};
+pub use serve::{StreamConfig, StreamReport, Submission, TenantCounts};

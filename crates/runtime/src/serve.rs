@@ -60,7 +60,6 @@ use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
 
 use mp_serve::effective_priority;
-use mp_trace::CounterSnapshot;
 
 use crate::engine::{Engine, Kernels, RunError, RunReport, Runtime, Scratch, Shared, TaskBuilder};
 
@@ -110,14 +109,29 @@ pub struct Submission {
 /// per-submission fields a stream fills.
 pub type StreamReport = RunReport;
 
+/// One tenant's counts on a stream's [`RunReport::tenants`], named as
+/// the simulator's `TenantStats` names them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TenantCounts {
+    /// Tasks admitted (sum over admitted sub-DAGs).
+    pub tasks_admitted: u64,
+    /// Submissions rejected with backpressure.
+    pub subdags_rejected: u64,
+    /// Tasks that completed, cache hits included.
+    pub tasks_completed: u64,
+    /// Completions served from the result cache (a subset of
+    /// `tasks_completed`).
+    pub cache_hits: u64,
+}
+
 /// Per-tenant counts of one execution. The driver admits and rejects;
 /// every completion, executed or served from the cache, retires one
 /// in-flight task. A closed run has no tenants, and a task whose tenant
 /// is out of range is not counted.
-pub(crate) struct TenantLedger(Vec<TenantCounts>);
+pub(crate) struct TenantLedger(Vec<TenantCells>);
 
 #[derive(Default)]
-struct TenantCounts {
+struct TenantCells {
     in_flight: AtomicUsize,
     admitted: AtomicU64,
     rejected: AtomicU64,
@@ -127,7 +141,7 @@ struct TenantCounts {
 
 impl TenantLedger {
     pub(crate) fn new(tenants: usize) -> Self {
-        Self((0..tenants).map(|_| TenantCounts::default()).collect())
+        Self((0..tenants).map(|_| TenantCells::default()).collect())
     }
 
     pub(crate) fn admit(&self, tenant: usize, n: usize) {
@@ -147,18 +161,18 @@ impl TenantLedger {
         }
     }
 
-    /// Copy the per-tenant counts into `counters`.
-    pub(crate) fn fold(&self, counters: &mut CounterSnapshot) {
-        let load = |f: fn(&TenantCounts) -> &AtomicU64| -> Vec<u64> {
-            self.0
-                .iter()
-                .map(|c| f(c).load(Ordering::Relaxed))
-                .collect()
-        };
-        counters.tenant_admitted = load(|c| &c.admitted);
-        counters.tenant_rejected = load(|c| &c.rejected);
-        counters.tenant_completed = load(|c| &c.completed);
-        counters.tenant_cache_hits = load(|c| &c.cache_hits);
+    /// Each tenant's counts, in tenant order.
+    pub(crate) fn counts(&self) -> Vec<TenantCounts> {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        self.0
+            .iter()
+            .map(|c| TenantCounts {
+                tasks_admitted: load(&c.admitted),
+                subdags_rejected: load(&c.rejected),
+                tasks_completed: load(&c.completed),
+                cache_hits: load(&c.cache_hits),
+            })
+            .collect()
     }
 }
 
@@ -610,12 +624,8 @@ mod tests {
         assert_eq!(report.cache_hits, 152);
         // Hit tasks never reached the scheduler and record no span.
         assert_eq!(report.trace.tasks.len(), 8);
-        assert_eq!(report.counters.tenant_cache_hits.iter().sum::<u64>(), 152);
-        assert_eq!(
-            report.counters.tenant_cache_hits,
-            vec![76, 76],
-            "both tenants warm equally"
-        );
+        let hits: Vec<u64> = report.tenants.iter().map(|t| t.cache_hits).collect();
+        assert_eq!(hits, vec![76, 76], "both tenants warm equally");
         assert_eq!(rt.buffer(r0)[0], 7.0);
         assert_eq!(rt.buffer(r1)[0], 7.0);
     }

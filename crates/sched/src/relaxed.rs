@@ -501,10 +501,6 @@ impl ConcurrentScheduler for RelaxedMultiQueue {
             snap.steals.push(q.steals.load(Ordering::Relaxed));
         }
         snap.failed_trylocks = self.failed_trylocks.load(Ordering::Relaxed);
-        if let Some(stats) = self.rank_stats() {
-            snap.rank_max = stats.rank_max;
-            snap.rank_hist = stats.hist;
-        }
         snap
     }
 }
@@ -653,10 +649,6 @@ impl Scheduler for RelaxedSeqScheduler {
         }
         snap.shard_pops = self.pops.clone();
         snap.steals = self.steals.clone();
-        if let Some(stats) = self.rank_stats() {
-            snap.rank_max = stats.rank_max;
-            snap.rank_hist = stats.hist;
-        }
         snap
     }
 }

@@ -11,15 +11,11 @@ pub struct SimConfig {
     /// `0.0` (default) makes execution fully deterministic and exact.
     pub noise_cv: f64,
     /// Record a full `mp-trace` trace (slightly more memory; keep on
-    /// unless simulating >1e6 tasks).
+    /// unless simulating >1e6 tasks) and validate it after a successful
+    /// run: every task ran once, no precedence violation, no worker
+    /// overlap. Validation costs O(tasks + edges): the engine records
+    /// each worker's spans already in order.
     pub record_trace: bool,
-    /// Feed measured execution times back into the performance model
-    /// (exercises history-based calibration).
-    pub feedback_to_model: bool,
-    /// Run the post-execution validation (every task ran once, no
-    /// precedence violation, no worker overlap). It costs O(tasks +
-    /// edges): the engine records each worker's spans already in order.
-    pub validate: bool,
     /// Deterministic fault injection: worker kills (virtual-time
     /// mirror of the runtime's) and per-attempt transient execution
     /// failures. The default injects nothing; slow/stall/panic knobs are
@@ -37,8 +33,6 @@ impl Default for SimConfig {
             seed: 0x5eed,
             noise_cv: 0.0,
             record_trace: true,
-            feedback_to_model: false,
-            validate: true,
             faults: FaultPlan::default(),
             retry: RetryPolicy::default(),
         }
@@ -82,7 +76,7 @@ mod tests {
     fn defaults_are_deterministic() {
         let c = SimConfig::default();
         assert_eq!(c.noise_cv, 0.0);
-        assert!(c.validate);
+        assert!(c.record_trace);
     }
 
     #[test]

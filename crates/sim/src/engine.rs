@@ -5,7 +5,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use mp_cache::{Lookup, PersistStats, ResultCache};
+use mp_cache::{CacheMark, Lookup, ResultCache};
 use mp_dag::graph::TaskGraph;
 use mp_dag::ids::{DataId, TaskId};
 use mp_dag::stf::StfBuilder;
@@ -136,10 +136,9 @@ struct Staged {
     arrive: Option<f64>,
     /// Noise factor drawn when it was staged.
     nf: f64,
-    /// δ on the worker, as the pop's vetting read it from the model at
-    /// `model_version`.
+    /// δ on the worker, as the pop's vetting read it: nothing in a run
+    /// feeds the model, so it cannot change before the task starts.
     delta: f64,
-    model_version: u64,
 }
 
 // -------------------------------------------------------------------
@@ -385,7 +384,6 @@ fn recover_node(
     completed: &mut usize,
     recompute_live: &mut usize,
     stats: &mut SimStats,
-    obs: &ObsCell,
 ) -> Vec<TaskId> {
     let mut lost: Vec<DataId> = Vec::new();
     for i in 0..store.handle_count() {
@@ -417,7 +415,6 @@ fn recover_node(
                     store.mark_dirty(d, n);
                 }
                 stats.replicas_promoted += 1;
-                obs.bump(Counter::ReplicasPromoted);
             }
             // A clean copy lost: the value survives elsewhere as-is.
             Some(_) => {}
@@ -449,7 +446,6 @@ fn recover_node(
         *completed -= 1;
         *recompute_live += 1;
         stats.tasks_recomputed += 1;
-        obs.bump(Counter::TasksRecomputed);
         members.push(q);
         for d in graph.task(q).reads() {
             let present = store.holders_full(d).any(|(_, r)| r.valid_at < f64::MAX);
@@ -613,8 +609,8 @@ pub(crate) struct Engine<'a> {
     last_writer: Vec<Option<TaskId>>,
     trace: Trace,
     stats: SimStats,
-    cache_evictions_at_start: u64,
-    cache_persist_at_start: PersistStats,
+    /// The cache's counts when the run started.
+    cache_mark: CacheMark,
     /// Cache-hit / invalidation instants for the Chrome timeline.
     cache_events: Vec<RuntimeEvent>,
     /// The worklist driving hit cascades (a hit releases successors that
@@ -694,8 +690,7 @@ impl<'a> Engine<'a> {
             last_writer: vec![None; handles],
             trace: Trace::new(nw),
             stats: SimStats::default(),
-            cache_evictions_at_start: cache.map_or(0, |rc| rc.evictions()),
-            cache_persist_at_start: cache.map_or_else(Default::default, |rc| rc.persist_stats()),
+            cache_mark: cache.map_or_else(Default::default, ResultCache::mark),
             cache_events: Vec::new(),
             cache_worklist: Vec::new(),
             hit_end: 0.0,
@@ -827,17 +822,6 @@ impl<'a> Engine<'a> {
         (sigma * z - sigma * sigma / 2.0).exp()
     }
 
-    /// δ of a staged task on its worker `w`: the one its pop read, unless
-    /// the model has learned since.
-    fn staged_delta(&self, g: &TaskGraph, s: &Staged, w: WorkerId) -> f64 {
-        if s.model_version == self.model.version() {
-            return s.delta;
-        }
-        Estimator::new(g, self.platform, self.model)
-            .delta(s.t, self.platform.worker(w).arch)
-            .expect("vetted when popped")
-    }
-
     /// Hand `t` back to the scheduler as a retry (failed attempt,
     /// recompute seed or parked task).
     fn repush(&mut self, g: &TaskGraph, t: TaskId, now: f64) {
@@ -907,7 +891,6 @@ impl<'a> Engine<'a> {
         self.alive[wi] = false;
         self.idle.remove(wi);
         self.stats.worker_failures += 1;
-        self.obs.bump(Counter::WorkerFailures);
         {
             let view = view!(self, g, now);
             self.scheduler.worker_disabled(w, &view);
@@ -935,7 +918,6 @@ impl<'a> Engine<'a> {
                 &mut self.completed,
                 &mut self.recompute_live,
                 &mut self.stats,
-                &self.obs,
             );
             for &s in &seeds {
                 self.repush(g, s, now);
@@ -984,10 +966,7 @@ impl<'a> Engine<'a> {
         // end (start + δ), not the realized noisy end — no scheduler can
         // know mid-execution how long a task will really take (StarPU's
         // dm family plans with expected durations too).
-        let staged: f64 = self.next_slot[wi]
-            .iter()
-            .map(|s| self.staged_delta(g, s, w))
-            .sum();
+        let staged: f64 = self.next_slot[wi].iter().map(|s| s.delta).sum();
         self.loads.0[wi] = start + delta + staged;
         self.push_event(end, EvKind::Finish { w, t });
         let view = view!(self, g, now);
@@ -1111,15 +1090,12 @@ impl<'a> Engine<'a> {
                     // have unpinned their data by now.
                     let strict = "strict prepare never defers";
                     let next = match self.next_slot[wi].pop_front() {
-                        Some(s) => {
-                            let delta = self.staged_delta(g, &s, w);
-                            match s.arrive {
-                                Some(arrive) => Some((s.t, delta, arrive, s.nf)),
-                                None => self
-                                    .stage(g, w, s.t, now, false)
-                                    .map(|a| (s.t, delta, a.expect(strict), s.nf)),
-                            }
-                        }
+                        Some(s) => match s.arrive {
+                            Some(arrive) => Some((s.t, s.delta, arrive, s.nf)),
+                            None => self
+                                .stage(g, w, s.t, now, false)
+                                .map(|a| (s.t, s.delta, a.expect(strict), s.nf)),
+                        },
                         None => match self.pop(g, w, now) {
                             Some((t, delta)) => self
                                 .stage(g, w, t, now, false)
@@ -1173,7 +1149,6 @@ impl<'a> Engine<'a> {
                             arrive,
                             nf,
                             delta,
-                            model_version: self.model.version(),
                         });
                         // Publish queued work so push-time mappers see it.
                         self.loads.0[wi] += delta;
@@ -1206,8 +1181,6 @@ impl<'a> Engine<'a> {
                     Some((_, Lookup::Invalidated)) => {
                         self.stats.cache_invalidations += 1;
                         self.stats.cache_misses += 1;
-                        self.obs.bump(Counter::CacheInvalidations);
-                        self.obs.bump(Counter::CacheMisses);
                         if self.cfg.record_trace {
                             self.cache_events.push(RuntimeEvent {
                                 worker: 0,
@@ -1220,7 +1193,6 @@ impl<'a> Engine<'a> {
                         // No entry — or no metadata at all (bare
                         // `add_task` graphs can never hit).
                         self.stats.cache_misses += 1;
-                        self.obs.bump(Counter::CacheMisses);
                     }
                 }
             }
@@ -1255,8 +1227,6 @@ impl<'a> Engine<'a> {
             self.hit_end = now;
             self.stats.cache_hits += 1;
             self.stats.bytes_materialized += bytes;
-            self.obs.bump(Counter::CacheHits);
-            self.obs.add(Counter::BytesMaterialized, bytes);
             if self.cfg.record_trace {
                 self.cache_events.push(RuntimeEvent {
                     worker: 0,
@@ -1280,8 +1250,7 @@ impl<'a> Engine<'a> {
     /// fault) retry it, then release what it unblocks.
     fn finish(&mut self, g: &TaskGraph, w: WorkerId, t: TaskId, now: f64) {
         self.idle.insert(w.index());
-        let worker = self.platform.worker(w);
-        let m = worker.mem_node;
+        let m = self.platform.worker(w).mem_node;
         let task = g.task(t);
 
         // Transient-failure injection: the attempt produced nothing.
@@ -1310,7 +1279,6 @@ impl<'a> Engine<'a> {
                 return;
             }
             self.stats.tasks_retried += 1;
-            self.obs.bump(Counter::TasksRetried);
             self.popped[t.index()] = false;
             let backoff = self.cfg.retry.backoff_for(self.attempts[t.index()]);
             self.push_event(now + backoff, EvKind::Retry { t });
@@ -1362,9 +1330,6 @@ impl<'a> Engine<'a> {
                 start: self.starts[t.index()],
                 end: now,
             });
-        }
-        if self.cfg.feedback_to_model {
-            Estimator::new(g, self.platform, self.model).record(t, worker.arch, elapsed_us);
         }
         {
             let view = view!(self, g, now);
@@ -1451,7 +1416,7 @@ impl<'a> Engine<'a> {
             );
             #[cfg(feature = "audit")]
             self.store.audit_quiesce();
-            if self.cfg.validate && self.cfg.record_trace {
+            if self.cfg.record_trace {
                 self.trace.validate().expect("trace validation failed");
                 assert_precedence(&self.trace, g, &self.served_at);
             }
@@ -1460,11 +1425,11 @@ impl<'a> Engine<'a> {
         let mut audit = self.store.take_audit();
         audit.append(&mut self.engine_audit);
 
-        // Capacity evictions happen inside the shared cache (it can be
-        // shared across runs), so this run's share is the delta over its
-        // lifetime counter.
+        // Capacity evictions and persistence happen inside the cache,
+        // which can serve many runs: this run's share is the delta since
+        // it started.
         if let Some(rc) = self.cache {
-            self.stats.cache_evictions = rc.evictions() - self.cache_evictions_at_start;
+            (self.stats.cache_evictions, self.stats.persist) = rc.since(&self.cache_mark);
         }
 
         // Quiesce-time counter aggregation: the engine-side cell (pops,
@@ -1472,16 +1437,8 @@ impl<'a> Engine<'a> {
         // (holds, evictions, arena hits, heap compactions, shard steals).
         let mut counters = self.scheduler.counters();
         self.obs.drain_into(&mut counters);
-        counters.cache_evictions += self.stats.cache_evictions;
-        if let Some(rc) = self.cache {
-            let (ps, at_start) = (rc.persist_stats(), &self.cache_persist_at_start);
-            counters.cache_persist_writes += ps.writes - at_start.writes;
-            counters.cache_loaded += ps.loaded - at_start.loaded;
-            counters.cache_load_rejects += ps.load_rejects - at_start.load_rejects;
-            counters.cache_compactions += ps.compactions - at_start.compactions;
-        }
 
-        let serving = self.stream.map(|s| s.into_stats(&mut counters));
+        let serving = self.stream.map(Stream::into_stats);
         SimResult {
             scheduler: self.scheduler.name().to_string(),
             makespan,

@@ -2,12 +2,13 @@
 
 use std::sync::OnceLock;
 
+use mp_cache::PersistStats;
 use mp_platform::types::Platform;
 use mp_trace::{AuditRecord, CounterSnapshot, LatencyStats, RuntimeEvent, Trace, TransferKind};
 
 use crate::error::SimError;
 
-/// Aggregate counters of one run.
+/// Aggregate counts of one run, recorded whatever the build's features.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimStats {
     /// Tasks executed.
@@ -31,8 +32,7 @@ pub struct SimStats {
     pub tasks_recomputed: u64,
     /// Surviving replicas promoted to sole-valid after a node loss.
     pub replicas_promoted: u64,
-    /// Tasks served from the result cache (execution skipped). Always
-    /// populated when a cache is passed, independent of `--features obs`.
+    /// Tasks served from the result cache (execution skipped).
     pub cache_hits: u64,
     /// Cache probes that found no verified entry (task executed).
     pub cache_misses: u64,
@@ -43,6 +43,9 @@ pub struct SimStats {
     /// Cache entries evicted by the byte-capacity bound during this run
     /// (capacity pressure, not correctness — see `cache_invalidations`).
     pub cache_evictions: u64,
+    /// The cache's persistence traffic during this run (all zero without
+    /// a persistence directory).
+    pub persist: PersistStats,
 }
 
 /// Per-tenant outcome of a serving run.
@@ -155,15 +158,16 @@ pub struct SimResult {
     /// the crate is built with `--features audit` (the checks compile to
     /// nothing otherwise).
     pub audit: Vec<AuditRecord>,
-    /// Scheduler/engine observability counters, merged at quiesce.
-    /// All-zero unless the crate is built with `--features obs`.
+    /// The policy's and the engine's internal counters (pops, pushes,
+    /// prefetch fates, hold-backs, ...), merged at quiesce. Empty unless
+    /// the crate is built with `--features obs`; every run fact lives on
+    /// `stats` and `serving` instead.
     pub counters: CounterSnapshot,
     /// Cache hit / invalidation instants for the Chrome-trace timeline.
     /// Empty without a cache or with `record_trace` off.
     pub cache_events: Vec<RuntimeEvent>,
     /// The stream's admission, latency and fairness ledgers on a serving
-    /// run (`serve_sim`); `None` on a closed one. A serving run also
-    /// fills the per-tenant vectors of `counters`.
+    /// run (`serve_sim`); `None` on a closed one.
     pub serving: Option<ServeStats>,
 }
 

@@ -13,7 +13,10 @@
 //!   are inlined no-ops, so the default build pays nothing (enforced by
 //!   `tests/alloc_free.rs` and the bench determinism gate).
 //!
-//! Counter semantics (see DESIGN.md §8):
+//! Counter semantics (see DESIGN.md §8): the snapshot holds only what
+//! `obs` alone counts, the policy and engine internals. Every run fact
+//! (cache, fault, persistence and per-tenant counts) is recorded once,
+//! always, on the run's report instead.
 //!
 //! * `pops` counts **successful** pops — an idle poll that returns
 //!   `None` is not a pop (the simulator reports those separately as
@@ -21,10 +24,8 @@
 //!   run.
 //! * `steals[i]` counts tasks taken from shard `i` by a worker whose
 //!   home shard is *not* `i`; `shard_pops[i]` counts every task taken
-//!   from shard `i`, so `steals[i] <= shard_pops[i]` always.
-//! * `arena_hits + arena_misses == estimator_consults`: every
-//!   push-plan-arena lookup either reuses a cached plan (hit) or
-//!   recomputes it through the estimator (miss).
+//!   from shard `i`, so `steals[i] <= shard_pops[i]` always, and shard
+//!   pops sum to `pops`.
 
 #[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,62 +38,19 @@ pub enum Counter {
     Pops,
     /// Tasks pushed into a scheduler.
     Pushes,
-    /// Pop-condition hold-backs (task left for a better worker).
-    Holds,
-    /// Eviction-mechanism re-routings (task yanked from an ill-suited
-    /// worker's node heap).
-    Evictions,
     /// Push-plan-arena lookups served from the cache.
     ArenaHits,
     /// Push-plan-arena lookups that recomputed the plan.
     ArenaMisses,
-    /// Estimator consultations (arena lookups, hit or miss).
-    EstimatorConsults,
-    /// `ScoredHeap` lazy-deletion compaction sweeps.
-    HeapCompactions,
     /// Prefetch requests that produced a transfer.
     PrefetchesIssued,
-    /// Prefetch requests dropped (disabled, already resident, no clean
-    /// room, no source replica).
+    /// Prefetch requests dropped (already resident, no clean room, no
+    /// source replica).
     PrefetchesCancelled,
-    /// Workers lost to an injected or detected failure.
-    WorkerFailures,
-    /// Failed execution attempts re-enqueued for retry.
-    TasksRetried,
-    /// Completed tasks re-executed to regenerate lost replicas.
-    TasksRecomputed,
-    /// Surviving replicas promoted to sole-valid after a node loss.
-    ReplicasPromoted,
-    /// Tasks served from the result cache (execution skipped).
-    CacheHits,
-    /// Cache probes that found no verified entry (task executed and the
-    /// cache was populated).
-    CacheMisses,
-    /// Cache entries evicted because their stored fingerprint did not
-    /// match the probe (stale / poisoned / collision) — always also
-    /// counted as a miss.
-    CacheInvalidations,
-    /// Output bytes materialized directly from the cache on hits.
-    BytesMaterialized,
-    /// Result-cache entries evicted (or refused) by the byte-capacity
-    /// bound — a capacity signal, distinct from `CacheInvalidations`
-    /// (which are correctness evictions on fingerprint mismatch).
-    CacheEvictions,
-    /// Result-cache records fully committed to the persistent segment
-    /// log (zero when no persistence directory is attached).
-    CachePersistWrites,
-    /// Result-cache records accepted from disk by a segment replay.
-    CacheLoaded,
-    /// Result-cache records rejected by a recovery rule during replay
-    /// (torn tail, bad checksum, missing commit marker, forged key) —
-    /// `loaded + rejects` equals the records scanned on open.
-    CacheLoadRejects,
-    /// Persistent-log snapshot compactions completed.
-    CacheCompactions,
 }
 
 /// Number of scalar counters (length of an [`ObsCell`]'s array).
-pub const COUNTER_COUNT: usize = 23;
+pub const COUNTER_COUNT: usize = 6;
 
 /// Aggregated counter values, as returned by `Scheduler::counters()`
 /// and surfaced on `SimResult` / `RunReport`.
@@ -105,58 +63,21 @@ pub struct CounterSnapshot {
     pub pops: u64,
     /// Tasks pushed.
     pub pushes: u64,
-    /// Pop-condition hold-backs.
+    /// Pop-condition hold-backs (task left for a better worker).
     pub holds: u64,
-    /// Eviction-mechanism re-routings.
+    /// Eviction-mechanism re-routings (task yanked from an ill-suited
+    /// worker's node heap).
     pub evictions: u64,
     /// Push-plan-arena cache hits.
     pub arena_hits: u64,
     /// Push-plan-arena cache misses (plan recomputed).
     pub arena_misses: u64,
-    /// Estimator consultations (`arena_hits + arena_misses`).
-    pub estimator_consults: u64,
-    /// `ScoredHeap` compaction sweeps.
+    /// `ScoredHeap` lazy-deletion compaction sweeps.
     pub heap_compactions: u64,
     /// Prefetches that produced a transfer.
     pub prefetches_issued: u64,
     /// Prefetches dropped before transferring.
     pub prefetches_cancelled: u64,
-    /// Workers lost to failures.
-    pub worker_failures: u64,
-    /// Failed attempts re-enqueued for retry.
-    pub tasks_retried: u64,
-    /// Tasks re-executed for replica recovery.
-    pub tasks_recomputed: u64,
-    /// Replicas promoted after a node loss.
-    pub replicas_promoted: u64,
-    /// Tasks served from the result cache.
-    pub cache_hits: u64,
-    /// Cache probes that executed (no verified entry).
-    pub cache_misses: u64,
-    /// Entries evicted on fingerprint mismatch.
-    pub cache_invalidations: u64,
-    /// Output bytes materialized from the cache.
-    pub bytes_materialized: u64,
-    /// Result-cache entries evicted by the byte-capacity bound.
-    pub cache_evictions: u64,
-    /// Records committed to the persistent cache log this run.
-    pub cache_persist_writes: u64,
-    /// Records accepted from disk by segment replay this run.
-    pub cache_loaded: u64,
-    /// Records rejected by a recovery rule this run.
-    pub cache_load_rejects: u64,
-    /// Persistent-log compactions this run.
-    pub cache_compactions: u64,
-    /// Per-tenant admitted tasks (serving mode; indexed by tenant, empty
-    /// outside it).
-    pub tenant_admitted: Vec<u64>,
-    /// Per-tenant submissions rejected by admission control.
-    pub tenant_rejected: Vec<u64>,
-    /// Per-tenant completed tasks.
-    pub tenant_completed: Vec<u64>,
-    /// Per-tenant completions served from the result cache (warm
-    /// serving; a subset of `tenant_completed`).
-    pub tenant_cache_hits: Vec<u64>,
     /// Per-shard stolen pops (empty for non-sharded front-ends).
     pub steals: Vec<u64>,
     /// Per-shard total pops (empty for non-sharded front-ends). For the
@@ -166,19 +87,11 @@ pub struct CounterSnapshot {
     /// Try-lock acquisitions that failed and fell through to another
     /// queue (relaxed multi-queue front-end only).
     pub failed_trylocks: u64,
-    /// Largest rank inversion observed by a relaxed pop: how many
-    /// strictly-better tasks were pending when the popped task was
-    /// chosen. Merged by `max`, not sum.
-    pub rank_max: u64,
-    /// Rank-inversion histogram with exponential buckets: index 0 counts
-    /// exact pops (rank 0), index `i >= 1` counts pops whose rank fell
-    /// in `[2^(i-1), 2^i)`.
-    pub rank_hist: Vec<u64>,
 }
 
 impl CounterSnapshot {
-    /// Fold `other` into `self` (element-wise sum; shard vectors are
-    /// zero-extended to the longer length).
+    /// Fold `other` into `self`: an element-wise sum, the shard vectors
+    /// zero-extended to the longer length.
     pub fn merge(&mut self, other: &CounterSnapshot) {
         self.pops += other.pops;
         self.pushes += other.pushes;
@@ -186,34 +99,12 @@ impl CounterSnapshot {
         self.evictions += other.evictions;
         self.arena_hits += other.arena_hits;
         self.arena_misses += other.arena_misses;
-        self.estimator_consults += other.estimator_consults;
         self.heap_compactions += other.heap_compactions;
         self.prefetches_issued += other.prefetches_issued;
         self.prefetches_cancelled += other.prefetches_cancelled;
-        self.worker_failures += other.worker_failures;
-        self.tasks_retried += other.tasks_retried;
-        self.tasks_recomputed += other.tasks_recomputed;
-        self.replicas_promoted += other.replicas_promoted;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_invalidations += other.cache_invalidations;
-        self.bytes_materialized += other.bytes_materialized;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_persist_writes += other.cache_persist_writes;
-        self.cache_loaded += other.cache_loaded;
-        self.cache_load_rejects += other.cache_load_rejects;
-        self.cache_compactions += other.cache_compactions;
-        merge_vec(&mut self.tenant_admitted, &other.tenant_admitted);
-        merge_vec(&mut self.tenant_rejected, &other.tenant_rejected);
-        merge_vec(&mut self.tenant_completed, &other.tenant_completed);
-        merge_vec(&mut self.tenant_cache_hits, &other.tenant_cache_hits);
         merge_vec(&mut self.steals, &other.steals);
         merge_vec(&mut self.shard_pops, &other.shard_pops);
         self.failed_trylocks += other.failed_trylocks;
-        // A maximum over disjoint observation windows is the max of the
-        // per-window maxima — summing would overstate the bound.
-        self.rank_max = self.rank_max.max(other.rank_max);
-        merge_vec(&mut self.rank_hist, &other.rank_hist);
     }
 
     /// All counters at zero (the obs-off rendering).
@@ -229,35 +120,18 @@ impl CounterSnapshot {
     /// One-line human rendering for reports and logs.
     pub fn render(&self) -> String {
         format!(
-            "pops={} pushes={} holds={} evictions={} arena={}/{} (consults={}) \
-             compactions={} prefetch={}+{}cancelled failures={} retried={} \
-             recomputed={} promoted={} cache={}hit/{}miss/{}inval/{}evict ({}B) \
-             persist={}w/{}ld/{}rej/{}cmp trylock_fails={} rank_max={} steals={:?}",
+            "pops={} pushes={} holds={} evictions={} arena={}/{} compactions={} \
+             prefetch={}+{}cancelled trylock_fails={} steals={:?}",
             self.pops,
             self.pushes,
             self.holds,
             self.evictions,
             self.arena_hits,
             self.arena_misses,
-            self.estimator_consults,
             self.heap_compactions,
             self.prefetches_issued,
             self.prefetches_cancelled,
-            self.worker_failures,
-            self.tasks_retried,
-            self.tasks_recomputed,
-            self.replicas_promoted,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_invalidations,
-            self.cache_evictions,
-            self.bytes_materialized,
-            self.cache_persist_writes,
-            self.cache_loaded,
-            self.cache_load_rejects,
-            self.cache_compactions,
             self.failed_trylocks,
-            self.rank_max,
             self.steals,
         )
     }
@@ -429,27 +303,10 @@ impl ObsCell {
     pub fn drain_into(&self, snap: &mut CounterSnapshot) {
         snap.pops += self.get(Counter::Pops);
         snap.pushes += self.get(Counter::Pushes);
-        snap.holds += self.get(Counter::Holds);
-        snap.evictions += self.get(Counter::Evictions);
         snap.arena_hits += self.get(Counter::ArenaHits);
         snap.arena_misses += self.get(Counter::ArenaMisses);
-        snap.estimator_consults += self.get(Counter::EstimatorConsults);
-        snap.heap_compactions += self.get(Counter::HeapCompactions);
         snap.prefetches_issued += self.get(Counter::PrefetchesIssued);
         snap.prefetches_cancelled += self.get(Counter::PrefetchesCancelled);
-        snap.worker_failures += self.get(Counter::WorkerFailures);
-        snap.tasks_retried += self.get(Counter::TasksRetried);
-        snap.tasks_recomputed += self.get(Counter::TasksRecomputed);
-        snap.replicas_promoted += self.get(Counter::ReplicasPromoted);
-        snap.cache_hits += self.get(Counter::CacheHits);
-        snap.cache_misses += self.get(Counter::CacheMisses);
-        snap.cache_invalidations += self.get(Counter::CacheInvalidations);
-        snap.bytes_materialized += self.get(Counter::BytesMaterialized);
-        snap.cache_evictions += self.get(Counter::CacheEvictions);
-        snap.cache_persist_writes += self.get(Counter::CachePersistWrites);
-        snap.cache_loaded += self.get(Counter::CacheLoaded);
-        snap.cache_load_rejects += self.get(Counter::CacheLoadRejects);
-        snap.cache_compactions += self.get(Counter::CacheCompactions);
     }
 
     /// Snapshot just this cell.
@@ -559,6 +416,7 @@ mod tests {
         let mut a = CounterSnapshot {
             pops: 3,
             steals: vec![1],
+            failed_trylocks: 3,
             ..Default::default()
         };
         let b = CounterSnapshot {
@@ -566,6 +424,7 @@ mod tests {
             holds: 5,
             steals: vec![1, 4],
             shard_pops: vec![2, 6],
+            failed_trylocks: 2,
             ..Default::default()
         };
         a.merge(&b);
@@ -573,29 +432,10 @@ mod tests {
         assert_eq!(a.holds, 5);
         assert_eq!(a.steals, vec![2, 4]);
         assert_eq!(a.shard_pops, vec![2, 6]);
+        assert_eq!(a.failed_trylocks, 5);
         assert_eq!(a.total_steals(), 6);
         assert!(!a.is_empty());
         assert!(CounterSnapshot::default().is_empty());
-    }
-
-    #[test]
-    fn merge_takes_max_of_rank_max_and_sums_hist() {
-        let mut a = CounterSnapshot {
-            rank_max: 7,
-            rank_hist: vec![10, 2],
-            failed_trylocks: 3,
-            ..Default::default()
-        };
-        let b = CounterSnapshot {
-            rank_max: 4,
-            rank_hist: vec![5, 0, 1],
-            failed_trylocks: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.rank_max, 7, "rank_max merges by max, not sum");
-        assert_eq!(a.rank_hist, vec![15, 2, 1]);
-        assert_eq!(a.failed_trylocks, 5);
     }
 
     #[test]
@@ -638,7 +478,6 @@ mod tests {
             pops: 7,
             arena_hits: 4,
             arena_misses: 3,
-            estimator_consults: 7,
             ..Default::default()
         };
         let r = s.render();

@@ -36,6 +36,7 @@ use multiprio_suite::runtime::{
 };
 use multiprio_suite::sched::api::{PrefetchReq, SchedEvent, SchedView, Scheduler};
 use multiprio_suite::sched::{ConcurrentScheduler, EagerPrioScheduler, GlobalLock};
+use multiprio_suite::trace::obs::obs_enabled;
 use proptest::prelude::*;
 
 /// Tiny deterministic generator (splitmix64) for shaping streams.
@@ -572,7 +573,8 @@ fn fault_killing_the_only_capable_worker_mid_stream_is_typed() {
 }
 
 /// A serve over a byte-capped, persisting cache reports the cache's
-/// evictions and persisted records in its counters, as a closed run does.
+/// evictions and persisted records on its report, as a closed run does,
+/// and leaves the obs counters empty without `obs`.
 #[test]
 fn serving_reports_cache_evictions_and_persist_writes() {
     let dir = std::env::temp_dir().join(format!("mp-serve-evict-{}", std::process::id()));
@@ -607,8 +609,11 @@ fn serving_reports_cache_evictions_and_persist_writes() {
     let written = cache.persist_stats().writes - writes_before;
     assert!(evicted > 0, "the byte cap never evicted");
     assert!(written > 0, "nothing was persisted");
-    assert_eq!(report.counters.cache_evictions, evicted);
-    assert_eq!(report.counters.cache_persist_writes, written);
+    assert_eq!(report.cache_evictions, evicted);
+    assert_eq!(report.persist.writes, written);
+    if !obs_enabled() {
+        assert!(report.counters.is_empty(), "{}", report.counters.render());
+    }
     drop(rt);
     drop(cache);
     let _ = std::fs::remove_dir_all(&dir);
