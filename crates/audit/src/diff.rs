@@ -202,11 +202,11 @@ pub struct DiffReport {
     pub sim_makespan: f64,
     /// Wall-clock makespan of the runtime run (µs), when it ran.
     pub runtime_makespan: Option<f64>,
-    /// Staleness of the sim-side relaxed mirror versus the exact
-    /// priority oracle. `Some` only for relaxed-mode configs with rank
-    /// tracking on.
+    /// Staleness of the relaxed queue on the simulator versus the exact
+    /// priority oracle. `Some` only under
+    /// [`Front::Relaxed`](crate::Front::Relaxed) with rank tracking on.
     pub sim_rank: Option<mp_trace::RankStats>,
-    /// Staleness of the runtime-side relaxed front-end, likewise.
+    /// Staleness of the relaxed queue on the runtime, likewise.
     pub runtime_rank: Option<mp_trace::RankStats>,
 }
 

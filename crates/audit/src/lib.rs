@@ -4,8 +4,8 @@
 //! executors and diffs what must agree:
 //!
 //! * the discrete-event simulator ([`mp_sim::simulate`]) in virtual time;
-//! * the threaded runtime ([`mp_runtime::Runtime`]) with no-op
-//!   virtual-cost kernels, on real worker threads.
+//! * the threaded runtime ([`mp_runtime::Runtime`]) with the computing
+//!   mirror kernels of [`mirror_graph_computing`], on real worker threads.
 //!
 //! The executors share almost no code past the scheduler trait — the
 //! simulator's coherence/transfer machinery and the runtime's
@@ -20,9 +20,19 @@
 //! 2. the simulator's built-in invariant auditor (build with
 //!    `--features mp-sim/audit`) — MSI coherence, capacity, pin balance,
 //!    link/event monotonicity — whose records the report surfaces;
-//! 3. [`mp_runtime::FaultPlan`] — deterministic slow/stalled kernels,
-//!    skewed estimates and delayed wakeups on the runtime side, proving
-//!    the agreement is not an artifact of benign timing.
+//! 3. [`mp_runtime::FaultPlan`] — worker kills and transient failures on
+//!    both sides, plus slow/stalled kernels, skewed estimates and delayed
+//!    wakeups on the runtime side, proving the agreement is not an
+//!    artifact of benign timing.
+//!
+//! Every audit takes one [`DiffConfig`] and honours all of it. Its
+//! [`Front`] names the scheduler front-end: the global lock, the sharded
+//! multi-queue, or the relaxed multi-queue, which the simulator drives
+//! too. Its fault plan and retry budget apply to every run. One private
+//! runner builds the chosen front-end and runs a closed graph or serves a
+//! stream on it, so [`differential`], [`warm_cold_audit`] and the
+//! [`restart`] audits drive the executors the same way. Serving runs are
+//! checked by [`streaming_audit_cached`].
 //!
 //! ```no_run
 //! # use std::sync::Arc;
@@ -47,32 +57,48 @@ use std::sync::Arc;
 use mp_dag::TaskGraph;
 use mp_perfmodel::PerfModel;
 use mp_platform::types::Platform;
-use mp_runtime::{FaultPlan, RelaxedMultiQueue, RelaxedSeqScheduler, RetryPolicy, ShardedAdapter};
-use mp_sched::Scheduler;
-use mp_sim::{simulate, SimConfig};
+use mp_runtime::{
+    FaultPlan, RelaxedConfig, RelaxedMultiQueue, ResultCache, RetryPolicy, RunReport, Runtime,
+    ShardedAdapter, StreamConfig, Submission,
+};
+use mp_sched::{ConcurrentScheduler, GlobalLock, Scheduler};
+use mp_sim::{simulate_cached, SimConfig, SimResult};
+use mp_trace::RankStats;
 
 pub mod diff;
 pub mod mirror;
 pub mod restart;
 
 pub use diff::{schedule_hash, DiffReport, Mismatch, Side};
-pub use mirror::{mirror_graph, mirror_graph_computing};
-pub use restart::{
-    restart_audit, restart_audit_sim, restart_serve_audit, RestartReport, RestartServeReport,
-    RestartSimReport, ServeFrontend,
-};
+pub use mirror::mirror_graph_computing;
+pub use restart::{restart_audit, restart_audit_sim, restart_serve_audit, RestartReport};
 
-/// One differential configuration.
+/// Which scheduler front-end an audit drives.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Front {
+    /// One `factory` policy behind the runtime's global lock
+    /// ([`GlobalLock`]); the simulator drives another instance.
+    #[default]
+    Global,
+    /// This many `factory` policies behind the sharded multi-queue
+    /// ([`ShardedAdapter`]); the simulator drives one instance.
+    Sharded(usize),
+    /// The relaxed multi-queue ([`RelaxedMultiQueue`]) under this
+    /// configuration, on both executors. `factory` is not used: the
+    /// queue *is* the policy (priority order). Set
+    /// [`track_rank`](RelaxedConfig::track_rank) to get staleness
+    /// statistics on a [`DiffReport`].
+    Relaxed(RelaxedConfig),
+}
+
+/// One audit configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DiffConfig {
-    /// Simulator configuration (seed, noise, tracing).
+    /// Simulator configuration (seed, noise, tracing); the simulator
+    /// side of an audit only.
     pub sim_cfg: SimConfig,
-    /// Runtime front-end: `0` drives the scheduler behind the global
-    /// lock ([`mp_runtime::Runtime::run`]); `n > 0` uses the sharded
-    /// multi-queue with `n` policy instances
-    /// ([`mp_runtime::ShardedAdapter`] through
-    /// [`mp_runtime::Runtime::run_concurrent`]).
-    pub shards: usize,
+    /// The scheduler front-end every run drives.
+    pub front: Front,
     /// Fault plan injected into both sides (`None` = no faults). The
     /// runtime honors every knob; the simulator mirrors the
     /// deterministic subset (worker kills, transient failures) in
@@ -84,20 +110,151 @@ pub struct DiffConfig {
     /// legitimately commit a task more than once on the sim side), and
     /// precedence still holds exactly.
     pub retry: RetryPolicy,
-    /// Relaxed-mode override: drive the runtime through the relaxed
-    /// multi-queue front-end ([`mp_runtime::RelaxedMultiQueue`]) and
-    /// the simulator through its deterministic sequential twin
-    /// ([`RelaxedSeqScheduler`]), both under this configuration.
-    /// `factory` is ignored — the relaxed front-end *is* the policy
-    /// (priority order). Set
-    /// [`track_rank`](mp_runtime::RelaxedConfig::track_rank) to get
-    /// staleness statistics on the report. Takes precedence over
-    /// [`Self::shards`].
-    pub relaxed: Option<mp_runtime::RelaxedConfig>,
 }
 
-/// Run one DAG through both executors under schedulers built by
-/// `factory` (one instance per executor) and diff the results.
+/// What one run of an audit produced.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunOutcome {
+    /// Final buffer digest of a threaded run; the schedule hash
+    /// ([`schedule_hash`]) of a simulated one, which has no buffers.
+    pub digest: u64,
+    /// Tasks served from the result cache.
+    pub hits: u64,
+    /// Cache probes that missed.
+    pub misses: u64,
+    /// Task spans the run recorded.
+    pub executed: usize,
+}
+
+/// What every audit is given, and the one place that turns a
+/// [`DiffConfig`] into runs on either executor.
+struct Harness<'a> {
+    platform: &'a Platform,
+    model: &'a Arc<dyn PerfModel>,
+    factory: &'a dyn Fn() -> Box<dyn Scheduler>,
+    cfg: &'a DiffConfig,
+}
+
+impl Harness<'_> {
+    /// Simulate `graph` on the scheduler the front names: a `factory`
+    /// policy, or the relaxed queue the threads also run. The fault plan
+    /// and the retry budget override `sim_cfg`'s. Returns the queue's
+    /// rank statistics alongside.
+    fn simulate(
+        &self,
+        graph: &TaskGraph,
+        cache: Option<&ResultCache>,
+    ) -> (SimResult, Option<RankStats>) {
+        let mut sim_cfg = self.cfg.sim_cfg;
+        if let Some(plan) = self.cfg.faults {
+            sim_cfg.faults = plan;
+        }
+        sim_cfg.retry = self.cfg.retry;
+        let model = &**self.model;
+        match self.cfg.front {
+            Front::Relaxed(rc) => {
+                let mut queue = RelaxedMultiQueue::new(self.platform.worker_count(), rc);
+                let sim = simulate_cached(graph, self.platform, model, &mut queue, sim_cfg, cache);
+                (sim, queue.rank_stats())
+            }
+            Front::Global | Front::Sharded(_) => {
+                let mut sched = (self.factory)();
+                let sim =
+                    simulate_cached(graph, self.platform, model, sched.as_mut(), sim_cfg, cache);
+                (sim, None)
+            }
+        }
+    }
+
+    /// Run `rt` on the front-end the config names, under its fault plan
+    /// and retry budget: its whole graph, or `stream` served. A failure
+    /// lands in `mismatches` as [`Mismatch::RuntimeFailed`], tagged with
+    /// `phase`. Returns the report, unless the run never started, and
+    /// the relaxed queue's rank statistics.
+    fn run(
+        &self,
+        rt: &mut Runtime,
+        stream: Option<(&StreamConfig, Vec<Submission>)>,
+        phase: &str,
+        mismatches: &mut Vec<Mismatch>,
+    ) -> (Option<RunReport>, Option<RankStats>) {
+        if let Some(plan) = self.cfg.faults {
+            rt.set_faults(plan);
+        }
+        rt.set_retry_policy(self.cfg.retry);
+        let (global, sharded, relaxed);
+        let (front, queue): (&dyn ConcurrentScheduler, Option<&RelaxedMultiQueue>) =
+            match self.cfg.front {
+                Front::Global => {
+                    global = GlobalLock::new((self.factory)());
+                    (&global, None)
+                }
+                Front::Sharded(n) => {
+                    sharded = ShardedAdapter::new(n, self.factory);
+                    (&sharded, None)
+                }
+                Front::Relaxed(rc) => {
+                    relaxed = RelaxedMultiQueue::new(self.platform.worker_count(), rc);
+                    (&relaxed, Some(&relaxed))
+                }
+            };
+        let run = match stream {
+            None => rt.run_concurrent(front),
+            Some((stream_cfg, submissions)) => rt.serve_concurrent(front, stream_cfg, submissions),
+        };
+        let failed = |err: &dyn std::fmt::Display| Mismatch::RuntimeFailed {
+            error: format!("{phase}: {err}"),
+        };
+        match run {
+            Ok(report) => {
+                // Mid-run failures (misrouted task, panicking kernel)
+                // come back as a report carrying the error and a
+                // partial trace.
+                if let Some(err) = &report.error {
+                    mismatches.push(failed(err));
+                }
+                (Some(report), queue.and_then(RelaxedMultiQueue::rank_stats))
+            }
+            Err(err) => {
+                mismatches.push(failed(&err));
+                (None, None)
+            }
+        }
+    }
+
+    /// Run the computing mirror of `graph` once against `cache` and
+    /// report its buffer digest, cache counts and spans.
+    fn run_mirror(
+        &self,
+        graph: &TaskGraph,
+        cache: Option<&Arc<ResultCache>>,
+        phase: &str,
+        mismatches: &mut Vec<Mismatch>,
+    ) -> RunOutcome {
+        let (mut rt, edge_mismatches) =
+            mirror_graph_computing(graph, self.platform, Arc::clone(self.model));
+        mismatches.extend(edge_mismatches);
+        if let Some(c) = cache {
+            rt.set_cache(Arc::clone(c));
+        }
+        let (report, _) = self.run(&mut rt, None, phase, mismatches);
+        outcome(&rt, report.as_ref())
+    }
+}
+
+/// What a threaded run left behind; all zeros when it never started.
+fn outcome(rt: &Runtime, report: Option<&RunReport>) -> RunOutcome {
+    report.map_or_else(RunOutcome::default, |r| RunOutcome {
+        digest: rt.buffers_digest(),
+        hits: r.cache_hits,
+        misses: r.cache_misses,
+        executed: r.trace.tasks.len(),
+    })
+}
+
+/// Run one DAG through both executors under the front-end `cfg` names
+/// (schedulers built by `factory`, one set per executor) and diff the
+/// results.
 ///
 /// Never panics on scheduler or executor misbehavior: typed failures of
 /// either side land in the report as [`Mismatch`]es alongside any
@@ -110,6 +267,12 @@ pub fn differential(
     factory: &dyn Fn() -> Box<dyn Scheduler>,
     cfg: &DiffConfig,
 ) -> DiffReport {
+    let harness = Harness {
+        platform,
+        model,
+        factory,
+        cfg,
+    };
     let mut mismatches = Vec::new();
     // Under retryable faults or worker kills the trace may legitimately
     // hold more than one committed span per task (sim-side recompute
@@ -120,24 +283,7 @@ pub fn differential(
 
     // Side 1: discrete-event simulation, virtual time. The simulator
     // mirrors the deterministic fault subset of the runtime's plan.
-    let mut sim_cfg = cfg.sim_cfg;
-    if let Some(plan) = cfg.faults {
-        sim_cfg.faults = plan;
-    }
-    sim_cfg.retry = cfg.retry;
-    let mut relaxed_seq = cfg
-        .relaxed
-        .map(|rc| RelaxedSeqScheduler::new(platform.worker_count(), rc));
-    let mut factory_sched = match relaxed_seq {
-        Some(_) => None,
-        None => Some(factory()),
-    };
-    let sim_sched: &mut dyn Scheduler = match relaxed_seq.as_mut() {
-        Some(s) => s,
-        None => factory_sched.as_mut().expect("factory scheduler").as_mut(),
-    };
-    let sim = simulate(graph, platform, &**model, sim_sched, sim_cfg);
-    let sim_rank = relaxed_seq.as_ref().and_then(|s| s.rank_stats());
+    let (sim, sim_rank) = harness.simulate(graph, None);
     if let Some(err) = &sim.error {
         mismatches.push(Mismatch::SimFailed {
             error: err.to_string(),
@@ -159,51 +305,20 @@ pub fn differential(
     );
 
     // Side 2: threaded runtime, wall clock, mirrored DAG.
-    let (mut rt, edge_mismatches) = mirror_graph(graph, platform, Arc::clone(model));
+    let (mut rt, edge_mismatches) = mirror_graph_computing(graph, platform, Arc::clone(model));
     mismatches.extend(edge_mismatches);
-    if let Some(plan) = cfg.faults {
-        rt.set_faults(plan);
-    }
-    rt.set_retry_policy(cfg.retry);
-    let mut runtime_rank = None;
-    let run = if let Some(rc) = cfg.relaxed {
-        let front = RelaxedMultiQueue::new(platform.worker_count(), rc);
-        let run = rt.run_concurrent(&front);
-        if run.is_ok() {
-            runtime_rank = front.rank_stats();
-        }
-        run
-    } else if cfg.shards == 0 {
-        rt.run(factory())
-    } else {
-        rt.run_concurrent(&ShardedAdapter::new(cfg.shards, factory))
-    };
-    let runtime_makespan = match run {
-        Ok(report) => {
-            // Mid-run failures (misrouted task, panicking kernel) come
-            // back as a report carrying the error and a partial trace.
-            if let Some(err) = &report.error {
-                mismatches.push(Mismatch::RuntimeFailed {
-                    error: err.to_string(),
-                });
-            }
-            check_trace(
-                graph,
-                &report.trace,
-                Side::Runtime,
-                report.error.is_some(),
-                lenient,
-                &mut mismatches,
-            );
-            Some(report.makespan_us)
-        }
-        Err(err) => {
-            mismatches.push(Mismatch::RuntimeFailed {
-                error: err.to_string(),
-            });
-            None
-        }
-    };
+    let (run, runtime_rank) = harness.run(&mut rt, None, "differential", &mut mismatches);
+    let runtime_makespan = run.map(|report| {
+        check_trace(
+            graph,
+            &report.trace,
+            Side::Runtime,
+            report.error.is_some(),
+            lenient,
+            &mut mismatches,
+        );
+        report.makespan_us
+    });
 
     DiffReport {
         scheduler: sim.scheduler,
@@ -244,118 +359,72 @@ impl WarmColdReport {
 /// Prove cache-hit outputs bit-identical to recomputed ones for one
 /// configuration: run the *computing* mirror of `graph`
 /// ([`mirror_graph_computing`]) three times — uncached reference, cold
-/// run populating a fresh [`mp_runtime::ResultCache`], warm run
-/// consuming it — and compare the final buffer digests bit for bit.
-/// Honors [`DiffConfig::shards`], [`DiffConfig::faults`] and
-/// [`DiffConfig::retry`], so the proof also covers kill/transient fault
-/// plans; fault-free configs additionally require the warm run to
-/// execute exactly zero tasks (100 % hit rate).
+/// run populating `cache`, warm run consuming it — and compare the final
+/// buffer digests bit for bit. Every run drives the configured front-end
+/// under the configured faults and retries, so the proof also covers
+/// kill/transient fault plans.
+///
+/// Pass a fresh [`ResultCache`], or a byte-capped one
+/// ([`ResultCache::with_capacity`]). A fault-free run whose cache
+/// reports no capacity eviction must also execute exactly zero tasks
+/// warm (100 % hit rate); under a pressed cap the warm run may
+/// legitimately re-execute evicted tasks. The digests must agree always:
+/// eviction costs recomputes, never correctness.
 pub fn warm_cold_audit(
     graph: &TaskGraph,
     platform: &Platform,
     model: &Arc<dyn PerfModel>,
     factory: &dyn Fn() -> Box<dyn Scheduler>,
     cfg: &DiffConfig,
+    cache: &Arc<ResultCache>,
 ) -> WarmColdReport {
-    let cache = Arc::new(mp_runtime::ResultCache::new());
-    warm_cold_audit_with_cache(graph, platform, model, factory, cfg, &cache)
-}
-
-/// [`warm_cold_audit`] against a caller-supplied cache — in particular a
-/// byte-capped one ([`mp_runtime::ResultCache::with_capacity`]). Under a
-/// cap the warm run may legitimately re-execute evicted tasks, so the
-/// 100 %-hit-rate requirement only applies while the cache reports zero
-/// capacity evictions; the bit-identical-digest requirement always
-/// applies (eviction costs recomputes, never correctness).
-pub fn warm_cold_audit_with_cache(
-    graph: &TaskGraph,
-    platform: &Platform,
-    model: &Arc<dyn PerfModel>,
-    factory: &dyn Fn() -> Box<dyn Scheduler>,
-    cfg: &DiffConfig,
-    cache: &Arc<mp_runtime::ResultCache>,
-) -> WarmColdReport {
-    let mut mismatches = Vec::new();
-    let run_once = |cache: Option<&Arc<mp_runtime::ResultCache>>,
-                    phase: &'static str,
-                    mismatches: &mut Vec<Mismatch>|
-     -> (u64, usize) {
-        let (mut rt, edge_mismatches) = mirror_graph_computing(graph, platform, Arc::clone(model));
-        mismatches.extend(edge_mismatches);
-        if let Some(c) = cache {
-            rt.set_cache(Arc::clone(c));
-        }
-        if let Some(plan) = cfg.faults {
-            rt.set_faults(plan);
-        }
-        rt.set_retry_policy(cfg.retry);
-        let run = if cfg.shards == 0 {
-            rt.run(factory())
-        } else {
-            rt.run_concurrent(&ShardedAdapter::new(cfg.shards, factory))
-        };
-        match run {
-            Ok(report) => {
-                if let Some(err) = &report.error {
-                    mismatches.push(Mismatch::RuntimeFailed {
-                        error: format!("{phase}: {err}"),
-                    });
-                }
-                (rt.buffers_digest(), report.trace.tasks.len())
-            }
-            Err(err) => {
-                mismatches.push(Mismatch::RuntimeFailed {
-                    error: format!("{phase}: {err}"),
-                });
-                (0, 0)
-            }
-        }
+    let harness = Harness {
+        platform,
+        model,
+        factory,
+        cfg,
     };
+    let mut mismatches = Vec::new();
+    let reference = harness.run_mirror(graph, None, "reference", &mut mismatches);
+    let cold = harness.run_mirror(graph, Some(cache), "cold", &mut mismatches);
+    let warm = harness.run_mirror(graph, Some(cache), "warm", &mut mismatches);
 
-    let (reference_digest, _) = run_once(None, "reference", &mut mismatches);
-    let (cold_digest, cold_executed) = run_once(Some(cache), "cold", &mut mismatches);
-    let (warm_digest, warm_executed) = run_once(Some(cache), "warm", &mut mismatches);
-
-    if cold_digest != reference_digest {
-        mismatches.push(Mismatch::CachedOutputDivergence {
-            phase: "cold",
-            expected: reference_digest,
-            got: cold_digest,
-        });
-    }
-    if warm_digest != reference_digest {
-        mismatches.push(Mismatch::CachedOutputDivergence {
-            phase: "warm",
-            expected: reference_digest,
-            got: warm_digest,
-        });
+    for (phase, run) in [("cold", cold), ("warm", warm)] {
+        if run.digest != reference.digest {
+            mismatches.push(Mismatch::CachedOutputDivergence {
+                phase,
+                expected: reference.digest,
+                got: run.digest,
+            });
+        }
     }
     // Fault-free with an uncapped (or never-pressed) cache: the warm
     // run must be all hits. Under retryable fault plans or capacity
     // eviction, legitimate re-executions exist, so only digests are
     // checked.
-    if cfg.faults.is_none() && cache.evictions() == 0 && warm_executed != 0 {
+    if cfg.faults.is_none() && cache.evictions() == 0 && warm.executed != 0 {
         mismatches.push(Mismatch::CacheCoverage {
-            executed: warm_executed,
+            executed: warm.executed,
             expected: 0,
         });
     }
     WarmColdReport {
         mismatches,
-        reference_digest,
-        cold_digest,
-        warm_digest,
-        cold_executed,
-        warm_executed,
+        reference_digest: reference.digest,
+        cold_digest: cold.digest,
+        warm_digest: warm.digest,
+        cold_executed: cold.executed,
+        warm_executed: warm.executed,
     }
 }
 
-/// Audit one **streaming** (serving-mode) run: exactly-once execution
-/// and precedence over the final grown graph.
+/// Audit one **streaming** (serving-mode) run over the final grown
+/// graph, given the cache hits its report claims
+/// ([`mp_runtime::RunReport::cache_hits`]).
 ///
 /// Under streaming admission the final graph *is* the admitted set — a
 /// rejected [`mp_dag::SubmissionStage`] is dropped before touching the
-/// graph — so these two checks together prove the serving invariants:
+/// graph — so these checks together prove the serving invariants:
 ///
 /// * every admitted task of every interleaved sub-DAG executed exactly
 ///   once (nothing lost to backpressure, nothing double-executed by the
@@ -366,30 +435,21 @@ pub fn warm_cold_audit_with_cache(
 /// * rejections stranded nothing: a stranded dependency would surface
 ///   as an admitted task with zero executions.
 ///
-/// Pass [`mp_runtime::RunReport::trace`] and the post-serve
-/// [`mp_runtime::Runtime::graph`]. Returns every violation found;
-/// empty means the run passed.
-pub fn streaming_audit(graph: &TaskGraph, trace: &mp_trace::Trace) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    check_trace(graph, trace, Side::Runtime, false, false, &mut out);
-    out
-}
-
-/// [`streaming_audit`] for a **cache-backed** serving run.
-///
-/// A task served from the [`mp_runtime::ResultCache`] completes at its
-/// release instant and records no trace span, so exactly-once relaxes
-/// to *at most once* — plus an exact hit ledger: the number of
-/// span-less tasks must equal the `cache_hits` the report claims
-/// ([`mp_runtime::RunReport::cache_hits`]). A hit that silently
-/// swallowed a task the cache never served (or a double execution
-/// slipping through as a "hit") therefore surfaces as
-/// [`Mismatch::CacheCoverage`] or [`Mismatch::ExecutionCount`].
-/// Precedence applies to the executed spans exactly as in the uncached
-/// audit; span-less (hit) predecessors are release-ordered by
+/// With `cache_hits == 0` every task must hold exactly one span, and
+/// each that does not is one [`Mismatch::ExecutionCount`]. A task served
+/// from the [`mp_runtime::ResultCache`] completes at its release instant
+/// and records no span, so with hits exactly-once relaxes to *at most
+/// once*, plus an exact hit ledger: the number of span-less tasks must
+/// equal `cache_hits`. A hit that silently swallowed a task the cache
+/// never served (or a double execution slipping through as a "hit")
+/// therefore surfaces as [`Mismatch::CacheCoverage`] or
+/// [`Mismatch::ExecutionCount`]. Precedence applies to the executed
+/// spans either way; span-less (hit) predecessors are release-ordered by
 /// construction.
 ///
-/// With `cache_hits == 0` this is equivalent to [`streaming_audit`].
+/// Pass [`mp_runtime::RunReport::trace`] and the post-serve
+/// [`mp_runtime::Runtime::graph`]. Returns every violation found; empty
+/// means the run passed.
 pub fn streaming_audit_cached(
     graph: &TaskGraph,
     trace: &mp_trace::Trace,
@@ -397,63 +457,22 @@ pub fn streaming_audit_cached(
 ) -> Vec<Mismatch> {
     let mut out = Vec::new();
     let spans = diff::span_table(graph, trace, Side::Runtime, &mut out);
-    diff::miscounted(&spans, Side::Runtime, |count| count > 1, &mut out);
-    let executed = graph
-        .tasks()
-        .iter()
-        .filter(|t| spans.count(t.id) > 0)
-        .count();
-    let expected = graph.task_count().saturating_sub(cache_hits as usize);
-    if executed != expected {
-        out.push(Mismatch::CacheCoverage { executed, expected });
+    if cache_hits == 0 {
+        diff::miscounted(&spans, Side::Runtime, |count| count != 1, &mut out);
+    } else {
+        diff::miscounted(&spans, Side::Runtime, |count| count > 1, &mut out);
+        let executed = graph
+            .tasks()
+            .iter()
+            .filter(|t| spans.count(t.id) > 0)
+            .count();
+        let expected = graph.task_count().saturating_sub(cache_hits as usize);
+        if executed != expected {
+            out.push(Mismatch::CacheCoverage { executed, expected });
+        }
     }
     diff::precedence(&spans, Side::Runtime, &mut out);
     out
-}
-
-/// Result of [`streaming_warm_cold_audit`].
-#[derive(Debug)]
-pub struct StreamingWarmColdReport {
-    /// Findings of the cache-aware streaming checks
-    /// ([`streaming_audit_cached`]) over the served trace.
-    pub streaming: Vec<Mismatch>,
-    /// The warm/cold digest proof re-run over the grown graph.
-    pub warm_cold: WarmColdReport,
-}
-
-impl StreamingWarmColdReport {
-    /// Did both layers pass?
-    pub fn is_clean(&self) -> bool {
-        self.streaming.is_empty() && self.warm_cold.is_clean()
-    }
-}
-
-/// Audit a cache-backed streaming run end to end: the cache-aware
-/// serving invariants over the trace ([`streaming_audit_cached`]),
-/// *plus* a warm/cold digest proof ([`warm_cold_audit`]) over the
-/// **grown graph** the stream left behind — the final graph is a closed
-/// DAG, so the three-run (reference / cold / warm) bit-identical-digest
-/// check applies to it directly, covering exactly the sub-DAG shapes
-/// and cross-submission edges the stream produced. Honors
-/// [`DiffConfig::shards`], [`DiffConfig::faults`] and
-/// [`DiffConfig::retry`], so the digest proof also runs under
-/// kill/transient fault plans.
-///
-/// Pass the post-serve [`mp_runtime::Runtime::graph`], the
-/// [`mp_runtime::RunReport`]'s trace and `cache_hits`.
-pub fn streaming_warm_cold_audit(
-    graph: &TaskGraph,
-    trace: &mp_trace::Trace,
-    cache_hits: u64,
-    platform: &Platform,
-    model: &Arc<dyn PerfModel>,
-    factory: &dyn Fn() -> Box<dyn Scheduler>,
-    cfg: &DiffConfig,
-) -> StreamingWarmColdReport {
-    StreamingWarmColdReport {
-        streaming: streaming_audit_cached(graph, trace, cache_hits),
-        warm_cold: warm_cold_audit(graph, platform, model, factory, cfg),
-    }
 }
 
 /// The per-side checks: exactly-once execution (effectively-once under
@@ -604,6 +623,7 @@ mod tests {
             &model,
             &|| Box::new(FifoScheduler::new()),
             &DiffConfig::default(),
+            &Arc::new(ResultCache::new()),
         );
         assert!(report.is_clean(), "{:?}", report.mismatches);
         assert_eq!(report.cold_executed, g.task_count());
@@ -629,6 +649,7 @@ mod tests {
             &model,
             &|| Box::new(FifoScheduler::new()),
             &cfg,
+            &Arc::new(ResultCache::new()),
         );
         assert!(report.is_clean(), "{:?}", report.mismatches);
         assert_eq!(report.warm_digest, report.reference_digest);
@@ -680,19 +701,19 @@ mod tests {
             .serve(Box::new(FifoScheduler::new()), &cfg, stream)
             .expect("serve failed");
         assert!(report.is_complete(), "{:?}", report.error);
-        let clean = streaming_audit(rt.graph(), &report.trace);
+        let clean = streaming_audit_cached(rt.graph(), &report.trace, 0);
         assert!(clean.is_empty(), "{clean:?}");
         // Tampering must be caught: drop a span (a stranded/lost task)...
         let mut lost = report.trace.clone();
         lost.tasks.pop();
-        assert!(streaming_audit(rt.graph(), &lost)
+        assert!(streaming_audit_cached(rt.graph(), &lost, 0)
             .iter()
             .any(|m| matches!(m, Mismatch::ExecutionCount { count: 0, .. })));
         // ...and rewind a start past its predecessor's end.
         let mut early = report.trace.clone();
         let last = early.tasks.len() - 1;
         early.tasks[last].start = -1.0;
-        assert!(!streaming_audit(rt.graph(), &early).is_empty());
+        assert!(!streaming_audit_cached(rt.graph(), &early, 0).is_empty());
     }
 
     /// A cache-backed stream of write-only fork-join sub-DAGs: identical
@@ -733,9 +754,9 @@ mod tests {
         let (rt, report) = served_warm_stream();
         let clean = streaming_audit_cached(rt.graph(), &report.trace, report.cache_hits);
         assert!(clean.is_empty(), "{clean:?}");
-        // The uncached audit would flag each span-less hit as a lost
-        // task — the cached variant must account for them exactly.
-        assert!(!streaming_audit(rt.graph(), &report.trace).is_empty());
+        // Claiming no hits flags each span-less hit as a lost task — the
+        // claimed hits must account for them exactly.
+        assert!(!streaming_audit_cached(rt.graph(), &report.trace, 0).is_empty());
         // A lying hit count is caught...
         assert!(
             streaming_audit_cached(rt.graph(), &report.trace, report.cache_hits + 1)
@@ -753,30 +774,30 @@ mod tests {
         );
     }
 
+    /// The grown graph a stream leaves behind is a closed DAG, so the
+    /// warm/cold digest proof applies to it directly.
     #[test]
-    fn streaming_warm_cold_audit_is_clean_over_the_grown_graph() {
+    fn warm_cold_audit_is_clean_over_a_grown_graph() {
         let (rt, report) = served_warm_stream();
+        let findings = streaming_audit_cached(rt.graph(), &report.trace, report.cache_hits);
+        assert!(findings.is_empty(), "{findings:?}");
         let model: Arc<dyn PerfModel> = Arc::new(UniformModel { time_us: 5.0 });
-        let audit = streaming_warm_cold_audit(
+        let audit = warm_cold_audit(
             rt.graph(),
-            &report.trace,
-            report.cache_hits,
             &simple(2, 1),
             &model,
             &|| Box::new(FifoScheduler::new()),
             &DiffConfig::default(),
+            &Arc::new(ResultCache::new()),
         );
         assert!(audit.is_clean(), "{:?}", audit);
-        assert_eq!(audit.warm_cold.warm_executed, 0);
-        assert_eq!(
-            audit.warm_cold.warm_digest,
-            audit.warm_cold.reference_digest
-        );
+        assert_eq!(audit.warm_executed, 0);
+        assert_eq!(audit.warm_digest, audit.reference_digest);
     }
 
     #[test]
-    fn streaming_warm_cold_audit_survives_kill_and_transient_faults() {
-        let (rt, report) = served_warm_stream();
+    fn warm_cold_audit_over_a_grown_graph_survives_kill_and_transient_faults() {
+        let (rt, _) = served_warm_stream();
         let model: Arc<dyn PerfModel> = Arc::new(UniformModel { time_us: 5.0 });
         let cfg = DiffConfig {
             faults: Some(FaultPlan {
@@ -786,20 +807,16 @@ mod tests {
             retry: RetryPolicy::new(8, 0.0),
             ..DiffConfig::default()
         };
-        let audit = streaming_warm_cold_audit(
+        let audit = warm_cold_audit(
             rt.graph(),
-            &report.trace,
-            report.cache_hits,
             &simple(2, 1),
             &model,
             &|| Box::new(FifoScheduler::new()),
             &cfg,
+            &Arc::new(ResultCache::new()),
         );
         assert!(audit.is_clean(), "{:?}", audit);
-        assert_eq!(
-            audit.warm_cold.warm_digest,
-            audit.warm_cold.reference_digest
-        );
+        assert_eq!(audit.warm_digest, audit.reference_digest);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `TaskGraph` directly; the runtime builds its own graph from STF
 //! submissions. This module replays the original graph's tasks — same
 //! kernel-type names, same access lists, same priorities — into a
-//! [`Runtime`] with no-op virtual-cost kernels, then checks that STF
+//! [`Runtime`] with small computing kernels, then checks that STF
 //! dependency inference reproduced exactly the original edges. Any
 //! divergence is itself a finding: the two front-ends would not even be
 //! running the same DAG.
@@ -27,27 +27,18 @@ fn mirror_len(bytes: u64) -> usize {
     (bytes / 8).clamp(1, 64) as usize
 }
 
-/// Rebuild `graph` inside a [`Runtime`] on `platform`, with no-op
-/// kernels for every architecture class the original task type declares.
+/// Rebuild `graph` inside a [`Runtime`] on `platform`, with a
+/// *computing* kernel for every architecture class the original task
+/// type declares: every task folds its readable buffers into an
+/// accumulator and writes a value derived from it (plus a per-task salt
+/// and access position) into every written element. Deterministic,
+/// input-dependent and order-sensitive — if a result cache ever
+/// materializes stale or corrupted bytes, the divergence propagates to
+/// the final buffer digest ([`warm_cold_audit`](crate::warm_cold_audit)).
 ///
 /// Returns the runtime plus any [`Mismatch::EdgeMismatch`] found when
 /// comparing the STF-inferred dependencies against the original edges
 /// (an empty vector means the DAGs are identical).
-pub fn mirror_graph(
-    graph: &TaskGraph,
-    platform: &Platform,
-    model: Arc<dyn PerfModel>,
-) -> (Runtime, Vec<Mismatch>) {
-    mirror_with(graph, platform, model, false)
-}
-
-/// Like [`mirror_graph`], but with *computing* kernels: every task
-/// folds its readable buffers into an accumulator and writes a value
-/// derived from it (plus a per-task salt and access position) into
-/// every written element. Deterministic, input-dependent and
-/// order-sensitive — if a result cache ever materializes stale or
-/// corrupted bytes, the divergence propagates to the final buffer
-/// digest. Used by [`warm_cold_audit`](crate::warm_cold_audit).
 ///
 /// The salt is the task's cache-fingerprint key when it carries one
 /// (falling back to the task index): the cache presumes
@@ -59,37 +50,6 @@ pub fn mirror_graph_computing(
     graph: &TaskGraph,
     platform: &Platform,
     model: Arc<dyn PerfModel>,
-) -> (Runtime, Vec<Mismatch>) {
-    mirror_with(graph, platform, model, true)
-}
-
-fn computing_kernel(
-    seed: u64,
-    modes: Vec<AccessMode>,
-) -> impl Fn(&mut TaskCtx<'_>) + Send + Sync + Clone {
-    move |ctx: &mut TaskCtx<'_>| {
-        let mut acc = 1.0 + (seed % 8191) as f64;
-        for (i, m) in modes.iter().enumerate() {
-            if m.reads() {
-                acc += ctx.r(i).iter().sum::<f64>() * (i as f64 + 1.0);
-            }
-        }
-        for (i, m) in modes.iter().enumerate() {
-            if m.writes() {
-                let salt = ((seed >> 13) % 4096) as f64 * 31.0 + i as f64;
-                for (j, v) in ctx.w(i).iter_mut().enumerate() {
-                    *v = acc * 0.5 + salt + j as f64 * 1e-3;
-                }
-            }
-        }
-    }
-}
-
-fn mirror_with(
-    graph: &TaskGraph,
-    platform: &Platform,
-    model: Arc<dyn PerfModel>,
-    computing: bool,
 ) -> (Runtime, Vec<Mismatch>) {
     let mut rt = Runtime::new(platform.clone(), model);
     for d in graph.data() {
@@ -104,26 +64,17 @@ fn mirror_with(
         for a in &task.accesses {
             tb = tb.access(a.data, a.mode);
         }
-        if computing {
-            let modes: Vec<AccessMode> = task.accesses.iter().map(|a| a.mode).collect();
-            let seed = graph
-                .cache_meta(task.id)
-                .map(|m| m.key)
-                .unwrap_or(task.id.index() as u64);
-            let kernel = computing_kernel(seed, modes);
-            if ttype.cpu_impl {
-                tb = tb.cpu(kernel.clone());
-            }
-            if ttype.gpu_impl {
-                tb = tb.gpu(kernel);
-            }
-        } else {
-            if ttype.cpu_impl {
-                tb = tb.cpu(|_| {});
-            }
-            if ttype.gpu_impl {
-                tb = tb.gpu(|_| {});
-            }
+        let modes: Vec<AccessMode> = task.accesses.iter().map(|a| a.mode).collect();
+        let seed = graph
+            .cache_meta(task.id)
+            .map(|m| m.key)
+            .unwrap_or(task.id.index() as u64);
+        let kernel = computing_kernel(seed, modes);
+        if ttype.cpu_impl {
+            tb = tb.cpu(kernel.clone());
+        }
+        if ttype.gpu_impl {
+            tb = tb.gpu(kernel);
         }
         let mirrored = rt.submit(tb);
         debug_assert_eq!(mirrored, task.id, "submission order preserves ids");
@@ -146,6 +97,28 @@ fn mirror_with(
         }
     }
     (rt, mismatches)
+}
+
+fn computing_kernel(
+    seed: u64,
+    modes: Vec<AccessMode>,
+) -> impl Fn(&mut TaskCtx<'_>) + Send + Sync + Clone {
+    move |ctx: &mut TaskCtx<'_>| {
+        let mut acc = 1.0 + (seed % 8191) as f64;
+        for (i, m) in modes.iter().enumerate() {
+            if m.reads() {
+                acc += ctx.r(i).iter().sum::<f64>() * (i as f64 + 1.0);
+            }
+        }
+        for (i, m) in modes.iter().enumerate() {
+            if m.writes() {
+                let salt = ((seed >> 13) % 4096) as f64 * 31.0 + i as f64;
+                for (j, v) in ctx.w(i).iter_mut().enumerate() {
+                    *v = acc * 0.5 + salt + j as f64 * 1e-3;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -184,7 +157,7 @@ mod tests {
         );
         let g = stf.finish();
         let (rt, mismatches) =
-            mirror_graph(&g, &simple(2, 1), Arc::new(UniformModel { time_us: 10.0 }));
+            mirror_graph_computing(&g, &simple(2, 1), Arc::new(UniformModel { time_us: 10.0 }));
         assert!(mismatches.is_empty(), "{mismatches:?}");
         assert_eq!(rt.graph().task_count(), g.task_count());
         assert_eq!(rt.graph().edge_count(), g.edge_count());

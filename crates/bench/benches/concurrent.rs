@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mp_apps::random::{random_dag, random_model, RandomDagConfig};
-use mp_audit::{differential, schedule_hash, DiffConfig};
+use mp_audit::{differential, schedule_hash, DiffConfig, Front};
 use mp_bench::{make_scheduler, make_scheduler_factory, BenchJson};
 use mp_dag::graph::TaskGraph;
 use mp_dag::ids::TaskId;
@@ -26,9 +26,7 @@ use mp_perfmodel::{Estimator, PerfModel, TableModel, TimeFn};
 use mp_platform::presets::{homogeneous, simple};
 use mp_platform::types::{ArchClass, WorkerId};
 use mp_runtime::{FaultPlan, RelaxedConfig, RetryPolicy, Runtime, TaskBuilder};
-use mp_sched::concurrent::{
-    ConcurrentScheduler, GlobalLock, RelaxedMultiQueue, RelaxedSeqScheduler, ShardedAdapter,
-};
+use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock, RelaxedMultiQueue, ShardedAdapter};
 use mp_sched::testutil::{MapLocator, ZeroLoad};
 use mp_sched::{SchedView, Scheduler};
 use mp_sim::{simulate, SimConfig};
@@ -229,9 +227,9 @@ fn main() {
             ),
             (
                 // The paper's scheduler through the sharded front-end —
-                // the path the sharded runtime front-end serves. Its per-shard
-                // policies replay the sequenced feedback log, which is
-                // the serialization the relaxed front-end deletes.
+                // the path the sharded runtime front-end serves. Its
+                // per-shard policies share MultiPrio's gain tracker, the
+                // cross-shard state the relaxed front-end does without.
                 "sharded-multiprio",
                 Box::new(move || {
                     Box::new(ShardedAdapter::new(
@@ -323,8 +321,8 @@ fn main() {
         }
     }
 
-    // ---- Differential audit sweep: relaxed front-end vs its exact
-    // sim twin, clean and under fault plans ----
+    // ---- Differential audit sweep: the relaxed queue on the threads
+    // vs the same queue on the simulator, clean and under fault plans ----
     let mut audits: Vec<AuditRow> = Vec::new();
     let mut unclean = false;
     for &w in widths {
@@ -360,12 +358,11 @@ fn main() {
                 sim_cfg: SimConfig::seeded(w as u64),
                 faults,
                 retry,
-                relaxed: Some(RelaxedConfig {
+                front: Front::Relaxed(RelaxedConfig {
                     queues_per_worker: 2,
                     seed: w as u64,
                     track_rank: true,
                 }),
-                ..DiffConfig::default()
             };
             let report = differential(&g, &platform, &model, noop, &cfg);
             let clean = report.is_clean();
@@ -404,9 +401,9 @@ fn main() {
 
     // ---- Determinism gate on the exact schedulers (CI smoke): two
     // identical sim-side runs must produce identical schedules, both
-    // for the exact-priority policy and for the relaxed *sequential
-    // twin* (the twin is deterministic by construction; only the
-    // threaded relaxed front-end is allowed to reorder). ----
+    // for the exact-priority policy and for the relaxed queue driven
+    // sequentially (deterministic by construction; only the threaded
+    // relaxed front-end is allowed to reorder). ----
     let mut diverged = false;
     {
         let g = random_dag(RandomDagConfig {
@@ -429,8 +426,8 @@ fn main() {
                 diverged = true;
             }
         }
-        let run_twin = || {
-            let mut s = RelaxedSeqScheduler::new(
+        let run_relaxed = || {
+            let mut s = RelaxedMultiQueue::new(
                 platform.worker_count(),
                 RelaxedConfig {
                     queues_per_worker: 2,
@@ -439,11 +436,11 @@ fn main() {
                 },
             );
             let r = simulate(&g, &platform, &model, &mut s, SimConfig::seeded(9));
-            assert!(r.error.is_none(), "relaxed twin: {:?}", r.error);
+            assert!(r.error.is_none(), "relaxed queue: {:?}", r.error);
             schedule_hash(&r.trace)
         };
-        if run_twin() != run_twin() {
-            eprintln!("!! SCHEDULE DIVERGENCE: relaxed sequential twin");
+        if run_relaxed() != run_relaxed() {
+            eprintln!("!! SCHEDULE DIVERGENCE: relaxed queue on the simulator");
             diverged = true;
         }
     }

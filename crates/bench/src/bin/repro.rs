@@ -18,8 +18,9 @@
 //! the scheduler's pop/hold decision instants.
 //!
 //! `--front relaxed` swaps the `--trace-out` run's scheduler for the
-//! relaxed multi-queue's deterministic sequential twin (DESIGN.md §6c)
-//! and reports its measured rank error — the timeline stays diffable.
+//! relaxed multi-queue the threaded runtime runs, driven sequentially by
+//! the simulator (DESIGN.md §6c), and reports its measured rank error —
+//! the timeline stays diffable.
 //!
 //! The fault flags apply to the `--trace-out` run (DESIGN.md §9):
 //! `--kill-worker W:N` (repeatable) kills worker `W` after it completes
@@ -344,11 +345,11 @@ fn main() {
 /// Chrome `trace_event` timeline: task spans, transfer spans and — when
 /// built with `--features obs` — the scheduler's decision instants from
 /// the provenance ring. Deterministic, so CI can diff the artifact —
-/// including under a fault plan, whose kills/retries/recomputes show up
-/// as instant events on the timeline.
+/// including under a fault plan, whose kills, retries, recomputes and
+/// replica promotions show up as instant events on the timeline.
 fn export_trace(path: &str, front: &str, faults: FaultPlan, retry: RetryPolicy) {
     use mp_apps::dense::{potrf, DenseConfig};
-    use mp_sched::concurrent::{RelaxedConfig, RelaxedSeqScheduler};
+    use mp_sched::concurrent::{RelaxedConfig, RelaxedMultiQueue};
     use mp_sim::{simulate, SimConfig};
     use mp_trace::chrome_trace_with;
     use multiprio::MultiPrioScheduler;
@@ -358,23 +359,25 @@ fn export_trace(path: &str, front: &str, faults: FaultPlan, retry: RetryPolicy) 
     let platform = mp_platform::presets::simple(6, 2);
     let cfg = SimConfig::seeded(42).with_faults(faults).with_retry(retry);
     let mut sched = MultiPrioScheduler::with_defaults();
-    let mut relaxed_sched = RelaxedSeqScheduler::new(
-        platform.worker_count(),
-        RelaxedConfig {
-            queues_per_worker: 2,
-            seed: 42,
-            track_rank: true,
-        },
-    );
-    let result = match front {
-        "relaxed" => simulate(&w.graph, &platform, &model, &mut relaxed_sched, cfg),
-        _ => simulate(&w.graph, &platform, &model, &mut sched, cfg),
+    let mut relaxed = (front == "relaxed").then(|| {
+        RelaxedMultiQueue::new(
+            platform.worker_count(),
+            RelaxedConfig {
+                queues_per_worker: 2,
+                seed: 42,
+                track_rank: true,
+            },
+        )
+    });
+    let result = match relaxed.as_mut() {
+        Some(queue) => simulate(&w.graph, &platform, &model, queue, cfg),
+        None => simulate(&w.graph, &platform, &model, &mut sched, cfg),
     };
     if let Some(e) = &result.error {
         eprintln!("trace run failed: {e}");
         std::process::exit(1);
     }
-    if let Some(rank) = relaxed_sched.rank_stats() {
+    if let Some(rank) = relaxed.as_ref().and_then(RelaxedMultiQueue::rank_stats) {
         println!(
             "relaxed front-end rank error: mean {:.2}, max {} over {} pops",
             rank.mean(),
@@ -392,7 +395,7 @@ fn export_trace(path: &str, front: &str, faults: FaultPlan, retry: RetryPolicy) 
         );
     }
     let decisions = sched.provenance().decisions();
-    match chrome_trace_with(&result.trace, &decisions, &[]) {
+    match chrome_trace_with(&result.trace, &decisions, &result.events) {
         Ok(json) => {
             std::fs::write(path, json).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");

@@ -39,7 +39,5 @@ pub use mp_cache::{
     BitFlip, LoadReport, Lookup, PersistConfig, PersistFaultPlan, PersistStats, ResultCache,
 };
 pub use mp_fault::{FaultPlan, KillSpec, RetryPolicy};
-pub use mp_sched::concurrent::{
-    RelaxedConfig, RelaxedMultiQueue, RelaxedSeqScheduler, ShardedAdapter,
-};
+pub use mp_sched::concurrent::{RelaxedConfig, RelaxedMultiQueue, ShardedAdapter};
 pub use serve::{StreamConfig, StreamReport, Submission, TenantCounts};

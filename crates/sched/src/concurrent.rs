@@ -20,9 +20,8 @@
 //!   load order (randomized two-choice), then a full sweep so the last
 //!   tasks of a drain cannot be missed. Stateful policies keep their
 //!   semantics through two mechanisms:
-//!   * a **sequenced event channel**: every engine feedback event is
-//!     appended to a global log with a total order, and each shard
-//!     replays the log (from its own cursor) before any push/pop — so
+//!   * **broadcast feedback**: a policy that consumes feedback gets every
+//!     engine event in every shard, delivered under one ordering lock, so
 //!     every shard observes the same ordered event stream a single
 //!     instance would;
 //!   * **shared score state**: policies whose scores depend on a running
@@ -36,7 +35,7 @@
 //!
 //! **Lock poisoning.** Every mutex in this module recovers from poison
 //! (`unwrap_or_else(|p| p.into_inner())`) instead of propagating it.
-//! Front-end state is only mutated at push/pop/replay boundaries — no
+//! Front-end state is only mutated at push/pop/feedback boundaries — no
 //! user kernel ever runs under these locks — so a panic unwinding
 //! through a holder (e.g. a panicking kernel caught by the engine's
 //! worker-loop `catch_unwind`) leaves the protected state consistent.
@@ -52,7 +51,7 @@ use mp_platform::types::WorkerId;
 use crate::api::{PrefetchReq, SchedEvent, SchedView, Scheduler};
 use crate::relaxed::{two_distinct, SPLITMIX_GAMMA};
 
-pub use crate::relaxed::{RelaxedConfig, RelaxedMultiQueue, RelaxedSeqScheduler};
+pub use crate::relaxed::{RelaxedConfig, RelaxedMultiQueue};
 
 /// A scheduler front-end callable concurrently from every worker thread.
 ///
@@ -186,17 +185,11 @@ impl ConcurrentScheduler for GlobalLock {
     }
 }
 
-/// One shard: a policy instance plus its replay cursor into the event
-/// log. Pad-free: the mutex itself is the contention point and shards
-/// are heap-allocated far apart in practice.
-struct ShardState {
-    policy: Box<dyn Scheduler>,
-    /// Events `[0, applied)` of the global log have been replayed here.
-    applied: usize,
-}
-
+/// One shard: a policy instance behind its own mutex. Pad-free: the
+/// mutex itself is the contention point and shards are heap-allocated
+/// far apart in practice.
 struct Shard {
-    state: Mutex<ShardState>,
+    policy: Mutex<Box<dyn Scheduler>>,
     /// Pushed-but-not-popped tasks in this shard (steal-victim choice).
     pending: AtomicUsize,
     /// Observability: tasks popped from this shard / popped by a worker
@@ -217,8 +210,9 @@ pub struct ShardedAdapter {
     pending_total: AtomicUsize,
     /// Round-robin cursor for pushes with no releasing worker.
     rr: AtomicUsize,
-    /// Sequenced event channel: total-ordered feedback log.
-    events: Mutex<Vec<SchedEvent>>,
+    /// Held while one feedback event is broadcast to every shard, so
+    /// all shards see the events in one order.
+    feedback_order: Mutex<()>,
     /// Steal randomness (splitmix64 state).
     rng: AtomicU64,
     /// Dead workers by index (grown lazily in `worker_disabled`; the
@@ -240,21 +234,18 @@ impl ShardedAdapter {
         let shards = shards.max(1);
         let built: Vec<Shard> = (0..shards)
             .map(|_| Shard {
-                state: Mutex::new(ShardState {
-                    policy: factory(),
-                    applied: 0,
-                }),
+                policy: Mutex::new(factory()),
                 pending: AtomicUsize::new(0),
                 pops: AtomicU64::new(0),
                 steals: AtomicU64::new(0),
             })
             .collect();
         let (name, consumes_feedback, emits_prefetches) = {
-            let s = built[0].state.lock().unwrap_or_else(|p| p.into_inner());
+            let policy = built[0].policy.lock().unwrap_or_else(|p| p.into_inner());
             (
-                format!("{}+sharded{}", s.policy.name(), shards),
-                s.policy.consumes_feedback(),
-                s.policy.emits_prefetches(),
+                format!("{}+sharded{}", policy.name(), shards),
+                policy.consumes_feedback(),
+                policy.emits_prefetches(),
             )
         };
         let n = built.len();
@@ -265,7 +256,7 @@ impl ShardedAdapter {
             shards: built,
             pending_total: AtomicUsize::new(0),
             rr: AtomicUsize::new(0),
-            events: Mutex::new(Vec::new()),
+            feedback_order: Mutex::new(()),
             rng: AtomicU64::new(0x5817_55ca_11ab_1e5e),
             dead_workers: Mutex::new(Vec::new()),
             orphaned: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -314,28 +305,6 @@ impl ShardedAdapter {
         preferred
     }
 
-    /// Replay the global event log into this shard's policy, in order.
-    /// Caller holds the shard lock; the log lock nests inside it (the
-    /// only lock-ordering rule in this type: shard → log).
-    fn catch_up(&self, state: &mut ShardState, view: &SchedView<'_>) {
-        if !self.consumes_feedback {
-            return;
-        }
-        loop {
-            let fresh: Vec<SchedEvent> = {
-                let log = self.events.lock().unwrap_or_else(|p| p.into_inner());
-                if state.applied >= log.len() {
-                    return;
-                }
-                log[state.applied..].to_vec()
-            };
-            state.applied += fresh.len();
-            for ev in &fresh {
-                state.policy.feedback(ev, view);
-            }
-        }
-    }
-
     /// Pop from shard `i` for worker `w`, maintaining counters.
     fn pop_shard(&self, i: usize, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
         let shard = &self.shards[i];
@@ -343,9 +312,8 @@ impl ShardedAdapter {
         if shard.pending.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let mut state = shard.state.lock().unwrap_or_else(|p| p.into_inner());
-        self.catch_up(&mut state, view);
-        let t = state.policy.pop(w, view)?;
+        let mut policy = shard.policy.lock().unwrap_or_else(|p| p.into_inner());
+        let t = policy.pop(w, view)?;
         shard.pending.fetch_sub(1, Ordering::AcqRel);
         self.pending_total.fetch_sub(1, Ordering::AcqRel);
         if mp_trace::obs::obs_enabled() {
@@ -374,9 +342,8 @@ impl ConcurrentScheduler for ShardedAdapter {
             None => self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len(),
         });
         let shard = &self.shards[i];
-        let mut state = shard.state.lock().unwrap_or_else(|p| p.into_inner());
-        self.catch_up(&mut state, view);
-        state.policy.push(t, releaser, view);
+        let mut policy = shard.policy.lock().unwrap_or_else(|p| p.into_inner());
+        policy.push(t, releaser, view);
         shard.pending.fetch_add(1, Ordering::AcqRel);
         self.pending_total.fetch_add(1, Ordering::AcqRel);
     }
@@ -424,18 +391,26 @@ impl ConcurrentScheduler for ShardedAdapter {
         None
     }
 
-    fn feedback(&self, ev: &SchedEvent, _view: &SchedView<'_>) {
-        // Feedback-blind policies (the default) skip the channel — and
+    fn feedback(&self, ev: &SchedEvent, view: &SchedView<'_>) {
+        // Feedback-blind policies (the default) skip the broadcast — and
         // its synchronization — entirely.
         if !self.consumes_feedback {
             return;
         }
-        // Append to the sequenced channel; shards replay lazily under
-        // their own lock. The log lock serializes only a Vec push.
-        self.events
+        // Every shard gets every event, like `worker_disabled`. The
+        // ordering lock is the only one taken before a shard lock, so
+        // concurrent events reach all shards in the same order.
+        let _order = self
+            .feedback_order
             .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(*ev);
+            .unwrap_or_else(|p| p.into_inner());
+        for shard in &self.shards {
+            shard
+                .policy
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .feedback(ev, view);
+        }
     }
 
     fn worker_disabled(&self, w: WorkerId, view: &SchedView<'_>) {
@@ -468,9 +443,11 @@ impl ConcurrentScheduler for ShardedAdapter {
         // the quarantine broadcasts. Policies re-push drained tasks into
         // themselves, which conserves each shard's pending count.
         for shard in &self.shards {
-            let mut state = shard.state.lock().unwrap_or_else(|p| p.into_inner());
-            self.catch_up(&mut state, view);
-            state.policy.worker_disabled(w, view);
+            shard
+                .policy
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .worker_disabled(w, view);
         }
     }
 
@@ -481,9 +458,8 @@ impl ConcurrentScheduler for ShardedAdapter {
         // and parking it on the dead worker's shard starves it.
         let i = self.live_shard(self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len());
         let shard = &self.shards[i];
-        let mut state = shard.state.lock().unwrap_or_else(|p| p.into_inner());
-        self.catch_up(&mut state, view);
-        state.policy.push_retry(t, attempt, view);
+        let mut policy = shard.policy.lock().unwrap_or_else(|p| p.into_inner());
+        policy.push_retry(t, attempt, view);
         shard.pending.fetch_add(1, Ordering::AcqRel);
         self.pending_total.fetch_add(1, Ordering::AcqRel);
     }
@@ -498,8 +474,8 @@ impl ConcurrentScheduler for ShardedAdapter {
         }
         let mut all = Vec::new();
         for shard in &self.shards {
-            let mut state = shard.state.lock().unwrap_or_else(|p| p.into_inner());
-            all.extend(state.policy.drain_prefetches());
+            let mut policy = shard.policy.lock().unwrap_or_else(|p| p.into_inner());
+            all.extend(policy.drain_prefetches());
         }
         all
     }
@@ -518,8 +494,11 @@ impl ConcurrentScheduler for ShardedAdapter {
         // `sum(shard_pops) == pops` invariant. The nesting boundary
         // keeps the scalars and drops the inner vectors.
         for shard in &self.shards {
-            let state = shard.state.lock().unwrap_or_else(|p| p.into_inner());
-            let mut inner = state.policy.counters();
+            let mut inner = shard
+                .policy
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .counters();
             inner.shard_pops.clear();
             inner.steals.clear();
             snap.merge(&inner);
@@ -641,8 +620,8 @@ mod tests {
         assert_eq!(fe.pending(), 0);
     }
 
-    /// Same regression for the sharded front-end: shard and event-log
-    /// mutexes recover from poison instead of cascade-aborting every
+    /// Same regression for the sharded front-end: shard mutexes recover
+    /// from poison instead of cascade-aborting every
     /// subsequent pop of the surviving workers.
     #[test]
     fn poisoned_shard_recovers_instead_of_cascading() {
@@ -689,7 +668,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
-        /// Records the event order it observes.
+        /// Records the event order its shard observes.
         struct Probe {
             seen: Arc<std::sync::Mutex<Vec<f64>>>,
             pushed: usize,
@@ -720,21 +699,21 @@ mod tests {
         let mut fx = Fixture::two_arch();
         let t = fx.add_task(fx.both, 8, "t");
         let view = fx.view();
-        let (c0, c1, _) = fx.workers();
-        let logs: Arc<std::sync::Mutex<Vec<f64>>> = Default::default();
+        let (c0, ..) = fx.workers();
+        // One log per shard, in build order.
+        let logs: [Arc<std::sync::Mutex<Vec<f64>>>; 2] = Default::default();
         let counter = AtomicUsize::new(0);
         let fe = {
             let logs = logs.clone();
             let factory = move || -> Box<dyn Scheduler> {
-                counter.fetch_add(1, Ordering::Relaxed);
                 Box::new(Probe {
-                    seen: logs.clone(),
+                    seen: logs[counter.fetch_add(1, Ordering::Relaxed)].clone(),
                     pushed: 0,
                 })
             };
             ShardedAdapter::new(2, &factory)
         };
-        // Three ordered events, then touch both shards to force replay.
+        // Three ordered events, broadcast as they arrive.
         for i in 0..3 {
             fe.feedback(
                 &SchedEvent::TaskFinished {
@@ -745,9 +724,10 @@ mod tests {
                 &view,
             );
         }
-        fe.push(t, Some(c0), &view);
-        fe.push(t, Some(c1), &view);
-        let seen = logs.lock().unwrap().clone();
+        let seen: Vec<f64> = logs
+            .iter()
+            .flat_map(|log| log.lock().unwrap().clone())
+            .collect();
         // Both shards saw all three events, each in global order.
         assert_eq!(seen.len(), 6);
         assert_eq!(&seen[0..3], &[0.0, 1.0, 2.0]);

@@ -45,4 +45,4 @@ pub use heteroprio::HeteroPrioScheduler;
 pub use lws::LwsScheduler;
 pub use prio::EagerPrioScheduler;
 pub use random::RandomScheduler;
-pub use relaxed::{RankTracker, RelaxedConfig, RelaxedMultiQueue, RelaxedSeqScheduler};
+pub use relaxed::{RankTracker, RelaxedConfig, RelaxedMultiQueue};

@@ -26,13 +26,12 @@
 //! [`RankTracker`] measures it exactly against the oracle order, and
 //! the differential auditor reports it alongside makespan.
 //!
-//! Two implementations share the same structure and randomness so the
-//! auditor can mirror the runtime in virtual time:
-//!
-//! * [`RelaxedMultiQueue`] — the engine-facing concurrent front-end
-//!   (implements [`ConcurrentScheduler`]);
-//! * [`RelaxedSeqScheduler`] — a deterministic sequential twin
-//!   (implements [`Scheduler`]) driven by the simulator.
+//! One structure, [`RelaxedMultiQueue`], serves both clocks: the
+//! threaded runtime drives it as a [`ConcurrentScheduler`], and the
+//! simulator drives the very same queue through its [`Scheduler`] impl
+//! (named `"relaxed-mq"`). Called by one thread at a time it never
+//! fails a try-lock, so a seeded simulation is bit-deterministic and
+//! the auditor can compare staleness across the two executors.
 //!
 //! Ordering semantics match [`EagerPrioScheduler`](crate::prio::EagerPrioScheduler):
 //! descending user priority, FIFO within a priority level — that exact
@@ -112,9 +111,9 @@ pub struct RelaxedConfig {
     /// literature's sweet spot is 2–4: more queues cut contention but
     /// grow the expected rank error linearly.
     pub queues_per_worker: usize,
-    /// Seed for queue selection randomness. The sequential twin is
-    /// bit-deterministic in it; the concurrent front-end additionally
-    /// depends on thread interleaving.
+    /// Seed for queue selection randomness. Driven by one caller at a
+    /// time (the simulator) the queue is bit-deterministic in it; under
+    /// threads it additionally depends on the interleaving.
     pub seed: u64,
     /// Maintain an exact oracle mirror and measure per-pop rank error.
     /// Costs one `BTreeSet` mutex per push/pop — an audit instrument,
@@ -134,10 +133,9 @@ impl Default for RelaxedConfig {
 
 /// Exact-oracle staleness probe: mirrors the live task set in a total
 /// order and reports, per pop, how many strictly-better tasks were
-/// pending. Shared by both relaxed implementations; under concurrency
-/// the measurement is a linearization-point approximation (the mirror
-/// and the queues are not updated atomically together), which is the
-/// standard methodology for rank-error plots.
+/// pending. Under concurrency the measurement is a linearization-point
+/// approximation (the mirror and the queues are not updated atomically
+/// together), which is the standard methodology for rank-error plots.
 pub struct RankTracker {
     inner: Mutex<RankInner>,
 }
@@ -505,151 +503,29 @@ impl ConcurrentScheduler for RelaxedMultiQueue {
     }
 }
 
-/// Deterministic sequential twin of [`RelaxedMultiQueue`]: same queues,
-/// same score keys, same two-choice selection from the same splitmix64
-/// streams — but driven through the plain [`Scheduler`] trait, so the
-/// simulator can mirror the relaxed front-end in virtual time and the
-/// differential auditor can compare staleness across sides. Given equal
-/// seeds and equal push/pop sequences it makes bit-identical choices.
-pub struct RelaxedSeqScheduler {
-    queues: Vec<BinaryHeap<Entry>>,
-    scratch: Vec<Entry>,
-    workers: usize,
-    c: usize,
-    seq: u32,
-    rng: u64,
-    pending: usize,
-    pops: Vec<u64>,
-    steals: Vec<u64>,
-    rank: Option<RankTracker>,
-}
-
-impl RelaxedSeqScheduler {
-    /// Twin of `RelaxedMultiQueue::new(workers, cfg)`.
-    pub fn new(workers: usize, cfg: RelaxedConfig) -> Self {
-        let workers = workers.max(1);
-        let c = cfg.queues_per_worker.max(1);
-        let n = c * workers;
-        Self {
-            queues: (0..n).map(|_| BinaryHeap::new()).collect(),
-            scratch: Vec::new(),
-            workers,
-            c,
-            seq: 0,
-            rng: cfg.seed,
-            pending: 0,
-            pops: vec![0; n],
-            steals: vec![0; n],
-            rank: cfg.track_rank.then(RankTracker::new),
-        }
-    }
-
-    /// Rank-error statistics, when tracking was enabled.
-    pub fn rank_stats(&self) -> Option<RankStats> {
-        self.rank.as_ref().map(|r| r.stats())
-    }
-
-    fn draw(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(SPLITMIX_GAMMA);
-        self.rng
-    }
-
-    fn block_start(&self, w: WorkerId) -> usize {
-        (w.index() % self.workers) * self.c
-    }
-
-    /// Best executable entry of queue `i`, or `None` (queue restored).
-    fn pop_at(&mut self, i: usize, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
-        let mut found = None;
-        while let Some(e) = self.queues[i].pop() {
-            if view.worker_can_exec(e.task, w) {
-                found = Some(e);
-                break;
-            }
-            self.scratch.push(e);
-        }
-        while let Some(e) = self.scratch.pop() {
-            self.queues[i].push(e);
-        }
-        let e = found?;
-        self.pending -= 1;
-        if obs_enabled() {
-            self.pops[i] += 1;
-            let s = self.block_start(w);
-            if i < s || i >= s + self.c {
-                self.steals[i] += 1;
-            }
-        }
-        if let Some(tr) = &self.rank {
-            tr.on_pop(e.key, e.task);
-        }
-        Some(e.task)
-    }
-}
-
-impl Scheduler for RelaxedSeqScheduler {
+/// The same queue driven through the sequential [`Scheduler`] trait, so
+/// the simulator runs the structure the threads run. One caller at a
+/// time never fails a try-lock, so given a seed and a push/pop sequence
+/// the choices are bit-identical from run to run.
+impl Scheduler for RelaxedMultiQueue {
     fn name(&self) -> &'static str {
         "relaxed-mq"
     }
 
     fn push(&mut self, t: TaskId, releaser: Option<WorkerId>, view: &SchedView<'_>) {
-        let key = score_key(view.graph().task(t).user_priority, self.seq);
-        self.seq = self.seq.wrapping_add(1);
-        let e = Entry { key, task: t };
-        if let Some(tr) = &self.rank {
-            tr.on_push(e.key, e.task);
-        }
-        let n = self.queues.len();
-        let r = self.draw();
-        let i = match releaser {
-            Some(w) => self.block_start(w) + (mix64(r) % self.c as u64) as usize,
-            None => (mix64(r) % n as u64) as usize,
-        };
-        self.queues[i].push(e);
-        self.pending += 1;
+        ConcurrentScheduler::push(self, t, releaser, view);
     }
 
     fn pop(&mut self, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
-        let n = self.queues.len();
-        if n >= 2 {
-            for _ in 0..POP_DRAWS {
-                let (a, b) = two_distinct(self.draw(), n);
-                let ka = self.queues[a].peek().map_or(TOP_EMPTY, |e| e.key);
-                let kb = self.queues[b].peek().map_or(TOP_EMPTY, |e| e.key);
-                let (first, second) = if ka >= kb { (a, b) } else { (b, a) };
-                for i in [first, second] {
-                    if !self.queues[i].is_empty() {
-                        if let Some(t) = self.pop_at(i, w, view) {
-                            return Some(t);
-                        }
-                    }
-                }
-            }
-        }
-        let start = (mix64(self.draw()) % n as u64) as usize;
-        for off in 0..n {
-            let i = (start + off) % n;
-            if !self.queues[i].is_empty() {
-                if let Some(t) = self.pop_at(i, w, view) {
-                    return Some(t);
-                }
-            }
-        }
-        None
+        ConcurrentScheduler::pop(self, w, view)
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        ConcurrentScheduler::pending(self)
     }
 
     fn counters(&self) -> mp_trace::CounterSnapshot {
-        let mut snap = mp_trace::CounterSnapshot::default();
-        if !obs_enabled() {
-            return snap;
-        }
-        snap.shard_pops = self.pops.clone();
-        snap.steals = self.steals.clone();
-        snap
+        ConcurrentScheduler::counters(self)
     }
 }
 
@@ -705,13 +581,13 @@ mod tests {
         assert_eq!(mq.queue_count(), 4);
         mq.push(lo, None, &view);
         mq.push(hi, None, &view);
-        assert_eq!(mq.pending(), 2);
+        assert_eq!(ConcurrentScheduler::pending(&mq), 2);
         let mut got = Vec::new();
         while let Some(t) = mq.pop(c0, &view) {
             got.push(t);
         }
         assert_eq!(got.len(), 2);
-        assert_eq!(mq.pending(), 0);
+        assert_eq!(ConcurrentScheduler::pending(&mq), 0);
         let stats = mq.rank_stats().unwrap();
         assert_eq!(stats.pops, 2);
         // Worst case here: `hi` popped second, one better task pending.
@@ -733,9 +609,9 @@ mod tests {
         // tops every sampled queue.
         assert_eq!(mq.pop(c0, &view), Some(c));
         assert_eq!(mq.pop(c0, &view), None);
-        assert_eq!(mq.pending(), 1);
+        assert_eq!(ConcurrentScheduler::pending(&mq), 1);
         assert_eq!(mq.pop(g0, &view), Some(g));
-        assert_eq!(mq.pending(), 0);
+        assert_eq!(ConcurrentScheduler::pending(&mq), 0);
     }
 
     #[test]
@@ -750,20 +626,21 @@ mod tests {
             }
             let view = fx.view();
             let (c0, c1, _) = fx.workers();
-            let mut s = RelaxedSeqScheduler::new(2, RelaxedConfig::default());
+            // The simulator's path: the sequential `Scheduler` impl.
+            let mut s = RelaxedMultiQueue::new(2, RelaxedConfig::default());
             for (i, &t) in tasks.iter().enumerate() {
                 let releaser = if i % 3 == 0 { Some(c1) } else { None };
-                s.push(t, releaser, &view);
+                Scheduler::push(&mut s, t, releaser, &view);
             }
             let mut order = Vec::new();
             loop {
                 let w = if order.len() % 2 == 0 { c0 } else { c1 };
-                match s.pop(w, &view) {
+                match Scheduler::pop(&mut s, w, &view) {
                     Some(t) => order.push(t),
                     None => break,
                 }
             }
-            assert_eq!(s.pending(), 0);
+            assert_eq!(Scheduler::pending(&s), 0);
             order
         };
         assert_eq!(run(), run());
@@ -811,14 +688,14 @@ mod tests {
         // Every queue mutex is now poisoned; pushes and pops must still
         // drain both tasks instead of aborting.
         mq.push(b, None, &view);
-        assert_eq!(mq.pending(), 2);
+        assert_eq!(ConcurrentScheduler::pending(&mq), 2);
         let mut got = Vec::new();
         while let Some(t) = mq.pop(c0, &view) {
             got.push(t);
         }
         got.sort();
         assert_eq!(got, vec![a, b]);
-        assert_eq!(mq.pending(), 0);
+        assert_eq!(ConcurrentScheduler::pending(&mq), 0);
         // The rank tracker (poisoned alongside) keeps accounting too.
         assert_eq!(mq.rank_stats().unwrap().pops, 2);
     }
@@ -835,7 +712,7 @@ mod tests {
         }
         let view = fx.view();
         let (c0, ..) = fx.workers();
-        let mut s = RelaxedSeqScheduler::new(
+        let mut s = RelaxedMultiQueue::new(
             1,
             RelaxedConfig {
                 queues_per_worker: 1,
@@ -844,9 +721,9 @@ mod tests {
             },
         );
         for &t in &tasks {
-            s.push(t, None, &view);
+            Scheduler::push(&mut s, t, None, &view);
         }
-        while s.pop(c0, &view).is_some() {}
+        while Scheduler::pop(&mut s, c0, &view).is_some() {}
         let stats = s.rank_stats().unwrap();
         assert_eq!(stats.pops, 16);
         assert_eq!(stats.rank_max, 0, "one queue must be exact");

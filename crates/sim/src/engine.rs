@@ -366,7 +366,8 @@ fn prepare_task(
 /// `last_writer` and closed transitively over the producers' own lost
 /// inputs. Returns the recompute seeds whose member-predecessors are all
 /// intact — they go straight back to the scheduler; the rest are
-/// released through `rindeg` as their producers recommit.
+/// released through `rindeg` as their producers recommit. Each promotion
+/// and each recompute is counted on `stats` and handed to `record`.
 ///
 /// The node's workers all drained cleanly before dying, so nothing on
 /// `m` is pinned when the replicas are dropped.
@@ -384,6 +385,7 @@ fn recover_node(
     completed: &mut usize,
     recompute_live: &mut usize,
     stats: &mut SimStats,
+    record: &mut dyn FnMut(RuntimeEventKind),
 ) -> Vec<TaskId> {
     let mut lost: Vec<DataId> = Vec::new();
     for i in 0..store.handle_count() {
@@ -415,6 +417,7 @@ fn recover_node(
                     store.mark_dirty(d, n);
                 }
                 stats.replicas_promoted += 1;
+                record(RuntimeEventKind::ReplicaPromoted);
             }
             // A clean copy lost: the value survives elsewhere as-is.
             Some(_) => {}
@@ -446,6 +449,7 @@ fn recover_node(
         *completed -= 1;
         *recompute_live += 1;
         stats.tasks_recomputed += 1;
+        record(RuntimeEventKind::TaskRecomputed);
         members.push(q);
         for d in graph.task(q).reads() {
             let present = store.holders_full(d).any(|(_, r)| r.valid_at < f64::MAX);
@@ -611,8 +615,8 @@ pub(crate) struct Engine<'a> {
     stats: SimStats,
     /// The cache's counts when the run started.
     cache_mark: CacheMark,
-    /// Cache-hit / invalidation instants for the Chrome timeline.
-    cache_events: Vec<RuntimeEvent>,
+    /// Cache and fault instants for the Chrome timeline.
+    instants: Vec<RuntimeEvent>,
     /// The worklist driving hit cascades (a hit releases successors that
     /// may hit in turn — iterative, no recursion).
     cache_worklist: Vec<(TaskId, Option<WorkerId>)>,
@@ -691,7 +695,7 @@ impl<'a> Engine<'a> {
             trace: Trace::new(nw),
             stats: SimStats::default(),
             cache_mark: cache.map_or_else(Default::default, ResultCache::mark),
-            cache_events: Vec::new(),
+            instants: Vec::new(),
             cache_worklist: Vec::new(),
             hit_end: 0.0,
             failure: None,
@@ -776,6 +780,14 @@ impl<'a> Engine<'a> {
             seq: self.seq,
             kind,
         }));
+    }
+
+    /// Record a timeline instant on `worker`'s lane (with `record_trace`
+    /// on).
+    fn event(&mut self, worker: usize, at: f64, kind: RuntimeEventKind) {
+        if self.cfg.record_trace {
+            self.instants.push(RuntimeEvent { worker, at, kind });
+        }
     }
 
     /// Link the tasks the last submission added to `g` and release, in
@@ -891,6 +903,7 @@ impl<'a> Engine<'a> {
         self.alive[wi] = false;
         self.idle.remove(wi);
         self.stats.worker_failures += 1;
+        self.event(wi, now, RuntimeEventKind::WorkerFailed);
         {
             let view = view!(self, g, now);
             self.scheduler.worker_disabled(w, &view);
@@ -905,6 +918,7 @@ impl<'a> Engine<'a> {
                 .iter()
                 .all(|x| !self.alive[x.index()]);
         if node_lost {
+            let (record, instants) = (self.cfg.record_trace, &mut self.instants);
             let seeds = recover_node(
                 g,
                 &mut self.store,
@@ -918,6 +932,15 @@ impl<'a> Engine<'a> {
                 &mut self.completed,
                 &mut self.recompute_live,
                 &mut self.stats,
+                &mut |kind| {
+                    if record {
+                        instants.push(RuntimeEvent {
+                            worker: wi,
+                            at: now,
+                            kind,
+                        });
+                    }
+                },
             );
             for &s in &seeds {
                 self.repush(g, s, now);
@@ -1181,13 +1204,7 @@ impl<'a> Engine<'a> {
                     Some((_, Lookup::Invalidated)) => {
                         self.stats.cache_invalidations += 1;
                         self.stats.cache_misses += 1;
-                        if self.cfg.record_trace {
-                            self.cache_events.push(RuntimeEvent {
-                                worker: 0,
-                                at: now,
-                                kind: RuntimeEventKind::CacheInvalidated,
-                            });
-                        }
+                        self.event(0, now, RuntimeEventKind::CacheInvalidated);
                     }
                     _ => {
                         // No entry — or no metadata at all (bare
@@ -1227,13 +1244,7 @@ impl<'a> Engine<'a> {
             self.hit_end = now;
             self.stats.cache_hits += 1;
             self.stats.bytes_materialized += bytes;
-            if self.cfg.record_trace {
-                self.cache_events.push(RuntimeEvent {
-                    worker: 0,
-                    at: now,
-                    kind: RuntimeEventKind::CacheHit,
-                });
-            }
+            self.event(0, now, RuntimeEventKind::CacheHit);
             if let Some(s) = &mut self.stream {
                 s.completed(t, now, true);
             }
@@ -1279,6 +1290,7 @@ impl<'a> Engine<'a> {
                 return;
             }
             self.stats.tasks_retried += 1;
+            self.event(w.index(), now, RuntimeEventKind::TaskRetried);
             self.popped[t.index()] = false;
             let backoff = self.cfg.retry.backoff_for(self.attempts[t.index()]);
             self.push_event(now + backoff, EvKind::Retry { t });
@@ -1447,7 +1459,7 @@ impl<'a> Engine<'a> {
             error: self.failure,
             audit,
             counters,
-            cache_events: self.cache_events,
+            events: self.instants,
             serving,
         }
     }

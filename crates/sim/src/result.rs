@@ -163,9 +163,11 @@ pub struct SimResult {
     /// the crate is built with `--features obs`; every run fact lives on
     /// `stats` and `serving` instead.
     pub counters: CounterSnapshot,
-    /// Cache hit / invalidation instants for the Chrome-trace timeline.
-    /// Empty without a cache or with `record_trace` off.
-    pub cache_events: Vec<RuntimeEvent>,
+    /// Instants for the Chrome-trace timeline: cache hits and
+    /// invalidations, and the fault path's worker failures, retries,
+    /// recomputes and replica promotions, one per count on `stats`.
+    /// Empty with `record_trace` off.
+    pub events: Vec<RuntimeEvent>,
     /// The stream's admission, latency and fairness ledgers on a serving
     /// run (`serve_sim`); `None` on a closed one.
     pub serving: Option<ServeStats>,
@@ -228,7 +230,7 @@ mod tests {
             error: None,
             audit: Vec::new(),
             counters: CounterSnapshot::default(),
-            cache_events: Vec::new(),
+            events: Vec::new(),
             serving: None,
         };
         // 2e9 flops in 1 s = 2 GFlop/s.
@@ -253,7 +255,7 @@ mod tests {
             }),
             audit: Vec::new(),
             counters: CounterSnapshot::default(),
-            cache_events: Vec::new(),
+            events: Vec::new(),
             serving: None,
         };
         assert!(!r.is_complete());

@@ -10,6 +10,7 @@ use mp_platform::presets::simple;
 use mp_platform::types::ArchClass;
 use mp_sched::FifoScheduler;
 use mp_sim::{simulate, simulate_cached, FaultPlan, RetryPolicy, SimConfig, SimResult};
+use mp_trace::RuntimeEventKind;
 
 /// A `cols × (rows + 1)` wavefront: one INIT writer per column, then
 /// `rows` STEP layers where each task updates its column and reads its
@@ -103,7 +104,7 @@ fn cold_then_warm_hits_everything_at_zero_virtual_cost() {
     assert_eq!(warm.makespan, 0.0, "all-hit run takes zero virtual time");
     assert_eq!(warm.stats.tasks, n as usize, "hits still complete the DAG");
     assert!(warm.stats.bytes_materialized > 0);
-    assert!(!warm.cache_events.is_empty(), "hit instants recorded");
+    assert!(!warm.events.is_empty(), "hit instants recorded");
 }
 
 #[test]
@@ -157,12 +158,34 @@ fn poisoned_entry_invalidates_and_re_executes_never_serves_garbage() {
     assert_eq!(again.stats.cache_hits as usize, n);
 }
 
+/// One timeline instant per fault count: `events` holds exactly as many
+/// worker failures, retries, recomputes and promotions as `stats` counts.
+fn assert_fault_instants_match_stats(r: &SimResult) {
+    let count = |kind: RuntimeEventKind| r.events.iter().filter(|e| e.kind == kind).count() as u64;
+    let st = &r.stats;
+    assert_eq!(
+        [
+            count(RuntimeEventKind::WorkerFailed),
+            count(RuntimeEventKind::TaskRetried),
+            count(RuntimeEventKind::TaskRecomputed),
+            count(RuntimeEventKind::ReplicaPromoted),
+        ],
+        [
+            st.worker_failures,
+            st.tasks_retried,
+            st.tasks_recomputed,
+            st.replicas_promoted,
+        ],
+        "fault instants disagree with the fault counts"
+    );
+}
+
 #[test]
 fn caching_composes_with_fault_plans() {
     let g = pipeline(4, 3);
     let n = g.task_count() as u64;
     let cache = ResultCache::new();
-    let run = |cache: Option<&ResultCache>| {
+    let run = |cache: Option<&ResultCache>, kills: FaultPlan| {
         let mut s = FifoScheduler::new();
         simulate_cached(
             &g,
@@ -172,20 +195,29 @@ fn caching_composes_with_fault_plans() {
             SimConfig::seeded(5)
                 .with_faults(FaultPlan {
                     transient_fail_prob: 0.3,
-                    ..FaultPlan::default().kill_worker(0, 2)
+                    ..kills
                 })
                 .with_retry(RetryPolicy::new(8, 10.0)),
             cache,
         )
     };
-    let cold = run(Some(&cache));
+    let cpu_kill = FaultPlan::default().kill_worker(0, 2);
+    let cold = run(Some(&cache), cpu_kill);
     assert!(cold.error.is_none(), "{:?}", cold.error);
+    assert_fault_instants_match_stats(&cold);
+    assert!(cold.stats.worker_failures == 1 && cold.stats.tasks_retried > 0);
+    // Losing the GPU, the only worker of its memory node, also recomputes
+    // or promotes what only the device held; each shows on the timeline.
+    let gpu_kill = run(None, cpu_kill.kill_worker(2, 3));
+    assert!(gpu_kill.error.is_none(), "{:?}", gpu_kill.error);
+    assert_fault_instants_match_stats(&gpu_kill);
+    assert!(gpu_kill.stats.tasks_recomputed > 0 && gpu_kill.stats.replicas_promoted > 0);
     assert_eq!(
         cold.stats.cache_hits + cold.stats.cache_misses,
         n,
         "every task probed exactly once despite retries/kills"
     );
-    let warm = run(Some(&cache));
+    let warm = run(Some(&cache), cpu_kill);
     assert!(warm.error.is_none(), "{:?}", warm.error);
     assert_eq!(warm.stats.cache_hits, n, "warm run is all hits");
     assert_eq!(

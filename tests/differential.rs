@@ -20,7 +20,7 @@ use multiprio_suite::apps::fmm::{fmm, Distribution, FmmConfig};
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
 use multiprio_suite::apps::{dense_model, fmm_model};
 use multiprio_suite::audit::{
-    differential, mirror_graph, warm_cold_audit, warm_cold_audit_with_cache, DiffConfig, DiffReport,
+    differential, mirror_graph_computing, warm_cold_audit, DiffConfig, DiffReport, Front,
 };
 use multiprio_suite::bench::make_scheduler_factory;
 use multiprio_suite::dag::TaskGraph;
@@ -36,9 +36,9 @@ use proptest::prelude::*;
 /// The scheduler families the paper compares (Fig. 5–8).
 const SCHEDULERS: [&str; 4] = ["multiprio", "dmdas", "heteroprio", "lws"];
 
-/// Both runtime front-ends: the global-lock baseline and the sharded
+/// Both policy front-ends: the global-lock baseline and the sharded
 /// multi-queue.
-const FRONT_ENDS: [usize; 2] = [0, 4];
+const FRONT_ENDS: [Front; 2] = [Front::Global, Front::Sharded(4)];
 
 fn workloads() -> Vec<(&'static str, TaskGraph, Arc<dyn PerfModel>)> {
     let potrf_w = potrf(DenseConfig::new(4 * 960, 960));
@@ -81,17 +81,17 @@ fn differential_sweep_sim_vs_runtime() {
     for (wname, graph, model) in &workloads() {
         for sched in SCHEDULERS {
             let factory = make_scheduler_factory(sched);
-            for shards in FRONT_ENDS {
+            for front in FRONT_ENDS {
                 for seed in [1u64, 2, 3] {
                     let cfg = DiffConfig {
                         sim_cfg: SimConfig::seeded(seed).with_noise(0.1),
-                        shards,
+                        front,
                         ..DiffConfig::default()
                     };
                     let report = differential(graph, &platform, model, &*factory, &cfg);
                     assert_clean(
                         &report,
-                        &format!("{wname}/{sched}/shards={shards}/seed={seed}"),
+                        &format!("{wname}/{sched}/front={front:?}/seed={seed}"),
                     );
                     configs += 1;
                 }
@@ -110,35 +110,36 @@ fn fault_injection_preserves_exactly_once_and_termination() {
     for (wname, graph, model) in &workloads() {
         for sched in SCHEDULERS {
             let factory = make_scheduler_factory(sched);
-            for shards in FRONT_ENDS {
+            for front in FRONT_ENDS {
                 let cfg = DiffConfig {
                     sim_cfg: SimConfig::seeded(7),
-                    shards,
+                    front,
                     faults: Some(FaultPlan::chaos(13)),
                     ..DiffConfig::default()
                 };
                 let report = differential(graph, &platform, model, &*factory, &cfg);
-                assert_clean(&report, &format!("faulty {wname}/{sched}/shards={shards}"));
+                assert_clean(&report, &format!("faulty {wname}/{sched}/front={front:?}"));
             }
         }
     }
 }
 
 /// Result-cache acceptance: cache-hit outputs are bit-identical to
-/// recomputed ones across the sweep — computing mirror kernels, both
-/// runtime front-ends, with and without a kill/transient fault plan.
-/// Fault-free warm runs must additionally execute zero tasks (100 % hit
-/// rate); see [`warm_cold_audit`].
+/// recomputed ones across the sweep — computing mirror kernels, all
+/// three runtime front-ends, with and without a kill/transient fault
+/// plan. Fault-free warm runs must additionally execute zero tasks
+/// (100 % hit rate); see [`warm_cold_audit`].
 #[test]
 fn warm_cold_cache_sweep_outputs_bit_identical() {
     let platform = simple(3, 1);
+    let relaxed = Front::Relaxed(RelaxedConfig::default());
     for (wname, graph, model) in &workloads() {
         for sched in SCHEDULERS {
             let factory = make_scheduler_factory(sched);
-            for shards in FRONT_ENDS {
+            for front in FRONT_ENDS.into_iter().chain([relaxed]) {
                 for faulty in [false, true] {
                     let cfg = DiffConfig {
-                        shards,
+                        front,
                         faults: faulty.then(|| FaultPlan {
                             transient_fail_prob: 0.2,
                             ..FaultPlan::default().kill_worker(0, 3)
@@ -146,10 +147,11 @@ fn warm_cold_cache_sweep_outputs_bit_identical() {
                         retry: RetryPolicy::new(8, 0.0),
                         ..DiffConfig::default()
                     };
-                    let report = warm_cold_audit(graph, &platform, model, &*factory, &cfg);
+                    let cache = Arc::new(ResultCache::new());
+                    let report = warm_cold_audit(graph, &platform, model, &*factory, &cfg, &cache);
                     assert!(
                         report.is_clean(),
-                        "{wname}/{sched}/shards={shards}/faulty={faulty}: {}",
+                        "{wname}/{sched}/front={front:?}/faulty={faulty}: {}",
                         report.mismatches[0]
                     );
                 }
@@ -172,7 +174,7 @@ fn capped_cache_evicts_under_pressure_but_stays_bit_identical() {
     let cap = 4 * 1024u64;
     let cache = Arc::new(multiprio_suite::runtime::ResultCache::with_capacity(cap));
     let cfg = DiffConfig::default();
-    let report = warm_cold_audit_with_cache(graph, &platform, model, &*factory, &cfg, &cache);
+    let report = warm_cold_audit(graph, &platform, model, &*factory, &cfg, &cache);
     assert!(
         report.is_clean(),
         "{wname}: {} mismatch(es), first: {}",
@@ -199,7 +201,7 @@ fn runtime_spans_are_sorted_by_end_then_task() {
     let platform = simple(3, 1);
     for (wname, graph, model) in &workloads() {
         let factory = make_scheduler_factory("multiprio");
-        let (mut rt, edge_mismatches) = mirror_graph(graph, &platform, Arc::clone(model));
+        let (mut rt, edge_mismatches) = mirror_graph_computing(graph, &platform, Arc::clone(model));
         assert!(edge_mismatches.is_empty(), "{wname}: mirrored DAG diverged");
         let report = rt
             .run_concurrent(&ShardedAdapter::new(4, &*factory))
@@ -237,7 +239,7 @@ proptest! {
         let factory = make_scheduler_factory(SCHEDULERS[sched_idx]);
         let cfg = DiffConfig {
             sim_cfg: SimConfig::seeded(seed),
-            shards,
+            front: if shards == 0 { Front::Global } else { Front::Sharded(shards) },
             faults: (faulty == 1).then_some(FaultPlan {
                 // Lighter than chaos(): proptest runs many cases.
                 seed,
@@ -410,7 +412,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
 
         // Runtime side, both front-ends.
-        let (mut rt, edge_mismatches) = mirror_graph(&g, &platform, Arc::clone(&model));
+        let (mut rt, edge_mismatches) = mirror_graph_computing(&g, &platform, Arc::clone(&model));
         prop_assert!(edge_mismatches.is_empty());
         let report = if shards == 0 {
             rt.run(factory())
@@ -443,7 +445,7 @@ proptest! {
         // c·P queues, not workers or shards, and must still sum to the
         // scalar pop count after the nesting-boundary merge.
         let c = 1 + shards; // 1..=4 queues per worker, 3 workers
-        let (mut rt, edge_mismatches) = mirror_graph(&g, &platform, Arc::clone(&model));
+        let (mut rt, edge_mismatches) = mirror_graph_computing(&g, &platform, Arc::clone(&model));
         prop_assert!(edge_mismatches.is_empty());
         let front = RelaxedMultiQueue::new(
             platform.worker_count(),

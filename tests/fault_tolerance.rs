@@ -13,7 +13,7 @@ use std::sync::Arc;
 use multiprio_suite::apps::dense::{geqrf, potrf, DenseConfig};
 use multiprio_suite::apps::dense_model;
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
-use multiprio_suite::audit::{differential, schedule_hash, DiffConfig};
+use multiprio_suite::audit::{differential, schedule_hash, DiffConfig, Front};
 use multiprio_suite::bench::{make_scheduler, make_scheduler_factory};
 use multiprio_suite::cache::ResultCache;
 use multiprio_suite::dag::{AccessMode, TaskGraph};
@@ -52,7 +52,7 @@ fn kill_sweep_differential_agrees_across_front_ends() {
     let platform = simple(3, 1);
     for sched in SCHEDULERS {
         let factory = make_scheduler_factory(sched);
-        for shards in [0usize, 4] {
+        for front in [Front::Global, Front::Sharded(4)] {
             // Kill a CPU early, a CPU late, and the lone GPU (every
             // random-DAG kernel keeps a CPU implementation, so the run
             // must still complete).
@@ -64,15 +64,14 @@ fn kill_sweep_differential_agrees_across_front_ends() {
             ] {
                 let cfg = DiffConfig {
                     sim_cfg: SimConfig::seeded(5),
-                    shards,
+                    front,
                     faults: Some(plan),
                     retry: RetryPolicy::new(4, 0.0),
-                    relaxed: None,
                 };
                 let report = differential(&g, &platform, &model, &*factory, &cfg);
                 assert!(
                     report.is_clean(),
-                    "{sched}/shards={shards}/kills={:?}: first mismatch: {}",
+                    "{sched}/front={front:?}/kills={:?}: first mismatch: {}",
                     plan.kills,
                     report.mismatches[0]
                 );
@@ -95,7 +94,7 @@ fn transient_sweep_differential_agrees_across_front_ends() {
     let platform = simple(3, 1);
     for sched in SCHEDULERS {
         let factory = make_scheduler_factory(sched);
-        for shards in [0usize, 4] {
+        for front in [Front::Global, Front::Sharded(4)] {
             let plan = FaultPlan {
                 seed: 31,
                 transient_fail_prob: 0.3,
@@ -103,15 +102,14 @@ fn transient_sweep_differential_agrees_across_front_ends() {
             };
             let cfg = DiffConfig {
                 sim_cfg: SimConfig::seeded(5),
-                shards,
+                front,
                 faults: Some(plan),
                 retry: RetryPolicy::new(16, 2.0),
-                relaxed: None,
             };
             let report = differential(&g, &platform, &model, &*factory, &cfg);
             assert!(
                 report.is_clean(),
-                "{sched}/shards={shards}: first mismatch: {}",
+                "{sched}/front={front:?}: first mismatch: {}",
                 report.mismatches[0]
             );
         }

@@ -4,8 +4,8 @@
 //! Every configuration drives a full restart audit — in-process twin,
 //! persist-and-crash, reopen-and-rerun — across **both engines**
 //! (threaded runtime via [`restart_audit`], discrete-event simulator
-//! via [`restart_audit_sim`]) and **all three serve front-ends**
-//! ([`restart_serve_audit`]), under a fault matrix of:
+//! via [`restart_audit_sim`]) and **all three front-ends** (batch and
+//! served, [`restart_serve_audit`]), under a fault matrix of:
 //!
 //! * `clean` — graceful shutdown: zero rejects, full warm coverage;
 //! * `kill-N` — writer killed after `N` record-stream bytes: the torn
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use mp_fault::splitmix64;
 use multiprio_suite::audit::{
-    restart_audit, restart_audit_sim, restart_serve_audit, DiffConfig, ServeFrontend,
+    restart_audit, restart_audit_sim, restart_serve_audit, DiffConfig, Front,
 };
 use multiprio_suite::dag::{AccessMode, StfBuilder, TaskGraph};
 use multiprio_suite::perfmodel::model::UniformModel;
@@ -36,7 +36,6 @@ use multiprio_suite::runtime::{
     PersistFaultPlan, RelaxedConfig, Runtime, StreamConfig, Submission, TaskBuilder,
 };
 use multiprio_suite::sched::{FifoScheduler, Scheduler};
-use multiprio_suite::sim::SimConfig;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mp-restart-{}-{tag}", std::process::id()));
@@ -119,9 +118,12 @@ fn runtime_restart_survives_the_fault_matrix() {
             plan,
         );
         assert!(report.is_clean(), "{tag}: {:?}", report.mismatches);
-        assert_eq!(report.restart_warm_digest, report.reference_digest, "{tag}");
+        assert_eq!(report.restart_warm.digest, report.twin_cold.digest, "{tag}");
         if plan.is_clean() {
-            assert_eq!(report.warm_executed, 0, "{tag}: clean restart must all-hit");
+            assert_eq!(
+                report.restart_warm.executed, 0,
+                "{tag}: clean restart must all-hit"
+            );
             assert_eq!(report.load.loaded, g.task_count() as u64, "{tag}");
         }
         let _ = fs::remove_dir_all(&dir);
@@ -130,23 +132,29 @@ fn runtime_restart_survives_the_fault_matrix() {
 
 #[test]
 fn sharded_runtime_restart_survives_a_kill() {
-    // The sharded front-end shares the cache across policy instances;
-    // one representative kill + one clean pass keep the sweep fast.
+    // The sharded front-end shares the cache across policy instances,
+    // and the relaxed one replaces the policy; one representative kill
+    // + one clean pass each keep the sweep fast.
     let g = two_diamonds();
     let platform = simple(2, 1);
     let model: Arc<dyn PerfModel> = Arc::new(UniformModel { time_us: 5.0 });
-    let cfg = DiffConfig {
-        shards: 2,
-        ..DiffConfig::default()
-    };
-    for (tag, plan) in [
-        ("clean", PersistFaultPlan::default()),
-        ("kill", PersistFaultPlan::seeded(7).kill_after_bytes(600)),
+    for (fname, front) in [
+        ("sharded", Front::Sharded(2)),
+        ("relaxed", Front::Relaxed(RelaxedConfig::default())),
     ] {
-        let dir = tmpdir(&format!("rt-sharded-{tag}"));
-        let report = restart_audit(&g, &platform, &model, &fifo, &cfg, &dir, plan);
-        assert!(report.is_clean(), "{tag}: {:?}", report.mismatches);
-        let _ = fs::remove_dir_all(&dir);
+        let cfg = DiffConfig {
+            front,
+            ..DiffConfig::default()
+        };
+        for (tag, plan) in [
+            ("clean", PersistFaultPlan::default()),
+            ("kill", PersistFaultPlan::seeded(7).kill_after_bytes(600)),
+        ] {
+            let dir = tmpdir(&format!("rt-{fname}-{tag}"));
+            let report = restart_audit(&g, &platform, &model, &fifo, &cfg, &dir, plan);
+            assert!(report.is_clean(), "{fname}/{tag}: {:?}", report.mismatches);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -154,7 +162,7 @@ fn sharded_runtime_restart_survives_a_kill() {
 fn sim_restart_survives_the_fault_matrix() {
     let g = two_diamonds();
     let platform = simple(2, 1);
-    let model = UniformModel { time_us: 5.0 };
+    let model: Arc<dyn PerfModel> = Arc::new(UniformModel { time_us: 5.0 });
     for (tag, plan) in plans() {
         let dir = tmpdir(&format!("sim-{tag}"));
         let report = restart_audit_sim(
@@ -162,18 +170,21 @@ fn sim_restart_survives_the_fault_matrix() {
             &platform,
             &model,
             &fifo,
-            SimConfig::default(),
+            &DiffConfig::default(),
             &dir,
             plan,
         );
         assert!(report.is_clean(), "{tag}: {:?}", report.mismatches);
         assert_eq!(
-            (report.warm_hits + report.warm_misses) as usize,
+            (report.restart_warm.hits + report.restart_warm.misses) as usize,
             g.task_count(),
             "{tag}: every task resolves to a hit or a recompute"
         );
         if plan.is_clean() {
-            assert_eq!(report.warm_misses, 0, "{tag}: clean restart must all-hit");
+            assert_eq!(
+                report.restart_warm.misses, 0,
+                "{tag}: clean restart must all-hit"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -204,10 +215,10 @@ fn every_serve_frontend_survives_restart_chaos() {
     let platform = multiprio_suite::platform::presets::homogeneous(2);
     let model: Arc<dyn PerfModel> = Arc::new(UniformModel { time_us: 5.0 });
     let stream_cfg = StreamConfig::new(TenantSpec::equal(2));
-    let frontends = [
-        ("global", ServeFrontend::Global),
-        ("sharded", ServeFrontend::Sharded(2)),
-        ("relaxed", ServeFrontend::Relaxed(RelaxedConfig::default())),
+    let fronts = [
+        ("global", Front::Global),
+        ("sharded", Front::Sharded(2)),
+        ("relaxed", Front::Relaxed(RelaxedConfig::default())),
     ];
     // One representative plan per fault class — the full matrix runs on
     // the batch engines above; front-ends share the same cache code.
@@ -219,14 +230,18 @@ fn every_serve_frontend_survives_restart_chaos() {
             PersistFaultPlan::seeded(5).bit_flip(splitmix64(5), 3),
         ),
     ];
-    for (fname, frontend) in frontends {
+    for (fname, front) in fronts {
+        let cfg = DiffConfig {
+            front,
+            ..DiffConfig::default()
+        };
         for (pname, plan) in serve_plans {
             let dir = tmpdir(&format!("serve-{fname}-{pname}"));
             let report = restart_serve_audit(
-                frontend,
                 &platform,
                 &model,
                 &fifo,
+                &cfg,
                 &stream_cfg,
                 &serve_stream,
                 &dir,
@@ -237,10 +252,10 @@ fn every_serve_frontend_survives_restart_chaos() {
                 "{fname}/{pname}: {:?}",
                 report.mismatches
             );
-            assert!(report.twin_warm_hits > 0, "{fname}/{pname}: warm must hit");
+            assert!(report.twin_warm.hits > 0, "{fname}/{pname}: warm must hit");
             if plan.is_clean() {
                 assert_eq!(
-                    report.restart_warm_hits, report.twin_warm_hits,
+                    report.restart_warm.hits, report.twin_warm.hits,
                     "{fname}/{pname}: clean restart must match the twin's hits"
                 );
             }

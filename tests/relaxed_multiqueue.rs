@@ -12,13 +12,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
-use multiprio_suite::audit::{differential, DiffConfig};
+use multiprio_suite::audit::{differential, DiffConfig, Front};
 use multiprio_suite::dag::TaskId;
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
 use multiprio_suite::platform::presets::{homogeneous, simple};
 use multiprio_suite::platform::types::ArchClass;
-use multiprio_suite::runtime::{FaultPlan, RelaxedConfig, Runtime, TaskBuilder};
-use multiprio_suite::runtime::{RelaxedSeqScheduler, RetryPolicy};
+use multiprio_suite::runtime::{FaultPlan, RelaxedConfig, RetryPolicy, Runtime, TaskBuilder};
 use multiprio_suite::sched::concurrent::{ConcurrentScheduler, RelaxedMultiQueue, ShardedAdapter};
 use multiprio_suite::sched::testutil::Fixture;
 use multiprio_suite::sched::{FifoScheduler, Scheduler};
@@ -82,7 +81,7 @@ fn drive_concurrently(threads: usize, chains: usize, depth: usize, c: usize, see
                                 std::time::Instant::now() < deadline,
                                 "drain stalled: {}/{total} tasks popped, pending={}",
                                 done.load(Ordering::Acquire),
-                                mq.pending()
+                                ConcurrentScheduler::pending(mq)
                             );
                             std::thread::yield_now();
                         }
@@ -92,12 +91,16 @@ fn drive_concurrently(threads: usize, chains: usize, depth: usize, c: usize, see
         }
     });
     assert_eq!(done.load(Ordering::Acquire), total);
-    assert_eq!(mq.pending(), 0, "tasks left behind after drain");
+    assert_eq!(
+        ConcurrentScheduler::pending(mq),
+        0,
+        "tasks left behind after drain"
+    );
     assert!(seen.iter().all(|s| s.load(Ordering::Acquire)), "task lost");
     let stats = mq.rank_stats().expect("rank tracking was on");
     assert_eq!(stats.pops as usize, total);
     if obs_enabled() {
-        let snap = mq.counters();
+        let snap = ConcurrentScheduler::counters(mq);
         assert_eq!(snap.shard_pops.len(), 3 * c);
         assert_eq!(snap.shard_pops.iter().sum::<u64>() as usize, total);
         for (s, p) in snap.steals.iter().zip(&snap.shard_pops) {
@@ -127,8 +130,9 @@ fn stress_concurrent_drains_under_oversubscription() {
     }
 }
 
-/// The sequential twin against the exact oracle: rank error stays small
-/// (two-choice keeps the expected rank `O(c·P)`) and rank 0 dominates.
+/// The queue, driven sequentially as the simulator drives it, against
+/// the exact oracle: rank error stays small (two-choice keeps the
+/// expected rank `O(c·P)`) and rank 0 dominates.
 #[test]
 fn rank_error_is_bounded_against_the_oracle() {
     let mut fx = Fixture::two_arch();
@@ -142,7 +146,7 @@ fn rank_error_is_bounded_against_the_oracle() {
     let view = fx.view();
     let (c0, c1, g0) = fx.workers();
     let c = 2usize;
-    let mut s = RelaxedSeqScheduler::new(
+    let mut s = RelaxedMultiQueue::new(
         3,
         RelaxedConfig {
             queues_per_worker: c,
@@ -151,12 +155,12 @@ fn rank_error_is_bounded_against_the_oracle() {
         },
     );
     for &t in &tasks {
-        s.push(t, None, &view);
+        Scheduler::push(&mut s, t, None, &view);
     }
     let mut popped = 0usize;
     loop {
         let w = [c0, c1, g0][popped % 3];
-        match s.pop(w, &view) {
+        match Scheduler::pop(&mut s, w, &view) {
             Some(_) => popped += 1,
             None => break,
         }
@@ -280,9 +284,9 @@ fn killed_workers_shard_drains_through_the_survivors() {
     }
 }
 
-/// The relaxed front-end through the whole differential harness: sim
-/// twin vs threaded runtime, clean and faulty, with rank statistics
-/// reported on both sides.
+/// The relaxed front-end through the whole differential harness: the
+/// same queue on the simulator and on the threaded runtime, clean and
+/// faulty, with rank statistics reported on both sides.
 #[test]
 fn relaxed_differential_sweep_with_and_without_faults() {
     let platform = simple(3, 1);
@@ -314,12 +318,11 @@ fn relaxed_differential_sweep_with_and_without_faults() {
                 sim_cfg: SimConfig::seeded(seed),
                 faults,
                 retry,
-                relaxed: Some(RelaxedConfig {
+                front: Front::Relaxed(RelaxedConfig {
                     queues_per_worker: 2,
                     seed,
                     track_rank: true,
                 }),
-                ..DiffConfig::default()
             };
             let report = differential(&g, &platform, &model, noop_factory, &cfg);
             assert!(

@@ -4,13 +4,14 @@
 //! under the global-lock, sharded *and* relaxed front-ends — and
 //! admission rejections must never strand admitted work.
 //!
-//! The oracle has two layers: `mp_audit::streaming_audit` checks
-//! exactly-once + precedence over the final grown graph (which *is* the
-//! admitted set — rejected stages never touch it), and a counting
-//! kernel on every root handle cross-checks that the number of
-//! committed root executions equals the number of admitted submissions
-//! that wrote that handle — a rejected stage that left residue, a
-//! stranded dependency, or a double execution all break the count.
+//! The oracle has two layers: `mp_audit::streaming_audit_cached` with
+//! zero hits checks exactly-once + precedence over the final grown
+//! graph (which *is* the admitted set — rejected stages never touch
+//! it), and a counting kernel on every root handle cross-checks that
+//! the number of committed root executions equals the number of
+//! admitted submissions that wrote that handle — a rejected stage that
+//! left residue, a stranded dependency, or a double execution all break
+//! the count.
 //!
 //! The cache-backed properties run the *same* random stream with the
 //! result cache on and off: the final buffer digests must be
@@ -24,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use multiprio_suite::audit::{streaming_audit, streaming_audit_cached};
+use multiprio_suite::audit::streaming_audit_cached;
 use multiprio_suite::dag::{AccessMode, DataId, TaskId};
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
 use multiprio_suite::platform::presets::{homogeneous, simple};
@@ -159,7 +160,7 @@ fn check_stream(
     assert_eq!(report.tasks_admitted, rt.graph().task_count());
     // Exactly-once + per-sub-DAG precedence (including cross-submission
     // edges resolved by data identity) over the whole grown graph.
-    let findings = streaming_audit(rt.graph(), &report.trace);
+    let findings = streaming_audit_cached(rt.graph(), &report.trace, 0);
     assert!(findings.is_empty(), "{findings:?}");
     // Counting oracle: each handle's root chain ran once per *admitted*
     // submission that wrote it — rejections left no residue, nothing
@@ -452,7 +453,7 @@ fn fault_transient_failures_are_retried_while_serving() {
         let (rt, report) = serve_fixed(front, 40, Some(plan), RetryPolicy::new(16, 0.0));
         assert!(report.is_complete(), "front {front}: {:?}", report.error);
         assert_eq!(report.subdags_admitted, 40, "front {front}");
-        let findings = streaming_audit(rt.graph(), &report.trace);
+        let findings = streaming_audit_cached(rt.graph(), &report.trace, 0);
         assert!(findings.is_empty(), "front {front}: {findings:?}");
         assert_eq!(
             rt.buffers_digest(),
@@ -504,7 +505,7 @@ fn fault_killed_worker_is_quarantined_while_serving() {
             on_killed <= 1,
             "front {front}: {on_killed} spans on the killed worker"
         );
-        let findings = streaming_audit(rt.graph(), &report.trace);
+        let findings = streaming_audit_cached(rt.graph(), &report.trace, 0);
         assert!(findings.is_empty(), "front {front}: {findings:?}");
     }
 }
@@ -959,6 +960,6 @@ fn staged_tasks_count_against_admission() {
     assert_eq!(report.subdags_admitted, MAX as u64);
     assert!(report.admitted[1..=MAX].iter().all(Option::is_some));
     assert_eq!(report.rejections[0].0, 0);
-    let findings = streaming_audit(rt.graph(), &report.trace);
+    let findings = streaming_audit_cached(rt.graph(), &report.trace, 0);
     assert!(findings.is_empty(), "{findings:?}");
 }
