@@ -2,7 +2,7 @@
 
 use mp_dag::{AccessMode, StfBuilder, TaskGraph};
 
-use super::fronts::{elimination_tree, Front};
+use super::fronts::elimination_tree;
 use super::matrices::MatrixMeta;
 use super::SparseQrConfig;
 
@@ -127,11 +127,6 @@ fn graph_set_flops(graph: &mut TaskGraph, t: mp_dag::TaskId, flops: f64) {
     // TaskGraph intentionally exposes no blanket mutators; reach through
     // the one sanctioned hook.
     graph.set_task_flops(t, flops);
-}
-
-/// Helper exposed for tests: fronts of the tree used by [`sparse_qr`].
-pub fn tree_of(meta: &MatrixMeta, cfg: SparseQrConfig) -> Vec<Front> {
-    elimination_tree(meta, cfg.seed)
 }
 
 #[cfg(test)]

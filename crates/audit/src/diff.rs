@@ -12,6 +12,7 @@
 //! Any typed engine error, runtime error, STF edge divergence, or
 //! auditor record is also surfaced as a [`Mismatch`].
 
+use mp_dag::hash::{FNV_OFFSET, FNV_PRIME};
 use mp_dag::{TaskGraph, TaskId};
 use mp_trace::{SpanTable, Trace};
 
@@ -309,16 +310,14 @@ pub(crate) fn precedence(spans: &SpanTable<'_>, side: Side, out: &mut Vec<Mismat
 /// must produce the same hash: the repeat-determinism gate for fault
 /// injection.
 pub fn schedule_hash(trace: &Trace) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
     fn mix(mut h: u64, v: u64) -> u64 {
         for b in v.to_le_bytes() {
             h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         h
     }
-    let mut h = OFFSET;
+    let mut h = FNV_OFFSET;
     for s in &trace.tasks {
         h = mix(h, s.task.index() as u64);
         h = mix(h, s.worker.index() as u64);

@@ -7,11 +7,15 @@
 //!       [--cache-dir PATH] [--crash-after N]
 //!       [--serve] [--arrivals poisson:RATE|bursty:RATE[:BURST]] [--tenants N]
 //!       [--workers W] [--submissions N] [--policy NAME]
-//!       [table2] [fig3] [fig4] [fig5] [fig6] [fig7] [fig8] [probe <matrix>]
+//!       [table2] [fig3] [fig4] [fig5] [fig6] [fig7] [fig8] [ablation]
+//!       [probe <matrix>]
 //! ```
 //!
 //! With no experiment names, runs everything. `--quick` (default) uses
 //! CI-scale problem sizes; `--full` approaches the paper's sizes.
+//! `ablation` (the same at both scales) switches MultiPrio's components
+//! off one at a time, sweeps its locality window `n` and threshold `ε`
+//! on sparse QR, and sweeps the hierarchical-task expansion ratio.
 //! `--trace-out <path>` runs one fixed seeded potrf under MultiPrio and
 //! writes a Chrome `trace_event` JSON timeline (open with Perfetto,
 //! <https://ui.perfetto.dev>); build with `--features obs` to include
@@ -67,7 +71,7 @@
 //! perturbs a fraction of arrivals so only their dirty cones
 //! re-execute. Prints hit-rate and warm/cold served-tasks/sec speedup.
 
-use mp_bench::figures::{fig3, fig4, fig5, fig6, fig7, fig8, table2};
+use mp_bench::figures::{ablation, fig3, fig4, fig5, fig6, fig7, fig8, table2};
 use mp_sim::{FaultPlan, RetryPolicy};
 
 /// Pull `--flag <value>` out of `args`, exiting with usage on a missing
@@ -336,6 +340,34 @@ fn main() {
         }
         for (p, m) in fig8::mean_multiprio_ratio(&rows) {
             println!("mean multiprio ratio on {p}: {m:.3} (paper: 1.31 Intel / 1.12 AMD)");
+        }
+        println!();
+    }
+    if want("ablation") {
+        println!(
+            "== Ablation: MultiPrio components (sparse QR flower_7_4, Intel-V100, 4 streams) =="
+        );
+        let a = ablation::run();
+        for (sched, t) in ablation::VARIANTS.iter().zip(&a.components) {
+            println!("{sched:22} {t:8.3} s");
+        }
+        println!("-- locality window n (paper: n = 10) --");
+        for (n, t) in ablation::WINDOWS.iter().zip(&a.window) {
+            println!("n={n:3}   {t:8.3} s");
+        }
+        println!("-- score threshold eps (paper: eps = 0.8) --");
+        for (eps, t) in ablation::EPSILONS.iter().zip(&a.epsilon) {
+            println!("eps={eps:4.2} {t:8.3} s");
+        }
+        println!("-- hierarchical tasks (Sec. VII outlook), Intel-V100 with 2 streams --");
+        let [mp, dm, hp] = ablation::HIER_SCHEDULERS;
+        println!("{:>8} {mp:>12} {dm:>12} {hp:>12}", "expand");
+        for r in ablation::hierarchical_sweep() {
+            let [mp, dm, hp] = r.makespan_ms;
+            println!(
+                "{:>8.2} {mp:>10.1}ms {dm:>10.1}ms {hp:>10.1}ms",
+                r.expand_ratio
+            );
         }
         println!();
     }

@@ -1,5 +1,6 @@
-//! One module per reproduced table/figure.
+//! One module per reproduced table, figure and ablation study.
 
+pub mod ablation;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;

@@ -28,25 +28,27 @@ pub const SCHEDULER_NAMES: [&str; 14] = [
     "prio",
 ];
 
+/// The configuration of each MultiPrio variant, by scheduler name.
+fn multiprio_config(name: &str) -> Option<MultiPrioConfig> {
+    Some(match name {
+        "multiprio" => MultiPrioConfig::default(),
+        "multiprio-noevict" => MultiPrioConfig::without_eviction(),
+        "multiprio-nolocality" => MultiPrioConfig::without_locality(),
+        "multiprio-nocrit" => MultiPrioConfig::without_criticality(),
+        "multiprio-brwtotal" => MultiPrioConfig::with_total_brw(),
+        "multiprio-energy" => MultiPrioConfig::energy_aware(),
+        _ => return None,
+    })
+}
+
 /// Build a scheduler by name (panics on unknown names — the caller is
 /// always one of our own tables).
 pub fn make_scheduler(name: &str) -> Box<dyn Scheduler> {
+    if let Some(cfg) = multiprio_config(name) {
+        return Box::new(MultiPrioScheduler::new(cfg));
+    }
     match name {
-        "multiprio" => Box::new(MultiPrioScheduler::with_defaults()),
         "multiprio-reference" => Box::new(multiprio::ReferenceScheduler::with_defaults()),
-        "multiprio-noevict" => {
-            Box::new(MultiPrioScheduler::new(MultiPrioConfig::without_eviction()))
-        }
-        "multiprio-nolocality" => {
-            Box::new(MultiPrioScheduler::new(MultiPrioConfig::without_locality()))
-        }
-        "multiprio-nocrit" => Box::new(MultiPrioScheduler::new(
-            MultiPrioConfig::without_criticality(),
-        )),
-        "multiprio-brwtotal" => {
-            Box::new(MultiPrioScheduler::new(MultiPrioConfig::with_total_brw()))
-        }
-        "multiprio-energy" => Box::new(MultiPrioScheduler::new(MultiPrioConfig::energy_aware())),
         "dmdas" => Box::new(DequeModelScheduler::new(DmVariant::Dmdas)),
         "dmda" => Box::new(DequeModelScheduler::new(DmVariant::Dmda)),
         "dm" => Box::new(DequeModelScheduler::new(DmVariant::Dm)),
@@ -65,16 +67,7 @@ pub fn make_scheduler(name: &str) -> Box<dyn Scheduler> {
 /// factory builds, so per-shard copies agree on the running-max `hd(a)`
 /// term of the gain score (Eq. 1) exactly as a single instance would.
 pub fn make_scheduler_factory(name: &str) -> Box<dyn Fn() -> Box<dyn Scheduler> + Send + Sync> {
-    let cfg = match name {
-        "multiprio" => Some(MultiPrioConfig::default()),
-        "multiprio-noevict" => Some(MultiPrioConfig::without_eviction()),
-        "multiprio-nolocality" => Some(MultiPrioConfig::without_locality()),
-        "multiprio-nocrit" => Some(MultiPrioConfig::without_criticality()),
-        "multiprio-brwtotal" => Some(MultiPrioConfig::with_total_brw()),
-        "multiprio-energy" => Some(MultiPrioConfig::energy_aware()),
-        _ => None,
-    };
-    match cfg {
+    match multiprio_config(name) {
         Some(cfg) => {
             let gain = std::sync::Arc::new(SharedGainTracker::new());
             Box::new(move || Box::new(MultiPrioScheduler::with_shared_gain(cfg, gain.clone())))

@@ -1,4 +1,4 @@
-//! # mp-bench — reproduction harness for every table and figure
+//! # mp-bench — reproduction harness for every table, figure and ablation
 //!
 //! One module per experiment (see DESIGN.md's experiment index):
 //!
@@ -11,10 +11,13 @@
 //! | [`figures::fig6`] | Fig. 6 — TBFMM execution time vs GPU streams |
 //! | [`figures::fig7`] | Fig. 7 — the sparse matrix table |
 //! | [`figures::fig8`] | Fig. 8 — sparse QR ratios vs Dmdas |
+//! | [`figures::ablation`] | MultiPrio's components, `n` and `ε` on sparse QR; hierarchical tasks |
 //!
-//! Each module returns plain row structs; the `repro` binary prints them
-//! as the paper-style tables, and the criterion benches in `benches/`
-//! time representative configurations.
+//! Each module returns plain row structs and the `repro` binary prints
+//! them as the paper-style tables. The benches in `benches/` (`scaling`,
+//! `concurrent`, `cache`, `serve`) gate schedule hashes and write the
+//! `BENCH_*.json` files; host-time cost per layer is measured by the
+//! separate `perfbench/` package.
 
 pub mod figures;
 pub mod harness;

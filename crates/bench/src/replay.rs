@@ -9,6 +9,7 @@
 
 use std::time::{Duration, Instant};
 
+use mp_dag::hash::{FNV_OFFSET, FNV_PRIME};
 use mp_dag::ids::{DataId, TaskId};
 use mp_dag::TaskGraph;
 use mp_perfmodel::{Estimator, PerfModel};
@@ -65,7 +66,7 @@ impl ReplayStats {
 }
 
 fn fnv1a(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x100_0000_01b3)
+    (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
 /// Replay `graph` through `sched`: push tasks as they become ready,
@@ -86,7 +87,7 @@ pub fn replay(
         .collect();
     let mut stats = ReplayStats::default();
     let t0 = Instant::now();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
 
     let view = SchedView {
         est: Estimator::new(graph, platform, model),

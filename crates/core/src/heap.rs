@@ -93,11 +93,6 @@ impl RemovableMaxHeap {
         self.pos.contains_key(&t)
     }
 
-    /// The score of a contained task.
-    pub fn score_of(&self, t: TaskId) -> Option<Score> {
-        self.pos.get(&t).map(|&i| self.data[i].score)
-    }
-
     /// Insert a task. Panics if already present (each heap holds at most
     /// one entry per task; duplication happens *across* heaps).
     pub fn push(&mut self, t: TaskId, score: Score) {
@@ -312,7 +307,7 @@ impl GenEntry {
 /// liveness state (a slab slot's generation / node mask) and calls
 /// [`Self::note_stale`] — O(1). Dead entries stay in the array as inert
 /// pass-throughs until a compaction sweep reclaims them, which
-/// [`Self::top_k_live_into`] triggers once more than half the entries are
+/// [`Self::top_band_into`] triggers once more than half the entries are
 /// stale (amortized O(1) per stale entry, as each entry is compacted away
 /// at most once).
 ///
@@ -430,18 +425,6 @@ impl ScoredHeap {
     pub fn note_stale(&mut self, n: usize) {
         self.stale += n;
         debug_assert!(self.stale <= self.data.len() + self.cache.len());
-    }
-
-    /// The `k` best **live** entries in descending order, written into
-    /// `out`. Equivalent to [`Self::top_band_into`] with an infinite
-    /// band: see there for the mechanics.
-    pub fn top_k_live_into(
-        &mut self,
-        k: usize,
-        out: &mut Vec<(TaskId, Score)>,
-        is_live: impl FnMut(TaskId, u32) -> bool,
-    ) {
-        self.top_band_into(k, f64::INFINITY, out, is_live)
     }
 
     /// The best live entries in descending order, truncated at `k` *or*
@@ -806,7 +789,7 @@ mod scored_tests {
         slab.kill(TaskId(8));
         h.note_stale(2);
         let mut out = Vec::new();
-        h.top_k_live_into(3, &mut out, slab.probe());
+        h.top_band_into(3, f64::INFINITY, &mut out, slab.probe());
         let ids: Vec<u32> = out.iter().map(|&(t, _)| t.0).collect();
         assert_eq!(ids, vec![7, 6, 5]);
     }
@@ -824,7 +807,7 @@ mod scored_tests {
         assert_ne!(g0, g1);
         h.push(t, g1, s(0.2)); // new life: low score
         let mut out = Vec::new();
-        h.top_k_live_into(4, &mut out, slab.probe());
+        h.top_band_into(4, f64::INFINITY, &mut out, slab.probe());
         assert_eq!(out.len(), 1, "exactly one live entry");
         assert_eq!(out[0].0, t);
         assert!(
@@ -847,7 +830,7 @@ mod scored_tests {
         }
         assert_eq!(h.len(), 20);
         let mut out = Vec::new();
-        h.top_k_live_into(20, &mut out, slab.probe());
+        h.top_band_into(20, f64::INFINITY, &mut out, slab.probe());
         assert_eq!(h.len(), 5, "compaction dropped the 15 dead entries");
         assert_eq!(h.stale_len(), 0);
         h.check_invariants(slab.probe());
@@ -878,7 +861,7 @@ mod scored_tests {
         let g = slab.push(TaskId(5));
         h.push(TaskId(5), g, s(0.5));
         let mut out = Vec::new();
-        h.top_k_live_into(4, &mut out, slab.probe());
+        h.top_band_into(4, f64::INFINITY, &mut out, slab.probe());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, TaskId(5));
         h.check_invariants(slab.probe());
@@ -929,7 +912,7 @@ mod scored_proptests {
                 }
             }
             let mut got = Vec::new();
-            h.top_k_live_into(k, &mut got, |t, gen| {
+            h.top_band_into(k, f64::INFINITY, &mut got, |t, gen| {
                 oracle.get(&t.0).is_some_and(|&(cur, live, _)| live && cur == gen)
             });
             let mut expect: Vec<(f64, u32)> = oracle

@@ -189,14 +189,6 @@ impl TaskGraph {
         self.cache_meta.reserve(additional);
     }
 
-    /// Attach content-address metadata to a task (STF builder only).
-    pub fn set_cache_meta(&mut self, t: TaskId, meta: CacheMeta) {
-        if self.cache_meta.len() < self.tasks.len() {
-            self.cache_meta.resize(self.tasks.len(), None);
-        }
-        self.cache_meta[t.index()] = Some(meta);
-    }
-
     /// Content-address metadata of `t`, if it was STF-submitted.
     #[inline]
     pub fn cache_meta(&self, t: TaskId) -> Option<&CacheMeta> {

@@ -4,8 +4,8 @@
 //! cache and the runtime reuse them to fingerprint buffer contents. Both
 //! are tiny, dependency-free and stable across platforms:
 //!
-//! * **FNV-1a** (64-bit) — the same constants the audit layer uses for
-//!   schedule hashes;
+//! * **FNV-1a** (64-bit) — the audit layer's and the bench replay's
+//!   schedule hashes fold the same constants;
 //! * **splitmix64's finalizer** — a full-avalanche bijection used to
 //!   derive per-output data versions from a task key.
 

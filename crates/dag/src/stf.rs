@@ -86,12 +86,6 @@ impl StfBuilder {
         Self::default()
     }
 
-    /// Wrap an existing (possibly pre-populated) graph. Inference state
-    /// starts empty: only tasks submitted through this builder get edges.
-    pub fn from_graph(graph: TaskGraph) -> Self {
-        Self::from_parts(graph, StfState::default())
-    }
-
     /// Reassemble a builder from a graph and the inference state that
     /// names its tasks (see [`Self::into_parts`]).
     pub fn from_parts(graph: TaskGraph, state: StfState) -> Self {

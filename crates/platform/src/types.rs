@@ -196,12 +196,6 @@ impl Platform {
         &self.nodes_by_arch[a.index()]
     }
 
-    /// Architecture type of a memory node.
-    #[inline]
-    pub fn node_arch(&self, m: MemNodeId) -> ArchId {
-        self.mem_nodes[m.index()].arch
-    }
-
     /// The link between two memory nodes.
     #[inline]
     pub fn link(&self, from: MemNodeId, to: MemNodeId) -> Link {

@@ -418,12 +418,7 @@ fn drive(
                 .graph
                 .type_id(&tb.ttype)
                 .expect("streamed types are registered before the drive");
-            let prio = effective_priority(
-                spec.base_priority.saturating_add(tb.priority),
-                spec.weight,
-                &cfg.fairness,
-                boost,
-            );
+            let prio = effective_priority(tb.priority, spec.weight, boost);
             let label = if tb.label.is_empty() {
                 tb.ttype
             } else {
@@ -460,6 +455,7 @@ mod tests {
     use mp_platform::presets::homogeneous;
     use mp_platform::types::ArchClass;
     use mp_sched::EagerPrioScheduler;
+    use mp_serve::PRIORITY_RESOLUTION;
 
     fn model() -> Arc<dyn PerfModel> {
         Arc::new(
@@ -573,9 +569,8 @@ mod tests {
         let g = rt.graph();
         let light = report.admitted[0].as_ref().unwrap()[0];
         let heavy = report.admitted[1].as_ref().unwrap()[0];
-        let f = FairnessConfig::default();
-        assert_eq!(g.task(light).user_priority, f.resolution);
-        assert_eq!(g.task(heavy).user_priority, 4 * f.resolution);
+        assert_eq!(g.task(light).user_priority, PRIORITY_RESOLUTION);
+        assert_eq!(g.task(heavy).user_priority, 4 * PRIORITY_RESOLUTION);
     }
 
     /// A warm-serving submission: a write-only root plus `width`
@@ -690,12 +685,12 @@ mod tests {
         let f = FairnessConfig::default();
         for (si, ids) in report.admitted.iter().enumerate() {
             let t = ids.as_ref().unwrap()[0];
-            let expect = f.resolution + (si as i64).min(f.max_aging_boost);
+            let expect = PRIORITY_RESOLUTION + (si as i64).min(f.max_aging_boost);
             assert_eq!(
                 rt.graph().task(t).user_priority,
                 expect,
                 "submission {si} should carry boost {}",
-                expect - f.resolution
+                expect - PRIORITY_RESOLUTION
             );
         }
         assert_eq!(rt.buffer(d)[0], 6.0);

@@ -9,7 +9,7 @@
 //! * [`GlobalLock`] — the baseline: one mutex around a single policy
 //!   instance. Semantically identical to driving the policy directly;
 //!   kept for determinism-sensitive tests and as the contention baseline
-//!   for the `micro_runtime_scaling` benchmark.
+//!   in the `concurrent` bench's `frontend_drive` rows.
 //! * [`ShardedAdapter`] — a relaxed multi-queue in the spirit of
 //!   Postnikova et al. (*Multi-Queues Can Be State-of-the-Art Priority
 //!   Schedulers*) and Wimmer et al. (*Data Structures for Task-based

@@ -6,8 +6,8 @@
 //! from many concurrent clients as independent sub-DAGs. This crate
 //! holds the policies those modes share, and nothing that executes:
 //!
-//! * **tenants** — per-client weight and base priority; the fairness
-//!   layer scales a task's priority score by its tenant's weight before
+//! * **tenants** — per-client fair-share weights; the fairness layer
+//!   scales a task's priority score by its tenant's weight before
 //!   the scheduler buckets it, with starvation aging on top
 //!   ([`effective_priority`]);
 //! * **admission control** — bounded in-flight work with typed
@@ -29,4 +29,4 @@ pub mod tenant;
 
 pub use admission::{AdmissionConfig, AdmitError};
 pub use arrival::ArrivalProcess;
-pub use tenant::{effective_priority, FairnessConfig, TenantSpec};
+pub use tenant::{effective_priority, FairnessConfig, TenantSpec, PRIORITY_RESOLUTION};

@@ -2,7 +2,7 @@
 //!
 //! Fairness is layered *under* the scheduler, not inside it: at
 //! admission time every task of a sub-DAG gets an **effective user
-//! priority** — its base priority scaled by the tenant's weight and
+//! priority** — its own priority scaled by the tenant's weight and
 //! boosted by starvation aging — written through the normal
 //! `user_priority` channel. Any priority-bucketing policy (`prio`,
 //! `dmdas`, the relaxed multi-queue's `score_key`) then enforces the
@@ -11,26 +11,28 @@
 //! consult the priority. Because the computation uses only virtual-time
 //! quantities it is bit-deterministic under `serve_sim`.
 
+/// Priority buckets per unit of weighted priority: the weighted score
+/// is quantized to `PRIORITY_RESOLUTION` steps, so weights closer than
+/// `1/PRIORITY_RESOLUTION` collapse into the same bucket.
+pub const PRIORITY_RESOLUTION: i64 = 8;
+
 /// One tenant (client) of the serving mode.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantSpec {
     /// Display name (report rows).
     pub name: String,
     /// Fair-share weight; 1.0 is the neutral share. A weight-2 tenant's
-    /// tasks land one resolution step higher per unit of base priority.
+    /// tasks land [`PRIORITY_RESOLUTION`] buckets above a neutral
+    /// tenant's per unit of `base + 1` (see [`effective_priority`]).
     pub weight: f64,
-    /// Base priority every task of this tenant starts from (the
-    /// sub-DAG generator may add per-task offsets on top).
-    pub base_priority: i64,
 }
 
 impl TenantSpec {
-    /// A tenant with the given fair-share weight and base priority 0.
+    /// A tenant with the given fair-share weight.
     pub fn new(name: impl Into<String>, weight: f64) -> Self {
         Self {
             name: name.into(),
             weight,
-            base_priority: 0,
         }
     }
 
@@ -43,10 +45,6 @@ impl TenantSpec {
 /// Knobs of the fairness layer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FairnessConfig {
-    /// Priority buckets per unit of weighted priority: the weighted
-    /// score is quantized to `resolution` steps, so weights closer than
-    /// `1/resolution` collapse into the same bucket.
-    pub resolution: i64,
     /// Starvation aging: a tenant with in-flight work but no completion
     /// for `aging_quantum_us` of virtual time gets +1 priority bucket
     /// per elapsed quantum on its next admitted sub-DAG.
@@ -59,7 +57,6 @@ pub struct FairnessConfig {
 impl Default for FairnessConfig {
     fn default() -> Self {
         Self {
-            resolution: 8,
             aging_quantum_us: 50_000.0,
             max_aging_boost: 4,
         }
@@ -80,14 +77,14 @@ impl FairnessConfig {
 
 /// The effective user priority of a task admitted for a tenant.
 ///
-/// `(base + 1)` keeps the weight visible at the common `base == 0`
-/// (every tenant's default): the neutral tenant lands at exactly
-/// `resolution`, a weight-2 tenant at `2·resolution`. Scaling *before*
-/// quantization is the "weight scales the priority score before
-/// bucketing" contract: two tenants whose weighted scores quantize
-/// equally share a bucket and fall back to submission order.
-pub fn effective_priority(base: i64, weight: f64, fairness: &FairnessConfig, boost: i64) -> i64 {
-    let scaled = (base as f64 + 1.0) * weight * fairness.resolution as f64;
+/// `(base + 1)` keeps the weight visible at the common `base == 0`: the
+/// neutral tenant lands at exactly [`PRIORITY_RESOLUTION`], a weight-2
+/// tenant at twice that. Scaling *before* quantization is the "weight
+/// scales the priority score before bucketing" contract: two tenants
+/// whose weighted scores quantize equally share a bucket and fall back
+/// to submission order.
+pub fn effective_priority(base: i64, weight: f64, boost: i64) -> i64 {
+    let scaled = (base as f64 + 1.0) * weight * PRIORITY_RESOLUTION as f64;
     scaled.round() as i64 + boost
 }
 
@@ -97,26 +94,24 @@ mod tests {
 
     #[test]
     fn weight_scales_before_bucketing() {
-        let f = FairnessConfig::default();
         // Neutral tenant at base 0 → exactly one resolution unit.
-        assert_eq!(effective_priority(0, 1.0, &f, 0), f.resolution);
+        assert_eq!(effective_priority(0, 1.0, 0), PRIORITY_RESOLUTION);
         // Double weight → double bucket.
-        assert_eq!(effective_priority(0, 2.0, &f, 0), 2 * f.resolution);
+        assert_eq!(effective_priority(0, 2.0, 0), 2 * PRIORITY_RESOLUTION);
         // Weight scales the *score*, so higher base amplifies the gap.
-        let a = effective_priority(3, 2.0, &f, 0);
-        let b = effective_priority(3, 1.0, &f, 0);
-        assert!(a - b > f.resolution);
+        let a = effective_priority(3, 2.0, 0);
+        let b = effective_priority(3, 1.0, 0);
+        assert!(a - b > PRIORITY_RESOLUTION);
         // Sub-resolution weight differences collapse into one bucket.
         assert_eq!(
-            effective_priority(0, 1.0, &f, 0),
-            effective_priority(0, 1.04, &f, 0)
+            effective_priority(0, 1.0, 0),
+            effective_priority(0, 1.04, 0)
         );
     }
 
     #[test]
     fn aging_boost_is_quantized_and_capped() {
         let f = FairnessConfig {
-            resolution: 8,
             aging_quantum_us: 100.0,
             max_aging_boost: 3,
         };
@@ -134,10 +129,9 @@ mod tests {
 
     #[test]
     fn boost_adds_buckets() {
-        let f = FairnessConfig::default();
         assert_eq!(
-            effective_priority(0, 1.0, &f, 2),
-            effective_priority(0, 1.0, &f, 0) + 2
+            effective_priority(0, 1.0, 2),
+            effective_priority(0, 1.0, 0) + 2
         );
     }
 }

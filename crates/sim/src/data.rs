@@ -122,11 +122,6 @@ impl DataStore {
         self.replicas[self.slot(d, m)].as_ref()
     }
 
-    /// Time at which `d` becomes usable on `m`; `None` if not allocated.
-    pub fn available_at(&self, d: DataId, m: MemNodeId) -> Option<f64> {
-        self.replica(d, m).map(|r| r.valid_at)
-    }
-
     /// Nodes holding a usable-or-arriving replica, with validity times,
     /// in node order.
     pub fn holders_full(&self, d: DataId) -> impl Iterator<Item = (MemNodeId, Replica)> + '_ {
@@ -137,7 +132,7 @@ impl DataStore {
     }
 
     /// Allocate a replica arriving at `valid_at` (space must already be
-    /// reserved via [`Self::make_room`]).
+    /// reserved via [`Self::try_make_room`]).
     pub fn allocate(&mut self, d: DataId, m: MemNodeId, valid_at: f64, dirty: bool) {
         let s = self.slot(d, m);
         assert!(
@@ -154,7 +149,7 @@ impl DataStore {
         if let Some(cap) = self.capacities[m.index()] {
             assert!(
                 self.used[m.index()] <= cap,
-                "node {m:?} over capacity: make_room must be called first"
+                "node {m:?} over capacity: try_make_room must be called first"
             );
         }
         #[cfg(feature = "audit")]
@@ -240,28 +235,10 @@ impl DataStore {
     /// write-backs are reported for trace recording).
     ///
     /// Returns `(ready_time, writebacks)` where each writeback is
-    /// `(data, start, end)`. Panics when the node cannot possibly fit the
-    /// request (working set larger than device memory).
-    pub fn make_room(
-        &mut self,
-        m: MemNodeId,
-        needed: u64,
-        now: f64,
-        platform: &Platform,
-    ) -> RoomPlan {
-        match self.try_make_room(m, needed, now, platform) {
-            Ok(r) => r,
-            Err((used, cap)) => panic!(
-                "node {m:?} out of memory: {used} used + {needed} needed > {cap} capacity, \
-                 nothing evictable"
-            ),
-        }
-    }
-
-    /// Fallible variant of [`Self::make_room`]: returns `Err((used,
-    /// capacity))` when the request cannot be satisfied (everything
-    /// remaining is pinned). Evictions performed before discovering the
-    /// failure stay evicted — they were unpinned and reloadable anyway.
+    /// `(data, start, end)`, or `Err((used, capacity))` when the request
+    /// cannot be satisfied (everything remaining is pinned). Evictions
+    /// performed before discovering the failure stay evicted — they were
+    /// unpinned and reloadable anyway.
     pub fn try_make_room(
         &mut self,
         m: MemNodeId,
@@ -549,7 +526,9 @@ mod tests {
         store.pin(d0, gpu);
         assert_eq!(store.leaked_pins(), vec![(d0, gpu, 1)]);
         // Eviction must pick the unpinned d1, leaving d0's pin intact.
-        let (_, wb) = store.make_room(gpu, 100, 1.0, &p);
+        let (_, wb) = store
+            .try_make_room(gpu, 100, 1.0, &p)
+            .expect("d1 is evictable");
         assert!(wb.is_empty());
         assert!(store.replica(d0, gpu).is_some(), "pinned replica survives");
         assert!(store.replica(d1, gpu).is_none(), "unpinned LRU evicted");
@@ -588,7 +567,9 @@ mod tests {
         store.touch(d0, gpu, 5.0);
         store.touch(d1, gpu, 9.0);
         // Need 100 more bytes: evict d0 (older LRU), clean → instant.
-        let (ready, wb) = store.make_room(gpu, 100, 10.0, &p);
+        let (ready, wb) = store
+            .try_make_room(gpu, 100, 10.0, &p)
+            .expect("d0 is evictable");
         assert_eq!(ready, 10.0);
         assert!(wb.is_empty());
         assert!(store.replica(d0, gpu).is_none());
@@ -618,7 +599,9 @@ mod tests {
         let gpu = MemNodeId(1);
         store.allocate(d0, gpu, 0.0, false);
         store.commit_write(d0, gpu, 0.0); // now dirty, RAM copy dropped
-        let (ready, wb) = store.make_room(gpu, 100, 10.0, &p);
+        let (ready, wb) = store
+            .try_make_room(gpu, 100, 10.0, &p)
+            .expect("d0 is evictable");
         assert_eq!(wb.len(), 1);
         assert!(ready > 10.0, "write-back takes link time");
         // RAM holds the value again.
@@ -646,7 +629,9 @@ mod tests {
             mp_platform::link::Link::pcie_gen3(),
         );
         let mut store = DataStore::new(&g, &p);
-        store.make_room(MemNodeId(1), 100, 0.0, &p);
+        store
+            .try_make_room(MemNodeId(1), 100, 0.0, &p)
+            .expect("out of memory");
     }
 
     /// With the auditor on, deliberately-corrupted coherence state is
@@ -959,7 +944,7 @@ mod proptests {
             }
         }
 
-        /// `make_room` always reaches the requested headroom (on an
+        /// `try_make_room` always reaches the requested headroom (on an
         /// unpinned store) and never drops below zero usage.
         #[test]
         fn prop_make_room_converges(present in proptest::collection::vec(0u32..6, 0..8), need in 0u64..600) {
@@ -980,7 +965,7 @@ mod proptests {
                 }
             }
             if need <= 600 {
-                let (ready, _) = store.make_room(gpu, need, 5.0, &p);
+                let (ready, _) = store.try_make_room(gpu, need, 5.0, &p).expect("nothing is pinned");
                 prop_assert!(ready >= 5.0);
                 prop_assert!(store.used(gpu) + need <= 600);
             }

@@ -13,8 +13,8 @@
 //! * admission ([`AdmissionConfig`]) rejects a staged sub-DAG whole when
 //!   in-flight bounds would overflow — the stage is dropped untouched,
 //!   so later submissions still chain onto the last *admitted* writer;
-//! * admitted tasks get their [`effective_priority`] (tenant weight ×
-//!   base, plus starvation aging) before commit;
+//! * admitted tasks get their [`effective_priority`] (the tenant's
+//!   weight, plus starvation aging) before commit;
 //! * per-tenant accounting, latency samples and the decision fold of
 //!   [`ServeStats::schedule_hash`], returned as the result's
 //!   [`SimResult::serving`] section next to the closed path's trace,
@@ -211,7 +211,7 @@ impl<'c> Stream<'c> {
             0
         };
         let spec = &self.cfg.tenants[ti];
-        let eff = effective_priority(spec.base_priority, spec.weight, &self.cfg.fairness, boost);
+        let eff = effective_priority(0, spec.weight, boost);
         // Flops feed the fingerprint, so a mutated arrival is a cache
         // miss over its whole sub-DAG. The perturbation is drawn per
         // arrival index — a constant offset (as `resubmit_with_mutation`

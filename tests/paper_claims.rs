@@ -1,6 +1,6 @@
 //! Scaled-down checks of the paper's qualitative claims — the full-size
-//! regenerations live in the benches and the `repro` binary; these keep
-//! the claims guarded in `cargo test`.
+//! regenerations live in the `repro` binary (`mp_bench::figures`); these
+//! keep the claims guarded in `cargo test`.
 
 use multiprio_suite::apps::dense::{potrf, DenseConfig};
 use multiprio_suite::apps::dense_model;
