@@ -5,10 +5,10 @@
 //! generators emit the classic right-looking tile algorithms whose DAGs
 //! the paper evaluates in Fig. 5:
 //!
-//! * [`potrf`] — Cholesky factorization (POTRF/TRSM/SYRK/GEMM);
-//! * [`getrf`] — LU without pivoting (GETRF/TRSM/GEMM), same diamond DAG
+//! * [`potrf()`] — Cholesky factorization (POTRF/TRSM/SYRK/GEMM);
+//! * [`getrf()`] — LU without pivoting (GETRF/TRSM/GEMM), same diamond DAG
 //!   shape as Cholesky but ~2× the work and more transfers;
-//! * [`geqrf`] — tile QR (GEQRT/UNMQR/TSQRT/TSMQR), the most
+//! * [`geqrf()`] — tile QR (GEQRT/UNMQR/TSQRT/TSMQR), the most
 //!   panel-heavy of the three.
 //!
 //! Every generator sets expert priorities (bottom levels), because

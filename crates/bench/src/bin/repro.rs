@@ -1,15 +1,7 @@
 //! Reproduction driver: regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro [--quick|--full] [--trace-out <path>] [--front <multiprio|relaxed>]
-//!       [--kill-worker W:N]... [--transient-prob P] [--retry-max M]
-//!       [--cache] [--warm-runs N] [--mutate-frac F]
-//!       [--cache-dir PATH] [--crash-after N]
-//!       [--serve] [--arrivals poisson:RATE|bursty:RATE[:BURST]] [--tenants N]
-//!       [--workers W] [--submissions N] [--policy NAME]
-//!       [table2] [fig3] [fig4] [fig5] [fig6] [fig7] [fig8] [ablation]
-//!       [probe <matrix>]
-//! ```
+//! Usage: [`USAGE`]. An unknown flag or experiment name prints it to
+//! stderr and exits with status 2 before anything runs.
 //!
 //! With no experiment names, runs everything. `--quick` (default) uses
 //! CI-scale problem sizes; `--full` approaches the paper's sizes.
@@ -71,8 +63,64 @@
 //! perturbs a fraction of arrivals so only their dirty cones
 //! re-execute. Prints hit-rate and warm/cold served-tasks/sec speedup.
 
+use mp_apps::sparseqr::{matrix, MatrixMeta, FIG7_MATRICES};
 use mp_bench::figures::{ablation, fig3, fig4, fig5, fig6, fig7, fig8, table2};
 use mp_sim::{FaultPlan, RetryPolicy};
+
+/// The command line `repro` accepts.
+pub const USAGE: &str = "\
+usage: repro [--quick|--full] [--trace-out <path>] [--front <multiprio|relaxed>]
+             [--kill-worker W:N]... [--transient-prob P] [--retry-max M]
+             [--cache] [--warm-runs N] [--mutate-frac F]
+             [--cache-dir PATH] [--crash-after N]
+             [--serve] [--arrivals poisson:RATE|bursty:RATE[:BURST]] [--tenants N]
+             [--workers W] [--submissions N] [--policy NAME]
+             [table2] [fig3] [fig4] [fig5] [fig6] [fig7] [fig8] [ablation]
+             [probe <matrix>]";
+
+/// The experiments `repro` runs by name (all of them when none is named).
+const EXPERIMENTS: [&str; 8] = [
+    "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation",
+];
+
+/// Exit with status 2 after printing `why` and the usage to stderr.
+fn usage_error(why: &str) -> ! {
+    eprintln!("repro: {why}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Check what is left of the command line once every other flag is
+/// taken: `--quick` or `--full`, then experiment names, or `probe` with
+/// an optional Fig. 7 matrix, which is returned.
+fn check_names(args: &[String]) -> Option<&'static MatrixMeta> {
+    let names: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !matches!(*a, "--quick" | "--full"))
+        .collect();
+    if let Some(flag) = names.iter().find(|a| a.starts_with("--")) {
+        usage_error(&format!("unknown flag {flag}"));
+    }
+    if names.first() == Some(&"probe") {
+        if names.len() > 2 {
+            usage_error("probe takes one matrix name");
+        }
+        let name = names.get(1).copied().unwrap_or("TF17");
+        let Some(meta) = matrix(name) else {
+            let presets: Vec<&str> = FIG7_MATRICES.iter().map(|m| m.name).collect();
+            eprintln!(
+                "repro: unknown matrix {name}; the Fig. 7 presets are {}",
+                presets.join(", ")
+            );
+            std::process::exit(2);
+        };
+        return Some(meta);
+    }
+    if let Some(name) = names.iter().find(|n| !EXPERIMENTS.contains(n)) {
+        usage_error(&format!("unknown experiment {name}"));
+    }
+    None
+}
 
 /// Pull `--flag <value>` out of `args`, exiting with usage on a missing
 /// value. Returns `None` when the flag is absent.
@@ -197,6 +245,7 @@ fn main() {
         eprintln!("--arrivals/--tenants/--workers/--submissions/--policy need --serve");
         std::process::exit(2);
     }
+    let probe_matrix = check_names(&args);
     if let Some(path) = trace_out {
         export_trace(&path, &front, faults, RetryPolicy::new(retry_max, 0.0));
         return;
@@ -233,19 +282,16 @@ fn main() {
         );
         return;
     }
+    if let Some(meta) = probe_matrix {
+        probe(meta);
+        return;
+    }
     let names: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let want = |n: &str| {
-        names.is_empty() || names.contains(&n) || (n == "probe" && names.first() == Some(&"probe"))
-    };
-
-    if names.first() == Some(&"probe") {
-        probe(names.get(1).copied().unwrap_or("TF17"));
-        return;
-    }
+    let want = |n: &str| names.is_empty() || names.contains(&n);
 
     if want("table2") {
         let t = table2::run();
@@ -762,11 +808,11 @@ fn serve_cache_demo(
 
 /// Deep-dive one sparse matrix: makespan, idle and transfer stats per
 /// scheduler (diagnostic aid, not a paper figure).
-fn probe(name: &str) {
-    use mp_apps::sparseqr::{matrix, sparse_qr, SparseQrConfig};
+fn probe(meta: &MatrixMeta) {
+    use mp_apps::sparseqr::{sparse_qr, SparseQrConfig};
     use mp_bench::harness::run_noisy;
     use mp_trace::TransferKind;
-    let meta = matrix(name).unwrap_or_else(|| panic!("unknown matrix {name}"));
+    let name = meta.name;
     let w = sparse_qr(meta, SparseQrConfig::default());
     let st = w.graph.stats();
     println!(

@@ -25,7 +25,7 @@ pub fn run() -> Table2 {
         v
     };
     let tasks = [cands(1.0, 20.0), cands(5.0, 10.0), cands(20.0, 10.0)];
-    let mut g = GainTracker::new();
+    let g = GainTracker::new();
     for t in &tasks {
         g.observe(t);
     }

@@ -8,7 +8,7 @@ use mp_sched::{
     RandomScheduler, Scheduler,
 };
 use mp_sim::{simulate, SimConfig, SimResult};
-use multiprio::{MultiPrioConfig, MultiPrioScheduler, SharedGainTracker};
+use multiprio::{GainTracker, MultiPrioConfig, MultiPrioScheduler};
 
 /// Every constructible scheduler name.
 pub const SCHEDULER_NAMES: [&str; 14] = [
@@ -63,13 +63,13 @@ pub fn make_scheduler(name: &str) -> Box<dyn Scheduler> {
 
 /// A factory building fresh instances of the named scheduler, for the
 /// sharded runtime front-end (`ShardedAdapter`). MultiPrio
-/// variants share one [`SharedGainTracker`] across every instance the
+/// variants share one [`GainTracker`] across every instance the
 /// factory builds, so per-shard copies agree on the running-max `hd(a)`
 /// term of the gain score (Eq. 1) exactly as a single instance would.
 pub fn make_scheduler_factory(name: &str) -> Box<dyn Fn() -> Box<dyn Scheduler> + Send + Sync> {
     match multiprio_config(name) {
         Some(cfg) => {
-            let gain = std::sync::Arc::new(SharedGainTracker::new());
+            let gain = std::sync::Arc::new(GainTracker::new());
             Box::new(move || Box::new(MultiPrioScheduler::with_shared_gain(cfg, gain.clone())))
         }
         None => {

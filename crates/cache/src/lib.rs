@@ -207,8 +207,6 @@ pub struct ResultCache {
     log: Mutex<Option<persist::SegmentWriter>>,
     /// Lifetime persistence counters (see [`PersistStats`]).
     pstats: persist::PersistCounters,
-    /// Report of the replay that opened this cache, if any.
-    last_load: Mutex<Option<LoadReport>>,
 }
 
 impl ResultCache {
@@ -405,7 +403,7 @@ impl ResultCache {
 
     /// Reopen a persisted cache after a restart: replay every segment
     /// of `dir` under the paranoid recovery rules (see
-    /// [`persist::replay`]'s module docs), then keep appending to the
+    /// `persist::replay`'s module docs), then keep appending to the
     /// log. Returns the cache plus the [`LoadReport`] ledger
     /// (`loaded + rejected == records_scanned` always). A corrupt or
     /// missing store yields a colder cache, never an error about
@@ -437,10 +435,6 @@ impl ResultCache {
             .pstats
             .load_rejects
             .fetch_add(report.rejected, Ordering::Relaxed);
-        *cache
-            .last_load
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(report);
         // Continue appending after the replayed segments; the resident
         // entries are already on disk, so no snapshot this time.
         let writer = persist::SegmentWriter::attach(dir, cfg)?;
@@ -514,15 +508,6 @@ impl ResultCache {
             compactions: now.compactions - then.compactions,
         };
         (self.evictions() - mark.evictions, persist)
-    }
-
-    /// The [`LoadReport`] of the replay that opened this cache, if it
-    /// came from [`Self::open`].
-    pub fn load_report(&self) -> Option<LoadReport> {
-        *self
-            .last_load
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -872,7 +857,6 @@ mod tests {
         assert_eq!(report.loaded, 8);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.loaded + report.rejected, report.records_scanned);
-        assert_eq!(reopened.load_report(), Some(report));
         assert_eq!(reopened.persist_stats().loaded, 8);
         assert_eq!(reopened.len(), 8);
         for i in 0..8 {

@@ -31,7 +31,7 @@
 //!
 //! ## Recovery rules
 //!
-//! [`replay`] walks every segment byte by byte and **rejects rather
+//! `replay` walks every segment byte by byte and **rejects rather
 //! than trusts**: a short/bad magic rejects the whole segment; a torn
 //! tail (fewer bytes than a record header) or a length pointing past
 //! the segment end rejects the remainder of that segment; a checksum,
@@ -47,7 +47,7 @@
 //! deterministic, seedable, no wall clock. `kill_after_bytes` cuts the
 //! record stream mid-write at an exact byte offset (the prefix lands on
 //! disk, the writer dies); `drop_flush_after` freezes the durable
-//! frontier so [`SegmentWriter::crash`] discards everything written
+//! frontier so `SegmentWriter::crash` discards everything written
 //! after flush `k` (lost page-cache model); `bit_flip` flips one bit of
 //! the on-disk image at crash time (silent media corruption model).
 
@@ -108,7 +108,7 @@ pub struct PersistFaultPlan {
     /// its prefix and every later persist is silently dropped.
     pub kill_after_bytes: Option<u64>,
     /// Flushes with ordinal `>= k` stop advancing the durable frontier:
-    /// at [`crash`](SegmentWriter::crash) the current segment is
+    /// at `SegmentWriter::crash` the current segment is
     /// truncated back to the last durable byte (lost-page-cache model).
     pub drop_flush_after: Option<u64>,
     /// Flip one bit of the on-disk image at crash time.
@@ -174,7 +174,7 @@ impl Default for PersistConfig {
     }
 }
 
-/// What one [`replay`] of a persistence directory found.
+/// What one `replay` of a persistence directory found.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadReport {
     /// Segment files scanned.

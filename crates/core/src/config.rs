@@ -94,7 +94,7 @@ impl MultiPrioConfig {
         }
     }
 
-    /// Validate ranges (ε in [0,1], window ≥ 1, tries ≥ 1).
+    /// Validate ranges (ε in \[0,1\], window ≥ 1, tries ≥ 1).
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.epsilon) {
             return Err(format!("epsilon {} outside [0,1]", self.epsilon));

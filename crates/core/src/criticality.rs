@@ -1,5 +1,5 @@
 //! Task criticality via Normalized Out-Degree (paper Eq. 2, after Lin et
-//! al. [23]).
+//! al. \[23\]).
 //!
 //! ```text
 //! NOD(t) = Σ_{s ∈ λ⁺(t)} 1 / |λ⁻(s)|

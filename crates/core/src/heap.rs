@@ -219,7 +219,7 @@ impl RemovableMaxHeap {
     }
 
     /// Debug validation: heap property + index consistency.
-    #[cfg(any(test, feature = "strict"))]
+    #[cfg(test)]
     pub fn check_invariants(&self) {
         for i in 1..self.data.len() {
             let parent = (i - 1) / 2;
@@ -314,7 +314,7 @@ impl GenEntry {
 /// Liveness is decided by the caller-supplied `is_live(task, gen)`
 /// predicate; the heap itself holds no task table, so duplicate scrubbing
 /// across per-mem-node heaps costs one counter increment per heap instead
-/// of a keyed removal. Because the entry order ([`GenEntry::beats`]) is
+/// of a keyed removal. Because the entry order (`GenEntry::beats`) is
 /// total, the top-k of the *live* subset is independent of where stale
 /// entries physically sit — lazily-deleted schedulers produce bit-identical
 /// pop sequences to eagerly-deleting ones (asserted by the property tests
@@ -435,7 +435,7 @@ impl ScoredHeap {
     ///
     /// Served by *reading* the sorted cache prefix: no heap pops and no
     /// push-backs in the steady state. Dead entries encountered in the
-    /// cache are dropped for good (a memmove over at most [`CACHE_MAX`]
+    /// cache are dropped for good (a memmove over at most `CACHE_MAX`
     /// slots); when the cache runs out before `k`, it is refilled by
     /// popping the bulk heap's root — each refill pop is paid for by a
     /// preceding take or eviction, so the amortized heap traffic is one
@@ -559,7 +559,7 @@ impl ScoredHeap {
 
     /// Debug validation: bulk heap property, cache sort order, the
     /// cache-beats-bulk boundary, and a consistent stale count.
-    #[cfg(any(test, feature = "strict"))]
+    #[cfg(test)]
     pub fn check_invariants(&self, mut is_live: impl FnMut(TaskId, u32) -> bool) {
         for i in 1..self.data.len() {
             let parent = (i - 1) / 2;

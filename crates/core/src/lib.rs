@@ -51,4 +51,4 @@ pub use locality::ls_sdh2;
 pub use provenance::{PopOutcome, PopRecord, ProvenanceRing, WindowEntry};
 pub use reference::ReferenceScheduler;
 pub use scheduler::MultiPrioScheduler;
-pub use score::{GainTracker, SharedGainTracker};
+pub use score::GainTracker;

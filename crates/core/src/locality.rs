@@ -1,4 +1,4 @@
-//! Data locality: the LS_SDH² heuristic (paper Eq. 3, after Bramas [20]).
+//! Data locality: the LS_SDH² heuristic (paper Eq. 3, after Bramas \[20\]).
 //!
 //! ```text
 //! LS_SDH²(m, t) = Σ_{d ∈ D_R(t,m)} size(d)  +  Σ_{d ∈ D_W(t,m)} size(d)²

@@ -8,7 +8,7 @@
 //! the scores that decided the outcome, in a bounded ring buffer with
 //! slot reuse.
 //!
-//! Recording happens only when the crate is built with `--features obs`
+//! Recording happens only when built with `mp-trace/obs`
 //! (the `pop` hot path guards it behind a constant-folded
 //! `obs_enabled()` check); the ring itself is always present, merely
 //! empty. The [`ProvenanceRing::explain`] renderer turns the records
@@ -149,7 +149,7 @@ impl ProvenanceRing {
         self.slots.len()
     }
 
-    /// No records yet (always true without `--features obs`).
+    /// No records yet (always true without `mp-trace/obs`).
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }

@@ -80,39 +80,7 @@ use crate::criticality::{nod, NodNormalizer};
 use crate::heap::{Score, ScoredHeap};
 use crate::locality::ls_sdh2;
 use crate::provenance::{PopOutcome, ProvenanceRing};
-use crate::score::{GainTracker, SharedGainTracker};
-
-/// Where a scheduler instance reads its gain scores from: its own
-/// tracker, or one shared with sibling shard instances (see
-/// [`SharedGainTracker`]).
-#[derive(Debug)]
-enum GainSource {
-    Local(GainTracker),
-    Shared(Arc<SharedGainTracker>),
-}
-
-impl GainSource {
-    fn observe(&mut self, archs: &[(ArchId, f64)]) {
-        match self {
-            GainSource::Local(t) => t.observe(archs),
-            GainSource::Shared(t) => t.observe(archs),
-        }
-    }
-
-    fn gain(&self, archs: &[(ArchId, f64)], a: ArchId) -> f64 {
-        match self {
-            GainSource::Local(t) => t.gain(archs, a),
-            GainSource::Shared(t) => t.gain(archs, a),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            GainSource::Local(t) => t.epoch(),
-            GainSource::Shared(t) => t.epoch(),
-        }
-    }
-}
+use crate::score::GainTracker;
 
 /// Slab slot: all per-task state, indexed by the dense `TaskId`.
 #[derive(Clone, Copy, Debug)]
@@ -228,7 +196,8 @@ pub struct MultiPrioScheduler {
     heaps: Vec<ScoredHeap>,
     ready_count: Vec<usize>,
     best_remaining_work: Vec<f64>,
-    gain: GainSource,
+    /// `hd(a)`, owned alone or shared with sibling shard instances.
+    gain: Arc<GainTracker>,
     nod_norm: NodNormalizer,
     /// Per-task slab, indexed by `TaskId`.
     slab: Vec<TaskSlot>,
@@ -258,9 +227,9 @@ pub struct MultiPrioScheduler {
     /// Diagnostics: pops rejected by the pop condition.
     holds: u64,
     /// Observability counters (push-plan-arena hits and misses). A
-    /// no-op ZST unless built with `--features obs`.
+    /// no-op ZST unless built with `mp-trace/obs`.
     obs: mp_trace::ObsCell,
-    /// Decision-provenance ring; populated only with `--features obs`.
+    /// Decision-provenance ring; populated only with `mp-trace/obs`.
     provenance: ProvenanceRing,
     /// Quarantined workers (worker failure), indexed by worker id. All
     /// `false` in fault-free runs, in which case every alive-filtered
@@ -287,7 +256,7 @@ impl MultiPrioScheduler {
             heaps: Vec::new(),
             ready_count: Vec::new(),
             best_remaining_work: Vec::new(),
-            gain: GainSource::Local(GainTracker::new()),
+            gain: Arc::new(GainTracker::new()),
             nod_norm: NodNormalizer::new(),
             slab: Vec::new(),
             pending: 0,
@@ -317,11 +286,12 @@ impl MultiPrioScheduler {
 
     /// Like [`Self::new`], but reading gain scores from a tracker shared
     /// with sibling instances — used by sharded front-ends so every shard
-    /// orders its heaps by the global gain (see [`SharedGainTracker`]).
-    pub fn with_shared_gain(cfg: MultiPrioConfig, gain: Arc<SharedGainTracker>) -> Self {
-        let mut s = Self::new(cfg);
-        s.gain = GainSource::Shared(gain);
-        s
+    /// orders its heaps by the global gain (see [`GainTracker`]).
+    pub fn with_shared_gain(cfg: MultiPrioConfig, gain: Arc<GainTracker>) -> Self {
+        Self {
+            gain,
+            ..Self::new(cfg)
+        }
     }
 
     /// Evictions performed so far (diagnostics).
@@ -335,7 +305,7 @@ impl MultiPrioScheduler {
     }
 
     /// The decision-provenance ring (empty unless built with
-    /// `--features obs`). See [`ProvenanceRing::explain`] for the "why
+    /// `mp-trace/obs`). See [`ProvenanceRing::explain`] for the "why
     /// was this worker idle" drill-down.
     pub fn provenance(&self) -> &ProvenanceRing {
         &self.provenance
@@ -645,8 +615,11 @@ impl MultiPrioScheduler {
             "task {t:?} has no executable architecture on the surviving platform"
         );
         // Observing identical estimates is idempotent on the running
-        // maxima, so skipping it on cache hits changes nothing.
+        // maxima, so skipping it on cache hits changes nothing. The plan
+        // is stamped with the epoch read before its gains (see
+        // `GainTracker::epoch`).
         self.gain.observe(&archs);
+        let epoch = self.gain.epoch();
         let (best_arch, delta_best) = archs[0];
         let (nodes, arch_count) = (platform.mem_node_count(), platform.arch_count());
         if self.plan_arena.is_empty() {
@@ -710,7 +683,7 @@ impl MultiPrioScheduler {
         }
         assert!(node_mask != 0, "task {t:?} enqueued nowhere");
         self.plan_arena[row] = PushPlan {
-            epoch: self.gain.epoch(),
+            epoch,
             model_version,
             best_arch,
             delta_best,

@@ -13,37 +13,16 @@
 //! keeps all scores in [0, 1] (Sec. V-A; worked example in Table II).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 use mp_platform::types::ArchId;
 
-/// Evaluate the gain formula given `hd(a)` — the score computation shared
-/// by the per-scheduler [`GainTracker`] and the cross-shard
-/// [`SharedGainTracker`]. `archs` is the fastest-first candidate list;
-/// `a` must appear in it.
-fn gain_with_hd(hd: f64, archs: &[(ArchId, f64)], a: ArchId) -> f64 {
-    assert!(!archs.is_empty(), "gain of a task no arch can run");
-    if archs.len() == 1 {
-        // |A| = 1 for this task: the formula's first branch.
-        return 1.0;
-    }
-    let d_a = archs
-        .iter()
-        .find(|&&(x, _)| x == a)
-        .map(|&(_, d)| d)
-        .expect("arch must be one of the task's candidates");
-    if hd == 0.0 {
-        return 0.5;
-    }
-    let is_fastest = archs[0].0 == a;
-    let reference = if is_fastest { archs[1].1 } else { archs[0].1 };
-    let g = ((reference - d_a) + hd) / (2.0 * hd);
-    debug_assert!((-1e-9..=1.0 + 1e-9).contains(&g), "gain {g} out of [0,1]");
-    g.clamp(0.0, 1.0)
-}
+/// Architectures a [`GainTracker`] can hold, as many as the memory nodes
+/// MultiPrio's bitmasks allow: every architecture a task can be queued
+/// for owns at least one memory node.
+const MAX_ARCHS: usize = 64;
 
 /// The per-arch `hd` updates implied by observing one task's fastest-first
-/// candidate list (shared by both trackers).
+/// candidate list.
 fn hd_updates(archs: &[(ArchId, f64)]) -> impl Iterator<Item = (ArchId, f64)> + '_ {
     let d_best = archs.first().map(|&(_, d)| d).unwrap_or(0.0);
     let d_2nd = archs.get(1).map(|&(_, d)| d).unwrap_or(0.0);
@@ -56,15 +35,34 @@ fn hd_updates(archs: &[(ArchId, f64)]) -> impl Iterator<Item = (ArchId, f64)> + 
 }
 
 /// Tracks `hd(a)` per architecture and evaluates the gain formula.
-#[derive(Clone, Debug, Default)]
+///
+/// The formula's only mutable state is the per-arch running maximum
+/// `hd(a)`, so one tracker serves a lone scheduler and every shard
+/// instance of a sharded front-end alike: shards that share one (via
+/// `MultiPrioScheduler::with_shared_gain`) order their heaps by the
+/// *global* gain, exactly as a single instance would. The table is a
+/// fixed array of atomics holding the bits of each `hd(a)`, so it takes
+/// no lock: reads are relaxed loads, and an observation raises an entry
+/// with `fetch_max` only when it beats the stored value (non-negative
+/// f64 bit patterns sort like the floats they encode).
+#[derive(Debug)]
 pub struct GainTracker {
-    /// `hd(a)`, indexed by arch.
-    hd: Vec<f64>,
-    /// Bumped whenever an observation actually raises some `hd(a)` —
-    /// i.e. whenever previously computed gain values may have changed.
+    /// `hd(a)` as f64 bits, indexed by arch.
+    hd: [AtomicU64; MAX_ARCHS],
+    /// Bumped whenever an observation raises some `hd(a)` — i.e.
+    /// whenever previously computed gain values may have changed.
     /// Consumers key caches on this so `observe` *invalidates* instead of
     /// forcing recomputation on every push.
-    epoch: u64,
+    epoch: AtomicU64,
+}
+
+impl Default for GainTracker {
+    fn default() -> Self {
+        Self {
+            hd: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
+            epoch: AtomicU64::new(0),
+        }
+    }
 }
 
 impl GainTracker {
@@ -75,42 +73,43 @@ impl GainTracker {
 
     /// The current `hd(a)` (0 until a two-arch task was observed).
     pub fn hd(&self, a: ArchId) -> f64 {
-        self.hd.get(a.index()).copied().unwrap_or(0.0)
-    }
-
-    fn hd_mut(&mut self, a: ArchId) -> &mut f64 {
-        if self.hd.len() <= a.index() {
-            self.hd.resize(a.index() + 1, 0.0);
-        }
-        &mut self.hd[a.index()]
+        self.hd
+            .get(a.index())
+            .map_or(0.0, |c| f64::from_bits(c.load(Ordering::Relaxed)))
     }
 
     /// Record a newly-ready task's execution-time estimates (`archs`
     /// sorted fastest-first, as produced by
     /// `mp_perfmodel::Estimator::archs_by_delta`). Must be called before
     /// [`Self::gain`] for the same task so the running maxima include it.
-    pub fn observe(&mut self, archs: &[(ArchId, f64)]) {
+    /// Callable concurrently; panics on an arch index of 64 or more.
+    pub fn observe(&self, archs: &[(ArchId, f64)]) {
         if archs.len() < 2 {
             return;
         }
-        let mut changed = false;
+        let mut raised = false;
         for (a, diff) in hd_updates(archs) {
-            let h = self.hd_mut(a);
-            if diff > *h {
-                *h = diff;
-                changed = true;
+            let cell = &self.hd[a.index()];
+            if diff > f64::from_bits(cell.load(Ordering::Relaxed)) {
+                cell.fetch_max(diff.to_bits(), Ordering::Relaxed);
+                raised = true;
             }
         }
-        if changed {
-            self.epoch += 1;
+        if raised {
+            // Release: a reader that sees the new epoch (Acquire in
+            // `epoch`) also sees the raises made before it.
+            self.epoch.fetch_add(1, Ordering::Release);
         }
     }
 
-    /// The dirty epoch: changes exactly when some `hd(a)` grows (see the
+    /// The dirty epoch: changes whenever some `hd(a)` grows (see the
     /// field doc). Equal epochs guarantee equal gain values for equal
-    /// inputs.
+    /// inputs on one thread. Under concurrency a cache keyed on it is
+    /// conservative when the epoch is read before the gains it covers: a
+    /// racing observe can only make a later read newer, causing an
+    /// unnecessary recomputation, never a stale hit.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Evaluate `gain(t, a)`. `archs` is the same fastest-first slice
@@ -120,85 +119,25 @@ impl GainTracker {
     /// equally fast everywhere; all archs are equally good and we return
     /// the neutral 0.5.
     pub fn gain(&self, archs: &[(ArchId, f64)], a: ArchId) -> f64 {
-        gain_with_hd(self.hd(a), archs, a)
-    }
-}
-
-/// A thread-safe gain tracker shareable across scheduler shards.
-///
-/// The gain formula's only mutable state is the per-arch running maximum
-/// `hd(a)`. When the sharded front-end partitions a stateful policy into
-/// per-shard instances, each shard observing only its own pushes would
-/// compute diverging scores; sharing one `SharedGainTracker` (via
-/// `MultiPrioScheduler::with_shared_gain`) keeps every shard's heap
-/// ordered by the *global* gain, exactly as a single-instance scheduler
-/// would. Updates are lock-free (`AtomicU64::fetch_max` over f64 bits is
-/// order-preserving for non-negative values); the `RwLock` only guards
-/// the rare arch-table growth.
-#[derive(Debug, Default)]
-pub struct SharedGainTracker {
-    hd: RwLock<Vec<AtomicU64>>,
-    /// See [`GainTracker::epoch`]; bumped after a winning `fetch_max`.
-    epoch: AtomicU64,
-}
-
-impl SharedGainTracker {
-    /// New tracker with no history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&self, n: usize) {
-        if self.hd.read().expect("gain table poisoned").len() >= n {
-            return;
+        assert!(!archs.is_empty(), "gain of a task no arch can run");
+        if archs.len() == 1 {
+            // |A| = 1 for this task: the formula's first branch.
+            return 1.0;
         }
-        let mut w = self.hd.write().expect("gain table poisoned");
-        while w.len() < n {
-            w.push(AtomicU64::new(0f64.to_bits()));
+        let d_a = archs
+            .iter()
+            .find(|&&(x, _)| x == a)
+            .map(|&(_, d)| d)
+            .expect("arch must be one of the task's candidates");
+        let hd = self.hd(a);
+        if hd == 0.0 {
+            return 0.5;
         }
-    }
-
-    /// The current `hd(a)` (0 until a two-arch task was observed).
-    pub fn hd(&self, a: ArchId) -> f64 {
-        let hd = self.hd.read().expect("gain table poisoned");
-        hd.get(a.index())
-            .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
-            .unwrap_or(0.0)
-    }
-
-    /// Record a newly-ready task's estimates (fastest-first, as produced
-    /// by `mp_perfmodel::Estimator::archs_by_delta`); same contract as
-    /// [`GainTracker::observe`] but callable concurrently.
-    pub fn observe(&self, archs: &[(ArchId, f64)]) {
-        if archs.len() < 2 {
-            return;
-        }
-        let max_arch = archs.iter().map(|&(a, _)| a.index()).max().unwrap_or(0);
-        self.ensure(max_arch + 1);
-        let hd = self.hd.read().expect("gain table poisoned");
-        let mut changed = false;
-        for (a, diff) in hd_updates(archs) {
-            // Non-negative f64 bit patterns sort like the floats they
-            // encode, so fetch_max implements the running maximum.
-            let prev = hd[a.index()].fetch_max(diff.to_bits(), Ordering::AcqRel);
-            changed |= prev < diff.to_bits();
-        }
-        if changed {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// The dirty epoch; same contract as [`GainTracker::epoch`]. A cache
-    /// keyed on it is conservative under concurrency: a racing observe may
-    /// bump the epoch after a reader sampled it, which only causes an
-    /// unnecessary recomputation, never a stale hit with a *newer* epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Evaluate `gain(t, a)`; same contract as [`GainTracker::gain`].
-    pub fn gain(&self, archs: &[(ArchId, f64)], a: ArchId) -> f64 {
-        gain_with_hd(self.hd(a), archs, a)
+        let is_fastest = archs[0].0 == a;
+        let reference = if is_fastest { archs[1].1 } else { archs[0].1 };
+        let g = ((reference - d_a) + hd) / (2.0 * hd);
+        debug_assert!((-1e-9..=1.0 + 1e-9).contains(&g), "gain {g} out of [0,1]");
+        g.clamp(0.0, 1.0)
     }
 }
 
@@ -220,7 +159,7 @@ mod tests {
     /// hd(a1) = hd(a2) = 19 after observing all three.
     #[test]
     fn table2_values() {
-        let mut g = GainTracker::new();
+        let g = GainTracker::new();
         let ta = cands(1.0, 20.0); // δ(t_A, a1)=1ms, δ(t_A, a2)=20ms
         let tb = cands(5.0, 10.0);
         let tc = cands(20.0, 10.0);
@@ -243,7 +182,7 @@ mod tests {
     fn table2_priority_order_per_heap() {
         // Resulting per-arch orders from the paper's narrative:
         // a1 heap: A > B > C; a2 heap: C > B > A.
-        let mut g = GainTracker::new();
+        let g = GainTracker::new();
         let (ta, tb, tc) = (cands(1.0, 20.0), cands(5.0, 10.0), cands(20.0, 10.0));
         for t in [&ta, &tb, &tc] {
             g.observe(t);
@@ -262,7 +201,7 @@ mod tests {
 
     #[test]
     fn zero_hd_is_neutral() {
-        let mut g = GainTracker::new();
+        let g = GainTracker::new();
         let t = cands(10.0, 10.0);
         g.observe(&t);
         assert_eq!(g.hd(A1), 0.0);
@@ -272,7 +211,7 @@ mod tests {
 
     #[test]
     fn hd_is_a_running_max() {
-        let mut g = GainTracker::new();
+        let g = GainTracker::new();
         g.observe(&cands(5.0, 10.0)); // diff 5
         assert_eq!(g.hd(A1), 5.0);
         g.observe(&cands(1.0, 3.0)); // diff 2: max stays 5
@@ -283,32 +222,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_tracker_matches_local() {
-        let mut local = GainTracker::new();
-        let shared = SharedGainTracker::new();
-        let stream = [
-            (1.0, 20.0),
-            (5.0, 10.0),
-            (20.0, 10.0),
-            (7.0, 7.0),
-            (3.0, 90.0),
-        ];
-        let all: Vec<_> = stream.iter().map(|&(a, b)| cands(a, b)).collect();
-        for c in &all {
-            local.observe(c);
-            shared.observe(c);
-        }
-        for a in [A1, A2] {
-            assert_eq!(local.hd(a), shared.hd(a));
-            for c in &all {
-                assert_eq!(local.gain(c, a), shared.gain(c, a));
-            }
-        }
+    fn epoch_moves_only_when_some_hd_grows() {
+        let g = GainTracker::new();
+        g.observe(&cands(5.0, 10.0));
+        let e = g.epoch();
+        g.observe(&cands(1.0, 3.0)); // diff 2 < 5: nothing grows
+        g.observe(&[(A1, 4.0)]); // one arch: no difference to record
+        assert_eq!(g.epoch(), e);
+        g.observe(&cands(1.0, 30.0));
+        assert_eq!(g.epoch(), e + 1);
     }
 
     #[test]
-    fn shared_tracker_concurrent_observe_is_a_running_max() {
-        let shared = SharedGainTracker::new();
+    fn concurrent_observe_is_a_running_max() {
+        let shared = GainTracker::new();
         std::thread::scope(|s| {
             for k in 0..4 {
                 let shared = &shared;
@@ -328,7 +255,7 @@ mod tests {
     #[test]
     fn fastest_arch_always_at_least_half() {
         // gain(fastest) = (δ2nd − δbest + hd)/(2hd) ≥ 0.5 since δ2nd ≥ δbest.
-        let mut g = GainTracker::new();
+        let g = GainTracker::new();
         for (d1, d2) in [(1.0, 2.0), (3.0, 30.0), (7.0, 7.5)] {
             let c = cands(d1, d2);
             g.observe(&c);
@@ -348,7 +275,7 @@ mod proptests {
         /// other arch for the same task.
         #[test]
         fn prop_gain_bounds(times in proptest::collection::vec((0.1f64..1e4, 0.1f64..1e4), 1..100)) {
-            let mut g = GainTracker::new();
+            let g = GainTracker::new();
             let all: Vec<Vec<(ArchId, f64)>> = times
                 .iter()
                 .map(|&(d1, d2)| {

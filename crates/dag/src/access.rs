@@ -26,15 +26,6 @@ impl AccessMode {
     pub fn writes(self) -> bool {
         matches!(self, AccessMode::Write | AccessMode::ReadWrite)
     }
-
-    /// Short mnemonic used in traces and DOT dumps.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            AccessMode::Read => "R",
-            AccessMode::Write => "W",
-            AccessMode::ReadWrite => "RW",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -57,12 +48,5 @@ mod tests {
     fn readwrite_flags() {
         assert!(AccessMode::ReadWrite.reads());
         assert!(AccessMode::ReadWrite.writes());
-    }
-
-    #[test]
-    fn mnemonics() {
-        assert_eq!(AccessMode::Read.mnemonic(), "R");
-        assert_eq!(AccessMode::Write.mnemonic(), "W");
-        assert_eq!(AccessMode::ReadWrite.mnemonic(), "RW");
     }
 }

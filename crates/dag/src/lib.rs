@@ -17,7 +17,6 @@
 
 pub mod access;
 pub mod analysis;
-pub mod dot;
 pub mod graph;
 pub mod hash;
 pub mod ids;

@@ -402,14 +402,6 @@ impl SubmissionStage<'_> {
         self.staged.len() - 1
     }
 
-    /// Rewrite the priority of a staged task (by stage-local index).
-    /// The serving mode's fairness layer uses this to apply tenant
-    /// weighting and starvation aging at admission time, after the
-    /// sub-DAG is staged but before it reaches the scheduler.
-    pub fn set_priority(&mut self, idx: usize, prio: i64) {
-        self.staged[idx].prio = prio;
-    }
-
     /// Number of staged tasks.
     pub fn len(&self) -> usize {
         self.staged.len()
@@ -700,13 +692,13 @@ mod tests {
             let (mut stf, k, a, b) = setup();
             let mut stage = stf.begin_submission();
             stage.submit(k, vec![(a, AccessMode::Write)], 1.0, "w");
-            let r = stage.submit(
+            stage.submit_prio(
                 k,
                 vec![(a, AccessMode::Read), (b, AccessMode::ReadWrite)],
                 2.0,
+                7,
                 "r",
             );
-            stage.set_priority(r, 7);
             stage.commit();
             stf.finish()
         };

@@ -21,13 +21,6 @@ pub struct TaskType {
     pub gpu_impl: bool,
 }
 
-impl TaskType {
-    /// Number of implementations declared for this type.
-    pub fn impl_count(&self) -> usize {
-        usize::from(self.cpu_impl) + usize::from(self.gpu_impl)
-    }
-}
-
 /// One access of a task to a data handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Access {
@@ -116,16 +109,5 @@ mod tests {
         let t = mk_task();
         let w: Vec<_> = t.writes().collect();
         assert_eq!(w, vec![DataId(1), DataId(2)]);
-    }
-
-    #[test]
-    fn impl_count() {
-        let tt = TaskType {
-            id: TaskTypeId(0),
-            name: "GEMM".into(),
-            cpu_impl: true,
-            gpu_impl: true,
-        };
-        assert_eq!(tt.impl_count(), 2);
     }
 }

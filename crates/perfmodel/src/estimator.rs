@@ -174,22 +174,9 @@ impl<'a> Estimator<'a> {
         self.archs_by_delta(t).first().map(|&(a, _)| a)
     }
 
-    /// Is `a` the fastest arch for `t`?
-    pub fn is_best_arch(&self, t: TaskId, a: ArchId) -> bool {
-        self.best_arch(t) == Some(a)
-    }
-
     /// δ on the fastest arch.
     pub fn best_delta(&self, t: TaskId) -> Option<f64> {
         self.archs_by_delta(t).first().map(|&(_, d)| d)
-    }
-
-    /// Speedup of running `t` on its best arch relative to arch `a`
-    /// (≥ 1): `δ(t, a) / δ(t, best)`.
-    pub fn slowdown_on(&self, t: TaskId, a: ArchId) -> Option<f64> {
-        let d = self.delta(t, a)?;
-        let best = self.best_delta(t)?;
-        Some(d / best)
     }
 
     /// Like [`Self::delta`], but never silently zero: when the model has
@@ -268,7 +255,7 @@ mod tests {
         let gpu = p.mem_node(mp_platform::types::MemNodeId(1)).arch;
         assert_eq!(est.best_arch(t0), Some(gpu));
         assert_eq!(est.best_delta(t0), Some(10.0));
-        assert!((est.slowdown_on(t0, mp_platform::types::ArchId(0)).unwrap() - 10.0).abs() < 1e-12);
+        assert_eq!(est.delta(t0, mp_platform::types::ArchId(0)), Some(100.0));
     }
 
     #[test]
@@ -278,7 +265,7 @@ mod tests {
         let est = Estimator::new(&g, &p, &m);
         let t1 = TaskId(1);
         assert_eq!(est.archs_by_delta(t1).len(), 1);
-        assert!(est.is_best_arch(t1, mp_platform::types::ArchId(0)));
+        assert_eq!(est.best_arch(t1), Some(mp_platform::types::ArchId(0)));
         assert!(!est.can_exec(t1, mp_platform::types::ArchId(1)));
     }
 

@@ -1,5 +1,5 @@
 //! History-based online calibration, mirroring StarPU's behaviour
-//! (Augonnet et al. [21] in the paper): per (kernel, arch class, size
+//! (Augonnet et al. \[21\] in the paper): per (kernel, arch class, size
 //! bucket) running averages of measured execution times, with a fallback
 //! base model until enough samples exist.
 

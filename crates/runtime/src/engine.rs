@@ -12,7 +12,7 @@
 //!
 //! Graph-coupled state sits behind one `RwLock`. A worker holds one read
 //! guard from pop through start, resolving the kernel in its two-slot
-//! [`Kernels`] table and taking its buffer guards under it, and one from
+//! `Kernels` table and taking its buffer guards under it, and one from
 //! completion through release. The driver infers dependencies under a
 //! read guard too, links and admits under the write guard, and releases
 //! the admitted sources under a read guard again, so a link can never
@@ -21,7 +21,7 @@
 //! and its span buffer, which it hands to the engine when it exits, so
 //! recording a completion takes no shared lock.
 //!
-//! Idle workers park on an eventcount-style [`WakeEpoch`]: every push and
+//! Idle workers park on an eventcount-style `WakeEpoch`: every push and
 //! every completion bumps an epoch and notifies, and a worker that read
 //! the epoch *before* its failed pop cannot miss a wakeup that raced with
 //! it. The only timed sleep left is a short bounded re-poll when the
@@ -436,10 +436,10 @@ pub struct RunReport {
     pub error: Option<RunError>,
     /// The front-end's and the workers' internal counters (pops, pushes,
     /// hold-backs, shard steals, ...), merged at quiesce. Empty unless
-    /// built with `--features obs`; every run fact has its own field.
+    /// built with `mp-trace/obs`; every run fact has its own field.
     pub counters: CounterSnapshot,
     /// Worker park/wake timeline. Empty unless built with
-    /// `--features obs`.
+    /// `mp-trace/obs`.
     pub events: Vec<RuntimeEvent>,
     /// Tasks admitted, including those submitted before the run (a
     /// stream counts them as already-admitted tenant-0 work).
@@ -936,7 +936,7 @@ pub(crate) struct Engine<'a> {
     /// The cache's counts when the execution started: one cache can
     /// serve many runs.
     cache_mark: CacheMark,
-    /// Per-worker observability cells (no-ops unless `--features obs`).
+    /// Per-worker observability cells (no-ops unless `mp-trace/obs` is on).
     cells: Vec<ObsCell>,
     /// The calling thread's cell: admission of the submitted tasks and of
     /// every linked sub-DAG.

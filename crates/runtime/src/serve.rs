@@ -19,12 +19,11 @@
 //!   per tenant, rejecting overflowing submissions whole with a typed
 //!   [`AdmitError`];
 //! * every admitted task carries its tenant's weight-scaled
-//!   [`effective_priority`] through the normal `user_priority` channel,
-//!   with starvation aging driven by the driver's **virtual arrival
-//!   clock** and the tenant completion ledger
-//!   ([`StreamConfig::arrival_gap_us`]) — never by wall time, so the
-//!   boost a given arrival/completion interleaving produces is
-//!   reproducible;
+//!   [`effective_priority`] through the normal `user_priority` channel.
+//!   Starvation aging needs a clock the stream does not carry: it runs
+//!   in virtual time only (`mp_sim::serve_sim`), and a threaded stream's
+//!   priorities are exactly the weight-scaled base, never a function of
+//!   wall time;
 //! * a committed task is released like any other: with a
 //!   [`mp_cache::ResultCache`] installed ([`Runtime::set_cache`]) a
 //!   verified hit completes in place, cascading through all-hit
@@ -57,7 +56,7 @@ use mp_dag::{Draft, StfState};
 use mp_platform::types::ArchClass;
 use mp_sched::api::Scheduler;
 use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
-pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
+pub use mp_serve::{AdmissionConfig, AdmitError, TenantSpec};
 
 use mp_serve::effective_priority;
 
@@ -68,31 +67,16 @@ use crate::engine::{Engine, Kernels, RunError, RunReport, Runtime, Scratch, Shar
 pub struct StreamConfig {
     /// The tenants submissions may name (by index).
     pub tenants: Vec<TenantSpec>,
-    /// Weight-scaling fairness layer. The aging knobs apply on the
-    /// driver's virtual arrival clock when [`Self::arrival_gap_us`] is
-    /// set.
-    pub fairness: FairnessConfig,
     /// In-flight bounds enforced at admission.
     pub admission: AdmissionConfig,
-    /// Virtual inter-submission gap in µs: submission `i` "arrives" at
-    /// virtual instant `i * arrival_gap_us` on the driver's clock, and
-    /// starvation aging measures a tenant's progress drought on that
-    /// clock — a tenant whose completion ledger has not advanced
-    /// between its arrivals accrues [`FairnessConfig::aging_boost`]
-    /// like the virtual-time engine, without any wall-clock reads.
-    /// `0.0` (the default) disables aging: priorities are exactly the
-    /// weight-scaled base, as before.
-    pub arrival_gap_us: f64,
 }
 
 impl StreamConfig {
-    /// A config over `tenants` with default fairness and admission.
+    /// A config over `tenants` with default admission.
     pub fn new(tenants: Vec<TenantSpec>) -> Self {
         Self {
             tenants,
-            fairness: FairnessConfig::default(),
             admission: AdmissionConfig::default(),
-            arrival_gap_us: 0.0,
         }
     }
 }
@@ -349,11 +333,6 @@ impl Staged {
 /// waiting. Once the engine aborts, the remaining submissions are
 /// neither admitted nor rejected, and whatever is staged is still
 /// linked, so `stf` never names a task the graph lacks.
-///
-/// Starvation aging runs on the driver's virtual arrival clock:
-/// submission `si` arrives at `si * arrival_gap_us`, and a tenant's
-/// progress is read off the completion ledger — the boost depends only
-/// on the arrival/completion interleaving, never on wall time.
 fn drive(
     eng: &Engine<'_>,
     stf: &mut StfState,
@@ -363,8 +342,6 @@ fn drive(
     let nt = cfg.tenants.len();
     let mut admitted = Vec::with_capacity(stream.len());
     let mut rejections = Vec::new();
-    let mut last_progress_v = vec![0.0f64; nt];
-    let mut last_completed_seen = vec![0u64; nt];
     let mut staged = Staged {
         by_tenant: vec![0; nt],
         ..Staged::default()
@@ -383,21 +360,6 @@ fn drive(
         // them, so a submission admitted on this snapshot is still
         // admissible when it is linked.
         let tenant_in_flight = counts.in_flight.load(Ordering::Acquire) + staged.by_tenant[ti];
-        let boost = if cfg.arrival_gap_us > 0.0 {
-            let vnow = si as f64 * cfg.arrival_gap_us;
-            let done_now = counts.completed.load(Ordering::Acquire);
-            if done_now != last_completed_seen[ti] || tenant_in_flight == 0 {
-                // The ledger moved (or the tenant is idle): progress,
-                // reset the drought.
-                last_completed_seen[ti] = done_now;
-                last_progress_v[ti] = vnow;
-                0
-            } else {
-                cfg.fairness.aging_boost(vnow - last_progress_v[ti])
-            }
-        } else {
-            0
-        };
         let decision = cfg.admission.check(
             ti,
             sub.tasks.len(),
@@ -418,7 +380,7 @@ fn drive(
                 .graph
                 .type_id(&tb.ttype)
                 .expect("streamed types are registered before the drive");
-            let prio = effective_priority(tb.priority, spec.weight, boost);
+            let prio = effective_priority(tb.priority, spec.weight, 0);
             let label = if tb.label.is_empty() {
                 tb.ttype
             } else {
@@ -447,7 +409,6 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     use mp_dag::access::AccessMode;
@@ -638,61 +599,5 @@ mod tests {
         assert_eq!(report.cache_hits, 0);
         assert_eq!(report.cache_misses, 0);
         assert_eq!(report.trace.tasks.len(), report.tasks_completed);
-    }
-
-    /// Threaded twin of the virtual-time engine's
-    /// `starvation_aging_narrows_the_latency_gap`: the boost comes off
-    /// the driver's virtual arrival clock and the completion ledger,
-    /// never wall time, so with completions provably held back the
-    /// boost ladder is exact and reproducible.
-    #[test]
-    fn virtual_clock_aging_boosts_starved_streamed_priorities() {
-        // A gate keeps every kernel from finishing while the driver
-        // commits, so the completion ledger cannot advance mid-stream.
-        let gate = Arc::new(AtomicBool::new(false));
-        let mut rt = Runtime::new(homogeneous(2), model());
-        let d = rt.register(vec![0.0], "chain");
-        let mut cfg = StreamConfig::new(TenantSpec::equal(1));
-        cfg.arrival_gap_us = 50_000.0; // one aging quantum per arrival
-        let stream: Vec<Submission> = (0..6)
-            .map(|_| {
-                let gate = gate.clone();
-                Submission {
-                    tenant: 0,
-                    tasks: vec![TaskBuilder::new("STREAM")
-                        .access(d, AccessMode::ReadWrite)
-                        .cpu(move |ctx| {
-                            while !gate.load(Ordering::Acquire) {
-                                std::thread::yield_now();
-                            }
-                            ctx.w(0)[0] += 1.0;
-                        })],
-                }
-            })
-            .collect();
-        let opener = {
-            let gate = gate.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                gate.store(true, Ordering::Release);
-            })
-        };
-        let report = rt
-            .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
-            .expect("serve failed");
-        opener.join().unwrap();
-        assert!(report.is_complete(), "{:?}", report.error);
-        let f = FairnessConfig::default();
-        for (si, ids) in report.admitted.iter().enumerate() {
-            let t = ids.as_ref().unwrap()[0];
-            let expect = PRIORITY_RESOLUTION + (si as i64).min(f.max_aging_boost);
-            assert_eq!(
-                rt.graph().task(t).user_priority,
-                expect,
-                "submission {si} should carry boost {}",
-                expect - PRIORITY_RESOLUTION
-            );
-        }
-        assert_eq!(rt.buffer(d)[0], 6.0);
     }
 }

@@ -220,7 +220,7 @@ pub trait Scheduler: Send {
     /// push-plan-arena hits, heap compactions, ...). Engines add their
     /// own pop/push/prefetch accounting on top and surface the merged
     /// snapshot on `SimResult` / `RunReport`. Meaningful only when built
-    /// with `--features obs`; the default is all-zeros either way.
+    /// with `mp-trace/obs`; the default is all-zeros either way.
     fn counters(&self) -> mp_trace::CounterSnapshot {
         mp_trace::CounterSnapshot::default()
     }

@@ -25,8 +25,9 @@
 //!     every shard observes the same ordered event stream a single
 //!     instance would;
 //!   * **shared score state**: policies whose scores depend on a running
-//!     aggregate can share it across shards (e.g. `multiprio`'s
-//!     `SharedGainTracker` in the `multiprio` crate).
+//!     aggregate can share it across shards (e.g. the `multiprio` crate's
+//!     `GainTracker`, one lock-free table of `hd(a)` that every shard
+//!     instance holds through an `Arc`).
 //!
 //! The price of sharding is *relaxation*: a pop may return a task whose
 //! score is not the global maximum (it is the best of the probed shards).
@@ -91,7 +92,7 @@ pub trait ConcurrentScheduler: Send + Sync {
 
     /// Merged observability counters of the wrapped policy instances,
     /// plus front-end-level accounting (per-shard pops and steals for
-    /// [`ShardedAdapter`]). All-zeros unless built with `--features obs`.
+    /// [`ShardedAdapter`]). All-zeros unless built with `mp-trace/obs`.
     fn counters(&self) -> mp_trace::CounterSnapshot {
         mp_trace::CounterSnapshot::default()
     }
@@ -194,7 +195,7 @@ struct Shard {
     pending: AtomicUsize,
     /// Observability: tasks popped from this shard / popped by a worker
     /// whose home shard is elsewhere. Dormant (never written) unless
-    /// built with `--features obs` — the bump sites are behind a
+    /// built with `mp-trace/obs` — the bump sites are behind a
     /// constant-folded `obs_enabled()` check.
     pops: AtomicU64,
     steals: AtomicU64,

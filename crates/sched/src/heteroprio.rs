@@ -1,5 +1,5 @@
-//! HeteroPrio (Agullo et al. [3]) with automatic priorities (Flint et
-//! al. [9]), paper Sec. II.
+//! HeteroPrio (Agullo et al. \[3\]) with automatic priorities (Flint et
+//! al. \[9\]), paper Sec. II.
 //!
 //! Affinity-based: ready tasks are binned into *buckets, one per task
 //! type*. Each architecture ranks the buckets by the type's measured

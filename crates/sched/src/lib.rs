@@ -20,7 +20,7 @@
 //! | [`DequeModelScheduler`] `dm` | task-centric | heft-tm-pr (Sec. II) |
 //! | [`DequeModelScheduler`] `dmda` | task-centric | heft-tmdp-pr (Sec. II) |
 //! | [`DequeModelScheduler`] `dmdas` | task-centric | the paper's main comparator |
-//! | [`HeteroPrioScheduler`] | affinity-based | Agullo et al. [3], auto priorities per Flint et al. [9] |
+//! | [`HeteroPrioScheduler`] | affinity-based | Agullo et al. \[3\], auto priorities per Flint et al. \[9\] |
 //!
 //! MultiPrio itself lives in the `multiprio` crate (the paper's
 //! contribution) and implements the same trait.

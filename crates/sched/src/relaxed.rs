@@ -201,7 +201,7 @@ struct SeqQueue {
     /// Key of the current best entry (sampling hint, updated under the
     /// lock; `TOP_EMPTY` when empty).
     top: AtomicU64,
-    /// Observability (dormant unless `--features obs`): successful pops
+    /// Observability (dormant unless `mp-trace/obs` is on): successful pops
     /// from this queue / pops by a worker whose block is elsewhere.
     pops: AtomicU64,
     steals: AtomicU64,
@@ -237,7 +237,7 @@ pub struct RelaxedMultiQueue {
     /// splitmix64 state for queue selection.
     rng: AtomicU64,
     /// Try-lock acquisitions that failed and fell through (dormant
-    /// unless `--features obs`).
+    /// unless `mp-trace/obs` is on).
     failed_trylocks: AtomicU64,
     rank: Option<RankTracker>,
 }

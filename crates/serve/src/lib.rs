@@ -8,8 +8,8 @@
 //!
 //! * **tenants** — per-client fair-share weights; the fairness layer
 //!   scales a task's priority score by its tenant's weight before
-//!   the scheduler buckets it, with starvation aging on top
-//!   ([`effective_priority`]);
+//!   the scheduler buckets it, with starvation aging on top in virtual
+//!   time ([`effective_priority`]);
 //! * **admission control** — bounded in-flight work with typed
 //!   backpressure rejections ([`AdmitError::Backpressure`]);
 //! * **arrival processes** — deterministic open-loop Poisson and bursty

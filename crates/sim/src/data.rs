@@ -52,6 +52,8 @@ pub struct DataStore {
     /// Current simulation time mirror, so `DataLocator` answers "valid
     /// *now*" queries without threading `now` through the trait.
     pub now: f64,
+    /// Replicas dropped by [`Self::try_make_room`], clean and dirty.
+    capacity_evictions: u64,
     /// Invariant violations recorded by the auditor. Only ever written
     /// under `--features audit`; stays empty (and costs nothing) without
     /// the feature.
@@ -83,6 +85,7 @@ impl DataStore {
             sizes,
             capacities: platform.mem_nodes().iter().map(|m| m.capacity).collect(),
             now: 0.0,
+            capacity_evictions: 0,
             audit: Vec::new(),
         }
     }
@@ -115,6 +118,12 @@ impl DataStore {
     /// Bytes allocated on a node.
     pub fn used(&self, m: MemNodeId) -> u64 {
         self.used[m.index()]
+    }
+
+    /// Replicas evicted for capacity so far, by every
+    /// [`Self::try_make_room`] call, failed ones included.
+    pub fn capacity_evictions(&self) -> u64 {
+        self.capacity_evictions
     }
 
     /// The replica of `d` on `m`, if allocated (possibly still arriving).
@@ -232,27 +241,36 @@ impl DataStore {
     /// least-recently-used unpinned replicas. Clean replicas are dropped
     /// instantly; dirty ones are written back to RAM over the link (the
     /// returned time is when the space is actually reusable, and the
-    /// write-backs are reported for trace recording).
+    /// write-backs are reported for trace recording). With `clean_only`,
+    /// for a prefetch, which must never force a write-back, dirty
+    /// replicas are never victims and a request larger than the node
+    /// evicts nothing. Every victim is counted (see
+    /// [`Self::capacity_evictions`]).
     ///
     /// Returns `(ready_time, writebacks)` where each writeback is
     /// `(data, start, end)`, or `Err((used, capacity))` when the request
-    /// cannot be satisfied (everything remaining is pinned). Evictions
-    /// performed before discovering the failure stay evicted — they were
-    /// unpinned and reloadable anyway.
+    /// cannot be satisfied (everything remaining is pinned, or dirty
+    /// with `clean_only`). Evictions performed before discovering the
+    /// failure stay evicted — they were unpinned and reloadable anyway.
     pub fn try_make_room(
         &mut self,
         m: MemNodeId,
         needed: u64,
         now: f64,
         platform: &Platform,
+        clean_only: bool,
     ) -> Result<RoomPlan, (u64, u64)> {
         let Some(cap) = self.capacities[m.index()] else {
             return Ok((now, Vec::new())); // unbounded node
         };
+        if clean_only && needed > cap {
+            return Err((self.used[m.index()], cap));
+        }
         let mut writebacks = Vec::new();
         let mut ready = now;
         while self.used[m.index()] + needed > cap {
-            // LRU victim among unpinned replicas on m.
+            // LRU victim among unpinned (and, if asked, clean) replicas
+            // on m.
             let victim = self
                 .replicas
                 .iter()
@@ -260,7 +278,7 @@ impl DataStore {
                 .step_by(self.nodes)
                 .enumerate()
                 .filter_map(|(i, r)| {
-                    r.filter(|r| r.pins == 0)
+                    r.filter(|r| r.pins == 0 && !(clean_only && r.dirty))
                         .map(|r| (DataId::from_index(i), r.last_use, r.dirty))
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -290,6 +308,7 @@ impl DataStore {
                 ready = ready.max(end);
             }
             self.drop_replica(d, m);
+            self.capacity_evictions += 1;
         }
         Ok((ready, writebacks))
     }
@@ -527,13 +546,13 @@ mod tests {
         assert_eq!(store.leaked_pins(), vec![(d0, gpu, 1)]);
         // Eviction must pick the unpinned d1, leaving d0's pin intact.
         let (_, wb) = store
-            .try_make_room(gpu, 100, 1.0, &p)
+            .try_make_room(gpu, 100, 1.0, &p, false)
             .expect("d1 is evictable");
         assert!(wb.is_empty());
         assert!(store.replica(d0, gpu).is_some(), "pinned replica survives");
         assert!(store.replica(d1, gpu).is_none(), "unpinned LRU evicted");
         // A request nothing can satisfy fails without touching pins.
-        assert!(store.try_make_room(gpu, 1_000, 1.0, &p).is_err());
+        assert!(store.try_make_room(gpu, 1_000, 1.0, &p, false).is_err());
         assert_eq!(store.leaked_pins(), vec![(d0, gpu, 1)]);
         assert_eq!(store.replica(d0, gpu).unwrap().pins, 1);
         // Releasing the pin quiesces the store.
@@ -568,7 +587,7 @@ mod tests {
         store.touch(d1, gpu, 9.0);
         // Need 100 more bytes: evict d0 (older LRU), clean → instant.
         let (ready, wb) = store
-            .try_make_room(gpu, 100, 10.0, &p)
+            .try_make_room(gpu, 100, 10.0, &p, false)
             .expect("d0 is evictable");
         assert_eq!(ready, 10.0);
         assert!(wb.is_empty());
@@ -600,7 +619,7 @@ mod tests {
         store.allocate(d0, gpu, 0.0, false);
         store.commit_write(d0, gpu, 0.0); // now dirty, RAM copy dropped
         let (ready, wb) = store
-            .try_make_room(gpu, 100, 10.0, &p)
+            .try_make_room(gpu, 100, 10.0, &p, false)
             .expect("d0 is evictable");
         assert_eq!(wb.len(), 1);
         assert!(ready > 10.0, "write-back takes link time");
@@ -630,7 +649,7 @@ mod tests {
         );
         let mut store = DataStore::new(&g, &p);
         store
-            .try_make_room(MemNodeId(1), 100, 0.0, &p)
+            .try_make_room(MemNodeId(1), 100, 0.0, &p, false)
             .expect("out of memory");
     }
 
@@ -687,18 +706,21 @@ mod tests {
         links: &mut BTreeMap<(MemNodeId, MemNodeId), f64>,
         sizes: &[u64],
         p: &Platform,
-        (m, needed, now): (MemNodeId, u64, f64),
+        (m, needed, now, clean_only): (MemNodeId, u64, f64, bool),
     ) -> (Result<RoomPlan, (u64, u64)>, usize) {
         let used = |model: &Model| model_used(model, sizes, m);
         let Some(cap) = p.mem_node(m).capacity else {
             return (Ok((now, Vec::new())), 0);
         };
+        if clean_only && needed > cap {
+            return (Err((used(model), cap)), 0);
+        }
         let ram = p.ram();
         let (mut ready, mut writebacks, mut victims) = (now, Vec::new(), 0);
         while used(model) + needed > cap {
             let victim = model
                 .iter()
-                .filter(|&(&(_, n), r)| n == m && r.pins == 0)
+                .filter(|&(&(_, n), r)| n == m && r.pins == 0 && !(clean_only && r.dirty))
                 .min_by(|a, b| a.1.last_use.total_cmp(&b.1.last_use).then(a.0.cmp(b.0)))
                 .map(|(&(d, _), r)| (d, r.dirty));
             let Some((d, dirty)) = victim else {
@@ -751,7 +773,7 @@ mod tests {
         let ram = p.ram();
         let bits = |r: &Replica| (r.valid_at.to_bits(), r.last_use.to_bits(), r.pins, r.dirty);
         let used = |model: &Model, m: MemNodeId| model_used(model, &sizes, m);
-        let (mut clean_drops, mut writebacks) = (0, 0);
+        let (mut clean_drops, mut writebacks, mut clean_only_calls) = (0, 0, 0);
         for seed in 0..48 {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut store = DataStore::new(&g, &p);
@@ -764,6 +786,7 @@ mod tests {
             let mut model: Model = ds.iter().map(|&d| ((d, ram), fresh)).collect();
             let mut links = BTreeMap::new();
             let mut now = 0.0f64;
+            let mut evicted = 0;
             for step in 0..300 {
                 // Whole-µs steps, so LRU ties (broken by handle id) occur.
                 now += rng.gen_range(0..3u32) as f64;
@@ -839,13 +862,22 @@ mod tests {
                     }
                     _ => {
                         let needed = rng.gen_range(0..=350u64);
-                        let got = store.try_make_room(m, needed, now, &p);
+                        let clean_only = rng.gen_bool(0.3);
+                        let got = store.try_make_room(m, needed, now, &p, clean_only);
+                        let request = (m, needed, now, clean_only);
                         let (want, victims) =
-                            model_make_room(&mut model, &mut links, &sizes, &p, (m, needed, now));
+                            model_make_room(&mut model, &mut links, &sizes, &p, request);
                         assert_eq!(got, want, "seed {seed} step {step}: make room on {m:?}");
                         let wb = want.as_ref().map_or(0, |(_, wb)| wb.len());
                         writebacks += wb;
                         clean_drops += victims - wb;
+                        clean_only_calls += usize::from(clean_only && victims > 0);
+                        evicted += victims as u64;
+                        assert_eq!(
+                            store.capacity_evictions(),
+                            evicted,
+                            "seed {seed} step {step}"
+                        );
                     }
                 }
                 let ctx = format!("seed {seed} step {step}");
@@ -882,8 +914,9 @@ mod tests {
             }
         }
         assert!(
-            clean_drops > 0 && writebacks > 0,
-            "{clean_drops} clean drops and {writebacks} write-backs: both paths must run"
+            clean_drops > 0 && writebacks > 0 && clean_only_calls > 0,
+            "{clean_drops} clean drops, {writebacks} write-backs and {clean_only_calls} \
+             evicting clean-only requests: every path must run"
         );
     }
 
@@ -965,7 +998,7 @@ mod proptests {
                 }
             }
             if need <= 600 {
-                let (ready, _) = store.try_make_room(gpu, need, 5.0, &p).expect("nothing is pinned");
+                let (ready, _) = store.try_make_room(gpu, need, 5.0, &p, false).expect("nothing is pinned");
                 prop_assert!(ready >= 5.0);
                 prop_assert!(store.used(gpu) + need <= 600);
             }

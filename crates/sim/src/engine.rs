@@ -145,44 +145,6 @@ struct Staged {
 // Staging helpers (module-level so the error paths are unit-testable).
 // -------------------------------------------------------------------
 
-/// Clean-only eviction for prefetch: true when the space is available.
-fn make_room_clean_only(
-    store: &mut DataStore,
-    node: MemNodeId,
-    needed: u64,
-    platform: &Platform,
-    stats: &mut SimStats,
-) -> bool {
-    let cap = match platform.mem_node(node).capacity {
-        None => return true,
-        Some(c) => c,
-    };
-    if needed > cap {
-        return false;
-    }
-    loop {
-        if store.used(node) + needed <= cap {
-            return true;
-        }
-        // LRU among clean, unpinned replicas.
-        let victim = (0..store.handle_count())
-            .filter_map(|i| {
-                let d = DataId::from_index(i);
-                store
-                    .replica(d, node)
-                    .and_then(|r| (r.pins == 0 && !r.dirty).then_some((d, r.last_use)))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        match victim {
-            Some((d, _)) => {
-                store.drop_replica(d, node);
-                stats.capacity_evictions += 1;
-            }
-            None => return false,
-        }
-    }
-}
-
 /// A task may list the same handle several times (e.g. a symmetric
 /// kernel reading a tile twice); fold to one entry per handle with
 /// merged modes so pins/allocations stay balanced.
@@ -287,7 +249,8 @@ fn prepare_task(
     }
 
     // Reserve space (may trigger LRU eviction + dirty write-backs).
-    let (space_ready, writebacks) = match store.try_make_room(m, needed_bytes, now, platform) {
+    let room = store.try_make_room(m, needed_bytes, now, platform, false);
+    let (space_ready, writebacks) = match room {
         Ok(r) => r,
         Err((used, cap)) => {
             rollback_pins(store, scratch, m, 0);
@@ -305,7 +268,6 @@ fn prepare_task(
     };
     for (d, start, end) in writebacks {
         stats.writeback_bytes += store.size(d);
-        stats.capacity_evictions += 1;
         if cfg.record_trace {
             trace.transfers.push(TransferSpan {
                 data: d,
@@ -625,7 +587,7 @@ pub(crate) struct Engine<'a> {
     hit_end: f64,
     /// First typed failure; stops dispatching and surfaces in the result.
     failure: Option<SimError>,
-    /// Engine-side observability cell (no-op unless `--features obs`).
+    /// Engine-side observability cell (no-op unless `mp-trace/obs` is on).
     obs: ObsCell,
     /// Engine-side audit records (event-time monotonicity); only written
     /// under `--features audit`.
@@ -861,13 +823,10 @@ impl<'a> Engine<'a> {
             let size = self.store.size(req.data);
             // Prefetches may evict clean LRU replicas but never force
             // write-backs; when that is not enough, skip the request.
-            if !make_room_clean_only(
-                &mut self.store,
-                req.node,
-                size,
-                self.platform,
-                &mut self.stats,
-            ) {
+            let room = self
+                .store
+                .try_make_room(req.node, size, now, self.platform, true);
+            if room.is_err() {
                 self.obs.bump(Counter::PrefetchesCancelled);
                 continue;
             }
@@ -1411,6 +1370,7 @@ impl<'a> Engine<'a> {
             });
         }
         self.stats.tasks = self.completed;
+        self.stats.capacity_evictions = self.store.capacity_evictions();
 
         let makespan = self
             .exec_end
@@ -1713,6 +1673,34 @@ mod tests {
 
     fn cfg_default() -> SimConfig {
         SimConfig::default()
+    }
+
+    /// Every capacity eviction is counted, clean victims included: three
+    /// GPU-only tasks each read their own tile on a GPU that holds two,
+    /// so staging the third drops a clean tile, with no write-back.
+    #[test]
+    fn clean_capacity_evictions_are_counted() {
+        let mut g = TaskGraph::new();
+        let k = g.register_type("GPU", false, true);
+        for i in 0..3 {
+            let d = g.add_data(100, format!("tile{i}"));
+            g.add_task(k, vec![(d, AccessMode::Read)], 1.0, "t");
+        }
+        let link = mp_platform::link::Link::pcie_gen3();
+        let p = mp_platform::presets::hetero_node("two-tiles", 2, 1.0, 1, 1.0, 200, 1, link);
+        let m = TableModel::builder()
+            .set("GPU", ArchClass::Gpu, TimeFn::Const(5.0))
+            .build();
+        let r = simulate(
+            &g,
+            &p,
+            &m,
+            &mut mp_sched::FifoScheduler::new(),
+            cfg_default(),
+        );
+        assert_eq!(r.error, None);
+        assert_eq!(r.stats.writeback_bytes, 0);
+        assert_eq!(r.stats.capacity_evictions, 1);
     }
 
     /// `first_in` walks members in order across word boundaries and

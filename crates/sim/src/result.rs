@@ -84,12 +84,10 @@ pub struct ServeStats {
     pub subdags_admitted: u64,
     /// Submissions rejected with typed backpressure.
     pub subdags_rejected: u64,
-    /// Scheduling latency over every admitted task: the virtual-time
-    /// span from a task becoming ready (all predecessors done) to the
-    /// scheduler handing it to a worker.
-    pub latency: LatencyStats,
-    /// Every latency sample in µs, in decision order — exact percentile
-    /// computation and bit-exact repeat comparison.
+    /// Every scheduling-latency sample in µs, in decision order: the
+    /// virtual-time span from a task becoming ready (all predecessors
+    /// done) to the scheduler handing it to a worker. Exact percentiles
+    /// and bit-exact repeat comparison read it.
     pub samples_us: Vec<u64>,
     /// Per-tenant breakdown (fairness accounting).
     pub tenants: Vec<TenantStats>,
@@ -160,7 +158,7 @@ pub struct SimResult {
     pub audit: Vec<AuditRecord>,
     /// The policy's and the engine's internal counters (pops, pushes,
     /// prefetch fates, hold-backs, ...), merged at quiesce. Empty unless
-    /// the crate is built with `--features obs`; every run fact lives on
+    /// built with `mp-trace/obs`; every run fact lives on
     /// `stats` and `serving` instead.
     pub counters: CounterSnapshot,
     /// Instants for the Chrome-trace timeline: cache hits and

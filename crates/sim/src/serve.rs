@@ -35,7 +35,6 @@ use mp_perfmodel::PerfModel;
 use mp_platform::types::{Platform, WorkerId};
 use mp_sched::api::Scheduler;
 use mp_serve::{effective_priority, AdmissionConfig, ArrivalProcess, FairnessConfig, TenantSpec};
-use mp_trace::LatencyStats;
 
 use crate::engine::{Engine, Feed};
 use crate::result::{ServeStats, TenantStats};
@@ -131,7 +130,6 @@ pub(crate) struct Stream<'c> {
     /// reference point.
     last_progress: Vec<f64>,
     tstats: Vec<TenantStats>,
-    latency: LatencyStats,
     samples: Vec<u64>,
     decisions: u64,
     schedule_hash: u64,
@@ -179,7 +177,6 @@ impl<'c> Stream<'c> {
             tenant_in_flight: vec![0; nt],
             last_progress: vec![0.0; nt],
             tstats,
-            latency: LatencyStats::default(),
             samples: Vec::new(),
             decisions: 0,
             schedule_hash: hash::FNV_OFFSET,
@@ -260,7 +257,6 @@ impl<'c> Stream<'c> {
     /// The scheduler handed `t`, ready since `ready_at`, to `w` at `now`.
     pub(crate) fn popped(&mut self, t: TaskId, w: WorkerId, now: f64, ready_at: f64) {
         let lat_us = (now - ready_at).max(0.0).round() as u64;
-        self.latency.record(lat_us);
         self.samples.push(lat_us);
         let ti = self.tenant_of[t.index()] as usize;
         self.tstats[ti].latency.record(lat_us);
@@ -288,7 +284,6 @@ impl<'c> Stream<'c> {
             tasks_admitted: self.admitted,
             subdags_admitted: self.tstats.iter().map(|t| t.subdags_admitted).sum(),
             subdags_rejected: self.tstats.iter().map(|t| t.subdags_rejected).sum(),
-            latency: self.latency,
             samples_us: self.samples,
             tenants: self.tstats,
             schedule_hash: self.schedule_hash,
@@ -395,7 +390,6 @@ mod tests {
         assert_eq!(a.samples_us, b.samples_us);
         assert_eq!(ra.makespan.to_bits(), rb.makespan.to_bits());
         // Latency accounting covers every decision.
-        assert_eq!(a.latency.count, a.decisions);
         assert_eq!(a.samples_us.len() as u64, a.decisions);
     }
 
@@ -516,7 +510,6 @@ mod tests {
         // samples cover only the cold misses.
         assert_eq!(s.decisions, r.stats.cache_misses);
         assert_eq!(s.samples_us.len() as u64, s.decisions);
-        assert_eq!(s.latency.count, s.decisions);
         // Per-tenant hit accounting adds up, and hits are a subset of
         // completions.
         assert_eq!(s.tenants.iter().map(|t| t.cache_hits).sum::<u64>(), hits);

@@ -33,16 +33,6 @@ impl IdleStats {
     }
 }
 
-/// Per-worker idle stats (the left-hand percentages of Fig. 4).
-pub fn idle_per_worker(trace: &Trace, platform: &Platform) -> Vec<IdleStats> {
-    let makespan = trace.makespan();
-    platform
-        .workers()
-        .iter()
-        .map(|w| IdleStats::new(w.name.clone(), trace.busy_time(w.id), makespan))
-        .collect()
-}
-
 /// Idle stats aggregated per architecture type.
 pub fn idle_per_arch(trace: &Trace, platform: &Platform) -> Vec<IdleStats> {
     let makespan = trace.makespan();
@@ -139,9 +129,7 @@ mod tests {
         let mut tr = Trace::new(2);
         tr.tasks.push(span(0, 0, 0.0, 10.0));
         tr.tasks.push(span(1, 1, 0.0, 5.0));
-        let stats = idle_per_worker(&tr, &p);
-        assert_eq!(stats[0].idle_pct, 0.0);
-        assert_eq!(stats[1].idle_pct, 50.0);
+        assert_eq!(worker_idle_pct(&tr, WorkerId(0)), 0.0);
         assert_eq!(worker_idle_pct(&tr, WorkerId(1)), 50.0);
         let per_arch = idle_per_arch(&tr, &p);
         assert!((per_arch[0].idle_pct - 25.0).abs() < 1e-9);

@@ -7,8 +7,6 @@
 //! to the other trace records, because violations are timestamped events
 //! of a run exactly like task and transfer spans.
 
-use std::collections::BTreeMap;
-
 /// The invariant that was violated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AuditKind {
@@ -65,31 +63,9 @@ impl std::fmt::Display for AuditRecord {
     }
 }
 
-/// Violation counts by kind — the one-line summary for reports.
-pub fn summarize(records: &[AuditRecord]) -> BTreeMap<AuditKind, usize> {
-    let mut by_kind = BTreeMap::new();
-    for r in records {
-        *by_kind.entry(r.kind).or_insert(0) += 1;
-    }
-    by_kind
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summarize_counts_by_kind() {
-        let recs = vec![
-            AuditRecord::new(1.0, AuditKind::PinLeak, "d0 on m1: 2 pins"),
-            AuditRecord::new(2.0, AuditKind::PinLeak, "d1 on m1: 1 pin"),
-            AuditRecord::new(3.0, AuditKind::CapacityExceeded, "m1: 300 > 250"),
-        ];
-        let s = summarize(&recs);
-        assert_eq!(s[&AuditKind::PinLeak], 2);
-        assert_eq!(s[&AuditKind::CapacityExceeded], 1);
-        assert!(!s.contains_key(&AuditKind::DirtyNotSole));
-    }
 
     #[test]
     fn kind_displays_as_debug_name() {

@@ -4,15 +4,20 @@
 //! and data transfer into a [`Trace`]. This crate computes the paper's
 //! Fig. 4 style diagnostics from it:
 //!
-//! * makespan and per-worker / per-node **idle percentages**;
+//! * makespan and per-worker / per-architecture **idle percentages**;
 //! * the **practical critical path** — the chain of tasks obtained by
 //!   walking back from the last-finishing task through the predecessor
 //!   that finished last (the red-bordered tasks of Fig. 4);
 //! * ASCII and SVG **Gantt charts**;
-//! * CSV export for external plotting;
+//! * a Chrome `trace_event` **timeline** ([`chrome_trace_with`]) for
+//!   Perfetto;
 //! * the **precedence check** over a task graph, in O(spans + edges)
 //!   through a per-task [`SpanTable`] — the one check every engine's
 //!   post-run validation and every audit uses.
+//!
+//! Its `obs` feature is the workspace's one observability switch: it
+//! turns every crate's [`ObsCell`] counters, MultiPrio's provenance ring
+//! and the runtime's park/wake recording on (DESIGN.md §8).
 
 pub mod analysis;
 pub mod audit;

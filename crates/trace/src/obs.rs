@@ -8,7 +8,7 @@
 //!   from their `counters()` hooks; snapshots [`merge`](CounterSnapshot::merge)
 //!   associatively, so per-worker / per-shard cells fold into one report.
 //! * [`ObsCell`] — the recording cell call sites bump. With the `obs`
-//!   feature it is an array of relaxed [`AtomicU64`]s (lock-free, shared
+//!   feature it is an array of relaxed [`AtomicU64`](std::sync::atomic::AtomicU64)s (lock-free, shared
 //!   across worker threads); without it, a zero-sized type whose methods
 //!   are inlined no-ops, so the default build pays nothing (enforced by
 //!   `tests/alloc_free.rs` and the bench determinism gate).
@@ -110,11 +110,6 @@ impl CounterSnapshot {
     /// All counters at zero (the obs-off rendering).
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// Total steals across shards.
-    pub fn total_steals(&self) -> u64 {
-        self.steals.iter().sum()
     }
 
     /// One-line human rendering for reports and logs.
@@ -433,7 +428,6 @@ mod tests {
         assert_eq!(a.steals, vec![2, 4]);
         assert_eq!(a.shard_pops, vec![2, 6]);
         assert_eq!(a.failed_trylocks, 5);
-        assert_eq!(a.total_steals(), 6);
         assert!(!a.is_empty());
         assert!(CounterSnapshot::default().is_empty());
     }

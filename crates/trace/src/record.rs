@@ -25,11 +25,6 @@ impl TaskSpan {
     pub fn duration(&self) -> f64 {
         self.end - self.start
     }
-
-    /// Time spent between readiness and execution start, µs.
-    pub fn wait(&self) -> f64 {
-        self.start - self.ready_at
-    }
 }
 
 /// Why a transfer happened.
@@ -104,29 +99,6 @@ impl Trace {
             .filter(|t| t.kind == kind)
             .map(|t| t.bytes)
             .sum()
-    }
-
-    /// CSV dump of task spans (`task,type,worker,ready,start,end`).
-    ///
-    /// An empty or error-truncated trace is a typed
-    /// [`EmptyTrace`](crate::EmptyTrace) error, not a header-only file.
-    pub fn tasks_csv(&self) -> Result<String, crate::EmptyTrace> {
-        if self.tasks.is_empty() {
-            return Err(crate::EmptyTrace);
-        }
-        let mut out = String::from("task,type,worker,ready_at,start,end\n");
-        for s in &self.tasks {
-            out.push_str(&format!(
-                "{},{},{},{:.3},{:.3},{:.3}\n",
-                s.task.index(),
-                s.ttype.index(),
-                s.worker.index(),
-                s.ready_at,
-                s.start,
-                s.end
-            ));
-        }
-        Ok(out)
     }
 
     /// Validate basic sanity: spans are well-formed and workers never run
@@ -210,16 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let mut tr = Trace::new(1);
-        tr.tasks.push(span(0, 0, 0.0, 1.0));
-        let csv = tr.tasks_csv().unwrap();
-        assert!(csv.starts_with("task,type,worker"));
-        assert_eq!(csv.lines().count(), 2);
-        assert_eq!(Trace::new(1).tasks_csv(), Err(crate::EmptyTrace));
-    }
-
-    #[test]
     fn transfer_accounting() {
         let mut tr = Trace::new(1);
         tr.transfers.push(TransferSpan {
@@ -243,108 +205,5 @@ mod tests {
         assert_eq!(tr.bytes_transferred(TransferKind::Demand), 100);
         assert_eq!(tr.bytes_transferred(TransferKind::Prefetch), 50);
         assert_eq!(tr.bytes_transferred(TransferKind::WriteBack), 0);
-    }
-}
-
-/// Per-kernel-type busy-time breakdown (diagnostics for reports).
-impl Trace {
-    /// Total busy µs per task type id, indexed densely (missing = 0).
-    pub fn busy_by_type(&self) -> Vec<(TaskTypeId, f64)> {
-        let mut acc: Vec<f64> = Vec::new();
-        for s in &self.tasks {
-            let i = s.ttype.index();
-            if acc.len() <= i {
-                acc.resize(i + 1, 0.0);
-            }
-            acc[i] += s.duration();
-        }
-        acc.into_iter()
-            .enumerate()
-            .filter(|&(_, v)| v > 0.0)
-            .map(|(i, v)| (TaskTypeId::from_index(i), v))
-            .collect()
-    }
-
-    /// CSV dump of transfers (`data,from,to,bytes,start,end,kind`).
-    ///
-    /// A fully empty trace (no tasks *and* no transfers) is a typed
-    /// [`EmptyTrace`](crate::EmptyTrace) error; a run that legitimately
-    /// moved no data but executed tasks still exports a header-only CSV.
-    pub fn transfers_csv(&self) -> Result<String, crate::EmptyTrace> {
-        if self.tasks.is_empty() && self.transfers.is_empty() {
-            return Err(crate::EmptyTrace);
-        }
-        let mut out = String::from("data,from,to,bytes,start,end,kind\n");
-        for t in &self.transfers {
-            out.push_str(&format!(
-                "{},{},{},{},{:.3},{:.3},{:?}\n",
-                t.data.index(),
-                t.from.index(),
-                t.to.index(),
-                t.bytes,
-                t.start,
-                t.end,
-                t.kind
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Aggregate wait time (readiness → execution start) over all tasks;
-    /// a scheduler-quality signal independent of the makespan.
-    pub fn total_wait(&self) -> f64 {
-        self.tasks.iter().map(TaskSpan::wait).sum()
-    }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
-
-    fn span(task: u32, ttype: u32, start: f64, end: f64) -> TaskSpan {
-        TaskSpan {
-            task: TaskId(task),
-            ttype: TaskTypeId(ttype),
-            worker: WorkerId(0),
-            ready_at: start - 1.0,
-            start,
-            end,
-        }
-    }
-
-    #[test]
-    fn busy_by_type_accumulates() {
-        let mut tr = Trace::new(1);
-        tr.tasks.push(span(0, 0, 0.0, 2.0));
-        tr.tasks.push(span(1, 2, 2.0, 5.0));
-        tr.tasks.push(span(2, 0, 5.0, 6.0));
-        let by = tr.busy_by_type();
-        assert_eq!(by, vec![(TaskTypeId(0), 3.0), (TaskTypeId(2), 3.0)]);
-    }
-
-    #[test]
-    fn transfers_csv_format() {
-        let mut tr = Trace::new(1);
-        tr.transfers.push(TransferSpan {
-            data: DataId(3),
-            from: MemNodeId(0),
-            to: MemNodeId(1),
-            bytes: 42,
-            start: 1.0,
-            end: 2.0,
-            kind: TransferKind::Prefetch,
-        });
-        let csv = tr.transfers_csv().unwrap();
-        assert!(csv.starts_with("data,from,to"));
-        assert!(csv.contains("3,0,1,42,1.000,2.000,Prefetch"));
-        assert_eq!(Trace::new(1).transfers_csv(), Err(crate::EmptyTrace));
-    }
-
-    #[test]
-    fn total_wait_sums_start_minus_ready() {
-        let mut tr = Trace::new(1);
-        tr.tasks.push(span(0, 0, 1.0, 2.0)); // ready 0.0, start 1.0
-        tr.tasks.push(span(1, 0, 3.0, 4.0)); // ready 2.0, start 3.0
-        assert!((tr.total_wait() - 2.0).abs() < 1e-12);
     }
 }
