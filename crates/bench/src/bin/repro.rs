@@ -3,11 +3,14 @@
 //! Usage: [`USAGE`]. An unknown flag or experiment name prints it to
 //! stderr and exits with status 2 before anything runs.
 //!
-//! With no experiment names, runs everything. `--quick` (default) uses
-//! CI-scale problem sizes; `--full` approaches the paper's sizes.
-//! `ablation` (the same at both scales) switches MultiPrio's components
-//! off one at a time, sweeps its locality window `n` and threshold `ε`
-//! on sparse QR, and sweeps the hierarchical-task expansion ratio.
+//! With no experiment names, runs every table, figure and ablation.
+//! `--quick` (default) uses CI-scale problem sizes; `--full` approaches
+//! the paper's sizes. `ablation` (the same at both scales) switches
+//! MultiPrio's components off one at a time, sweeps its locality window
+//! `n` and threshold `ε` on sparse QR, and sweeps the hierarchical-task
+//! expansion ratio. `contract` runs only when named: it prints the
+//! behavioural contract ([`mp_bench::contract`]), one line per run of a
+//! fixed simulated sweep, which CI diffs against `ci/contract.txt`.
 //! `--trace-out <path>` runs one fixed seeded potrf under MultiPrio and
 //! writes a Chrome `trace_event` JSON timeline (open with Perfetto,
 //! <https://ui.perfetto.dev>); build with `--features obs` to include
@@ -66,6 +69,7 @@
 use mp_apps::sparseqr::{matrix, MatrixMeta, FIG7_MATRICES};
 use mp_bench::figures::{ablation, fig3, fig4, fig5, fig6, fig7, fig8, table2};
 use mp_sim::{FaultPlan, RetryPolicy};
+use std::io::Write;
 
 /// The command line `repro` accepts.
 pub const USAGE: &str = "\
@@ -76,12 +80,15 @@ usage: repro [--quick|--full] [--trace-out <path>] [--front <multiprio|relaxed>]
              [--serve] [--arrivals poisson:RATE|bursty:RATE[:BURST]] [--tenants N]
              [--workers W] [--submissions N] [--policy NAME]
              [table2] [fig3] [fig4] [fig5] [fig6] [fig7] [fig8] [ablation]
-             [probe <matrix>]";
+             [contract] [probe <matrix>]";
 
 /// The experiments `repro` runs by name (all of them when none is named).
 const EXPERIMENTS: [&str; 8] = [
     "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation",
 ];
+
+/// The experiment that runs only when named: the behavioural contract.
+const CONTRACT: &str = "contract";
 
 /// Exit with status 2 after printing `why` and the usage to stderr.
 fn usage_error(why: &str) -> ! {
@@ -116,23 +123,36 @@ fn check_names(args: &[String]) -> Option<&'static MatrixMeta> {
         };
         return Some(meta);
     }
-    if let Some(name) = names.iter().find(|n| !EXPERIMENTS.contains(n)) {
+    if let Some(name) = names
+        .iter()
+        .find(|n| !EXPERIMENTS.contains(n) && **n != CONTRACT)
+    {
         usage_error(&format!("unknown experiment {name}"));
     }
     None
 }
 
-/// Pull `--flag <value>` out of `args`, exiting with usage on a missing
-/// value. Returns `None` when the flag is absent.
+/// Exit with status 2 after printing `why` to stderr.
+fn fail(why: &str) -> ! {
+    eprintln!("{why}");
+    std::process::exit(2);
+}
+
+/// Pull `--flag <value>` out of `args`, exiting with status 2 on a
+/// missing value. Returns `None` when the flag is absent.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
     args.remove(i);
-    if i < args.len() {
-        Some(args.remove(i))
-    } else {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
+    if i >= args.len() {
+        fail(&format!("{flag} needs a value"));
     }
+    Some(args.remove(i))
+}
+
+/// Pull the bare `flag` out of `args`; whether it was there.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let i = args.iter().position(|a| a == flag);
+    i.map(|i| args.remove(i)).is_some()
 }
 
 fn main() {
@@ -140,8 +160,7 @@ fn main() {
     let trace_out = take_value(&mut args, "--trace-out");
     let front = take_value(&mut args, "--front").unwrap_or_else(|| "multiprio".to_string());
     if !matches!(front.as_str(), "multiprio" | "relaxed") {
-        eprintln!("--front expects 'multiprio' or 'relaxed'");
-        std::process::exit(2);
+        fail("--front expects 'multiprio' or 'relaxed'");
     }
     let mut faults = FaultPlan::default();
     while let Some(spec) = take_value(&mut args, "--kill-worker") {
@@ -149,88 +168,55 @@ fn main() {
             .split_once(':')
             .and_then(|(w, n)| Some((w.parse().ok()?, n.parse().ok()?)))
             .unwrap_or_else(|| {
-                eprintln!("--kill-worker expects W:N (worker index : tasks before death)");
-                std::process::exit(2);
+                fail("--kill-worker expects W:N (worker index : tasks before death)")
             });
         faults = faults.kill_worker(w, n);
     }
     if let Some(p) = take_value(&mut args, "--transient-prob") {
-        faults.transient_fail_prob = p.parse().unwrap_or_else(|_| {
-            eprintln!("--transient-prob expects a probability in [0, 1]");
-            std::process::exit(2);
-        });
+        faults.transient_fail_prob = p
+            .parse()
+            .unwrap_or_else(|_| fail("--transient-prob expects a probability in [0, 1]"));
     }
     let retry_max: u32 = take_value(&mut args, "--retry-max").map_or(4, |m| {
-        m.parse().unwrap_or_else(|_| {
-            eprintln!("--retry-max expects a positive integer");
-            std::process::exit(2);
-        })
+        m.parse()
+            .unwrap_or_else(|_| fail("--retry-max expects a positive integer"))
     });
     if (faults.kills_any() || faults.transient_fail_prob > 0.0) && trace_out.is_none() {
-        eprintln!("fault flags apply to the --trace-out run; add --trace-out <path>");
-        std::process::exit(2);
+        fail("fault flags apply to the --trace-out run; add --trace-out <path>");
     }
-    let cache_mode = args
-        .iter()
-        .position(|a| a == "--cache")
-        .map(|i| args.remove(i))
-        .is_some();
-    let warm_runs = take_value(&mut args, "--warm-runs").map(|v| {
-        v.parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("--warm-runs expects a positive integer");
-                std::process::exit(2);
-            })
-    });
-    let mutate_frac = take_value(&mut args, "--mutate-frac").map(|v| {
-        v.parse::<f64>()
-            .ok()
-            .filter(|f| (0.0..=1.0).contains(f))
-            .unwrap_or_else(|| {
-                eprintln!("--mutate-frac expects a fraction in [0, 1]");
-                std::process::exit(2);
-            })
-    });
-    if (warm_runs.is_some() || mutate_frac.is_some()) && !cache_mode {
-        eprintln!("--warm-runs / --mutate-frac apply to the --cache run; add --cache");
-        std::process::exit(2);
-    }
-    let cache_dir = take_value(&mut args, "--cache-dir");
-    let crash_after = take_value(&mut args, "--crash-after").map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("--crash-after expects a byte count");
-            std::process::exit(2);
-        })
-    });
-    if crash_after.is_some() && cache_dir.is_none() {
-        eprintln!("--crash-after applies to the persistent cache; add --cache-dir <path>");
-        std::process::exit(2);
-    }
-    let serve_mode = args
-        .iter()
-        .position(|a| a == "--serve")
-        .map(|i| args.remove(i))
-        .is_some();
-    if serve_mode && warm_runs.is_some() {
-        eprintln!("--warm-runs applies to the closed-DAG --cache demo, not --serve --cache");
-        std::process::exit(2);
-    }
-    if cache_dir.is_some() && (!cache_mode || serve_mode) {
-        eprintln!("--cache-dir applies to the closed-DAG --cache demo; add --cache");
-        std::process::exit(2);
-    }
-    let arrivals = take_value(&mut args, "--arrivals");
+    let cache_mode = take_flag(&mut args, "--cache");
     let positive = |flag: &str, v: String| {
         v.parse::<usize>()
             .ok()
             .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("{flag} expects a positive integer");
-                std::process::exit(2);
-            })
+            .unwrap_or_else(|| fail(&format!("{flag} expects a positive integer")))
     };
+    let warm_runs = take_value(&mut args, "--warm-runs").map(|v| positive("--warm-runs", v));
+    let mutate_frac = take_value(&mut args, "--mutate-frac").map(|v| {
+        v.parse::<f64>()
+            .ok()
+            .filter(|f| (0.0..=1.0).contains(f))
+            .unwrap_or_else(|| fail("--mutate-frac expects a fraction in [0, 1]"))
+    });
+    if (warm_runs.is_some() || mutate_frac.is_some()) && !cache_mode {
+        fail("--warm-runs / --mutate-frac apply to the --cache run; add --cache");
+    }
+    let cache_dir = take_value(&mut args, "--cache-dir");
+    let crash_after = take_value(&mut args, "--crash-after").map(|v| {
+        v.parse::<u64>()
+            .unwrap_or_else(|_| fail("--crash-after expects a byte count"))
+    });
+    if crash_after.is_some() && cache_dir.is_none() {
+        fail("--crash-after applies to the persistent cache; add --cache-dir <path>");
+    }
+    let serve_mode = take_flag(&mut args, "--serve");
+    if serve_mode && warm_runs.is_some() {
+        fail("--warm-runs applies to the closed-DAG --cache demo, not --serve --cache");
+    }
+    if cache_dir.is_some() && (!cache_mode || serve_mode) {
+        fail("--cache-dir applies to the closed-DAG --cache demo; add --cache");
+    }
+    let arrivals = take_value(&mut args, "--arrivals");
     let tenants = take_value(&mut args, "--tenants").map(|v| positive("--tenants", v));
     let workers = take_value(&mut args, "--workers").map(|v| positive("--workers", v));
     let submissions = take_value(&mut args, "--submissions").map(|v| positive("--submissions", v));
@@ -242,8 +228,10 @@ fn main() {
             || submissions.is_some()
             || policy.is_some())
     {
-        eprintln!("--arrivals/--tenants/--workers/--submissions/--policy need --serve");
-        std::process::exit(2);
+        fail("--arrivals/--tenants/--workers/--submissions/--policy need --serve");
+    }
+    if let Some(Err(e)) = policy.as_deref().map(mp_bench::harness::check_scheduler) {
+        fail(&format!("repro: {e}"));
     }
     let probe_matrix = check_names(&args);
     if let Some(path) = trace_out {
@@ -416,6 +404,13 @@ fn main() {
             );
         }
         println!();
+    }
+    if names.contains(&CONTRACT) {
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        if let Err(e) = mp_bench::contract::run(&mut out).and_then(|()| out.flush()) {
+            eprintln!("repro: cannot print the contract: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -622,10 +617,50 @@ fn cache_demo(
     }
 }
 
-/// Open-loop serving demo (DESIGN.md §13): `--tenants N` clients with
-/// graded fair-share weights `N..1` stream fork-join sub-DAGs at the
-/// given arrival process through bounded admission into the
-/// simulator's event loop, entirely in virtual time. Reports throughput (decisions/sec),
+/// The serving demos' stream and machine: `tenants` clients with graded
+/// fair-share weights `N..1` submitting fork-join sub-DAGs of 25 µs
+/// tasks to `workers` CPU workers, arriving per `arrivals` or by default
+/// as a Poisson process offering `load` times the workers' capacity.
+fn serve_setup(
+    arrivals: Option<String>,
+    tenants: usize,
+    workers: usize,
+    submissions: usize,
+    load: f64,
+) -> (
+    mp_sim::ServeConfig,
+    mp_platform::types::Platform,
+    mp_perfmodel::TableModel,
+) {
+    use mp_perfmodel::{TableModel, TimeFn};
+    use mp_platform::types::ArchClass;
+    use mp_serve::{ArrivalProcess, TenantSpec};
+
+    /// Per-task virtual service time (µs) under the demo model.
+    const TASK_US: f64 = 25.0;
+    let arrivals = match arrivals {
+        Some(s) => ArrivalProcess::parse(&s).unwrap_or_else(|e| fail(&format!("--arrivals: {e}"))),
+        // Six tasks per sub-DAG: root, four mids and the join.
+        None => ArrivalProcess::Poisson {
+            rate_per_sec: (workers as f64 * 1e6 / TASK_US / 6.0 * load).round(),
+        },
+    };
+    let specs: Vec<TenantSpec> = (0..tenants)
+        .map(|i| TenantSpec::new(format!("t{i}"), (tenants - i) as f64))
+        .collect();
+    let model = TableModel::builder()
+        .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
+        .build();
+    (
+        mp_sim::ServeConfig::new(specs, arrivals, submissions),
+        mp_platform::presets::homogeneous(workers),
+        model,
+    )
+}
+
+/// Open-loop serving demo (DESIGN.md §13): the stream of [`serve_setup`]
+/// at ~80% load through bounded admission into the simulator's event
+/// loop, entirely in virtual time. Reports throughput (decisions/sec),
 /// scheduling latency (p50/p99: ready → popped), the admission ledger
 /// and the per-tenant fairness breakdown.
 fn serve_demo(
@@ -635,39 +670,14 @@ fn serve_demo(
     submissions: usize,
     policy: &str,
 ) {
-    use mp_bench::make_scheduler;
-    use mp_perfmodel::{TableModel, TimeFn};
-    use mp_platform::types::ArchClass;
-    use mp_serve::{ArrivalProcess, TenantSpec};
-    use mp_sim::{serve_sim, ServeConfig};
-
-    /// Per-task virtual service time (µs) under the demo model.
-    const TASK_US: f64 = 25.0;
-    let arrivals = match arrivals {
-        Some(s) => ArrivalProcess::parse(&s).unwrap_or_else(|e| {
-            eprintln!("--arrivals: {e}");
-            std::process::exit(2);
-        }),
-        // Default: ~80% offered utilization in whole sub-DAGs.
-        None => ArrivalProcess::Poisson {
-            rate_per_sec: (workers as f64 * 1e6 / TASK_US / 6.0 * 0.8).round(),
-        },
-    };
-    let specs: Vec<TenantSpec> = (0..tenants)
-        .map(|i| TenantSpec::new(format!("t{i}"), (tenants - i) as f64))
-        .collect();
-    let cfg = ServeConfig::new(specs, arrivals.clone(), submissions);
-    let platform = mp_platform::presets::homogeneous(workers);
-    let model = TableModel::builder()
-        .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
-        .build();
-    let mut sched = make_scheduler(policy);
-    let result = serve_sim(&platform, &model, sched.as_mut(), &cfg);
+    let (cfg, platform, model) = serve_setup(arrivals, tenants, workers, submissions, 0.8);
+    let mut sched = mp_bench::make_scheduler(policy);
+    let result = mp_sim::serve_sim(&platform, &model, sched.as_mut(), &cfg);
     let report = result.serving.as_ref().expect("a serving run");
 
     println!(
         "== serving mode: {policy}, {workers} workers, {}, {submissions} sub-DAG submissions ==",
-        arrivals.label()
+        cfg.arrivals.label()
     );
     println!(
         "throughput {:.0} decisions/s  latency p50 {} µs  p99 {} µs  makespan {:.0} µs",
@@ -701,8 +711,8 @@ fn serve_demo(
     }
 }
 
-/// Cache-backed warm-serving demo (DESIGN.md §13): the same seeded
-/// sub-DAG stream served cold (no cache) and warm (fresh result cache,
+/// Cache-backed warm-serving demo (DESIGN.md §13): the stream of
+/// [`serve_setup`] served cold (no cache) and warm (fresh result cache,
 /// so every resubmission over a tenant's slot pool after the first hits
 /// at release and never enters the scheduler). Runs at 20x overload
 /// with unbounded admission so the warm run is arrival-limited and the
@@ -716,37 +726,11 @@ fn serve_cache_demo(
     policy: &str,
     mutate_frac: f64,
 ) {
-    use mp_bench::make_scheduler;
-    use mp_perfmodel::{TableModel, TimeFn};
-    use mp_platform::types::ArchClass;
-    use mp_serve::{ArrivalProcess, TenantSpec};
-    use mp_sim::{serve_sim_cached, ResultCache, ServeConfig};
+    use mp_sim::{serve_sim_cached, ResultCache};
 
-    /// Per-task virtual service time (µs) under the demo model.
-    const TASK_US: f64 = 25.0;
-    /// Root + 4 mids + join: the fork-join every arrival submits.
-    const TASKS_PER_SUBDAG: f64 = 6.0;
-    let arrivals = match arrivals {
-        Some(s) => ArrivalProcess::parse(&s).unwrap_or_else(|e| {
-            eprintln!("--arrivals: {e}");
-            std::process::exit(2);
-        }),
-        // 20x overload: the cold run is service-limited, the warm run
-        // collapses to the arrival span.
-        None => ArrivalProcess::Poisson {
-            rate_per_sec: (workers as f64 * 1e6 / TASK_US / TASKS_PER_SUBDAG * 20.0).round(),
-        },
-    };
-    let specs: Vec<TenantSpec> = (0..tenants)
-        .map(|i| TenantSpec::new(format!("t{i}"), (tenants - i) as f64))
-        .collect();
-    let mut cfg = ServeConfig::new(specs, arrivals.clone(), submissions);
+    let (mut cfg, platform, model) = serve_setup(arrivals, tenants, workers, submissions, 20.0);
     cfg.admission.max_in_flight = 1 << 30;
     cfg.mutation_frac = mutate_frac;
-    let platform = mp_platform::presets::homogeneous(workers);
-    let model = TableModel::builder()
-        .set("SRV", ArchClass::Cpu, TimeFn::Const(TASK_US))
-        .build();
     let served_per_sec = |r: &mp_sim::SimResult| {
         if r.makespan <= 0.0 {
             return 0.0;
@@ -754,10 +738,10 @@ fn serve_cache_demo(
         r.stats.tasks as f64 / (r.makespan / 1e6)
     };
 
-    let mut sched = make_scheduler(policy);
+    let mut sched = mp_bench::make_scheduler(policy);
     let cold = serve_sim_cached(&platform, &model, sched.as_mut(), &cfg, None);
     let cache = ResultCache::new();
-    let mut sched = make_scheduler(policy);
+    let mut sched = mp_bench::make_scheduler(policy);
     let warm = serve_sim_cached(&platform, &model, sched.as_mut(), &cfg, Some(&cache));
     let cold_s = cold.serving.as_ref().expect("a serving run");
     let warm_s = warm.serving.as_ref().expect("a serving run");
@@ -774,7 +758,7 @@ fn serve_cache_demo(
     println!(
         "== warm serving: {policy}, {workers} workers, {}, {submissions} sub-DAG submissions, \
          mutate {mutate_frac:.2} ==",
-        arrivals.label()
+        cfg.arrivals.label()
     );
     println!(
         "cold: {:10.0} served tasks/s  {:8} decisions  makespan {:10.0} µs  hash {:#018x}",

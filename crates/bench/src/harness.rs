@@ -10,7 +10,9 @@ use mp_sched::{
 use mp_sim::{simulate, SimConfig, SimResult};
 use multiprio::{GainTracker, MultiPrioConfig, MultiPrioScheduler};
 
-/// Every constructible scheduler name.
+/// Every deterministic scheduler name, the set that sweeps over "every
+/// scheduler" run. [`make_scheduler`] also builds `random`, a seeded
+/// random placement, which none of them runs.
 pub const SCHEDULER_NAMES: [&str; 14] = [
     "multiprio",
     "multiprio-reference",
@@ -41,13 +43,29 @@ fn multiprio_config(name: &str) -> Option<MultiPrioConfig> {
     })
 }
 
-/// Build a scheduler by name (panics on unknown names — the caller is
-/// always one of our own tables).
+/// Build a scheduler by name (panics on unknown names: a command line
+/// checks its names with [`check_scheduler`] first).
 pub fn make_scheduler(name: &str) -> Box<dyn Scheduler> {
-    if let Some(cfg) = multiprio_config(name) {
-        return Box::new(MultiPrioScheduler::new(cfg));
+    build(name).unwrap_or_else(|| panic!("unknown scheduler '{name}'"))
+}
+
+/// `Ok` when [`make_scheduler`] builds `name`; otherwise the message a
+/// command line prints, naming every scheduler it does build.
+pub fn check_scheduler(name: &str) -> Result<(), String> {
+    match build(name) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "unknown scheduler {name}; the schedulers are {}, random",
+            SCHEDULER_NAMES.join(", ")
+        )),
     }
-    match name {
+}
+
+fn build(name: &str) -> Option<Box<dyn Scheduler>> {
+    if let Some(cfg) = multiprio_config(name) {
+        return Some(Box::new(MultiPrioScheduler::new(cfg)));
+    }
+    Some(match name {
         "multiprio-reference" => Box::new(multiprio::ReferenceScheduler::with_defaults()),
         "dmdas" => Box::new(DequeModelScheduler::new(DmVariant::Dmdas)),
         "dmda" => Box::new(DequeModelScheduler::new(DmVariant::Dmda)),
@@ -57,8 +75,8 @@ pub fn make_scheduler(name: &str) -> Box<dyn Scheduler> {
         "prio" => Box::new(mp_sched::EagerPrioScheduler::new()),
         "fifo" => Box::new(FifoScheduler::new()),
         "random" => Box::new(RandomScheduler::new(0xbad5eed)),
-        other => panic!("unknown scheduler '{other}'"),
-    }
+        _ => return None,
+    })
 }
 
 /// A factory building fresh instances of the named scheduler, for the
@@ -123,10 +141,16 @@ mod tests {
 
     #[test]
     fn factory_builds_every_name() {
-        for name in SCHEDULER_NAMES {
+        for name in SCHEDULER_NAMES.into_iter().chain(["random"]) {
+            assert_eq!(check_scheduler(name), Ok(()));
             let s = make_scheduler(name);
             assert!(!s.name().is_empty());
         }
+        let err = check_scheduler("heft").unwrap_err();
+        assert!(
+            err.contains("heft") && err.ends_with("prio, random"),
+            "{err}"
+        );
     }
 
     #[test]

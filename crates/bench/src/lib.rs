@@ -14,17 +14,17 @@
 //! | [`figures::ablation`] | MultiPrio's components, `n` and `ε` on sparse QR; hierarchical tasks |
 //!
 //! Each module returns plain row structs and the `repro` binary prints
-//! them as the paper-style tables. The benches in `benches/` (`scaling`,
-//! `concurrent`, `cache`, `serve`) gate schedule hashes and write the
-//! `BENCH_*.json` files; host-time cost per layer is measured by the
-//! separate `perfbench/` package.
+//! them as the paper-style tables. [`contract`] is the behavioural
+//! contract: `repro contract` prints one line per simulated run of a
+//! fixed sweep, and CI diffs it against the committed
+//! `ci/contract.txt`. Host time is measured only by the separate
+//! `perfbench/` package.
 
+pub mod contract;
 pub mod figures;
 pub mod harness;
-pub mod json;
 pub mod replay;
 pub mod report;
 
 pub use harness::{make_scheduler, make_scheduler_factory, run_noisy, run_once, SCHEDULER_NAMES};
-pub use json::BenchJson;
 pub use replay::{replay, ReplayStats};

@@ -1,13 +1,12 @@
 //! Scheduler-only replay driver: drives a [`Scheduler`] through an entire
-//! DAG without the simulator's data-movement machinery, isolating the
-//! cost of the scheduling decisions themselves (push + pop + bookkeeping).
+//! DAG without the simulator's data-movement machinery, so the pop order
+//! it records is the scheduling decisions alone (push + pop +
+//! bookkeeping). The view handed to the scheduler is static: all data
+//! sits in RAM and every worker is free.
 //!
-//! Used by the `scaling` bench for the per-decision cost numbers in
-//! `BENCH_scaling.json` and by the allocation-freedom test: the view
-//! handed to the scheduler is static (all data in RAM, all workers free),
-//! so every cycle spent is scheduler-side.
-
-use std::time::{Duration, Instant};
+//! The behavioural contract ([`crate::contract`]) pins the pop order of
+//! six policies on two 16k-task DAGs, and `prop_invariants` checks the
+//! slab MultiPrio against its reference implementation through it.
 
 use mp_dag::hash::{FNV_OFFSET, FNV_PRIME};
 use mp_dag::ids::{DataId, TaskId};
@@ -45,24 +44,9 @@ pub struct ReplayStats {
     pub scheduled: usize,
     /// Total `pop` calls, including ones that returned no task.
     pub pops: usize,
-    /// `pop` calls that returned a task.
-    pub hits: usize,
-    /// Wall-clock time of the whole replay.
-    pub wall: Duration,
     /// Order fingerprint: FNV-1a over the (worker, task) pop sequence.
     /// Two runs of a deterministic scheduler must agree bit-for-bit.
     pub schedule_hash: u64,
-}
-
-impl ReplayStats {
-    /// Mean wall-clock nanoseconds per scheduling decision (a decision =
-    /// one push + the pops needed to place the task).
-    pub fn ns_per_decision(&self) -> f64 {
-        if self.scheduled == 0 {
-            return 0.0;
-        }
-        self.wall.as_nanos() as f64 / self.scheduled as f64
-    }
 }
 
 fn fnv1a(h: u64, x: u64) -> u64 {
@@ -86,7 +70,6 @@ pub fn replay(
         .map(|i| graph.preds(TaskId::from_index(i)).len())
         .collect();
     let mut stats = ReplayStats::default();
-    let t0 = Instant::now();
     let mut hash = FNV_OFFSET;
 
     let view = SchedView {
@@ -110,7 +93,6 @@ pub fn replay(
         stats.pops += 1;
         match sched.pop(wid, &view) {
             Some(t) => {
-                stats.hits += 1;
                 stats.scheduled += 1;
                 idle_lap = 0;
                 hash = fnv1a(hash, ((wid.index() as u64) << 32) | u64::from(t.0));
@@ -134,7 +116,6 @@ pub fn replay(
             }
         }
     }
-    stats.wall = t0.elapsed();
     stats.schedule_hash = hash;
     stats
 }

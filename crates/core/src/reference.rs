@@ -1,21 +1,19 @@
 //! The retained pre-slab MultiPrio implementation, kept verbatim as
-//! `multiprio-reference`.
+//! `multiprio-reference`: the oracle the slab-backed
+//! [`crate::MultiPrioScheduler`] is checked against.
 //!
-//! Two consumers depend on it:
-//!
-//! * the property tests in `tests/prop_invariants.rs`, which assert that
-//!   the slab-backed [`crate::MultiPrioScheduler`] produces **bit-identical
-//!   pop sequences** to this implementation on random DAGs;
-//! * the `scaling` bench, which measures it fresh in every run as the
-//!   "before" row of `BENCH_scaling.json`'s decision-cost table, so the
-//!   reported speedup of the arena/lazy-deletion rewrite stays
-//!   reproducible instead of being a one-off number.
+//! `tests/prop_invariants.rs` asserts that the two produce
+//! **bit-identical pop sequences** on random DAGs, under a static and
+//! under a learning model. As one of the named policies it also runs in
+//! every sweep over them, the behavioural contract (`repro contract`)
+//! included, which pins both to one replay hash on a 16k-task Cholesky
+//! and a 16k-task FMM.
 //!
 //! It is the exact algorithm of Algorithms 1/2 with the original data
 //! layout: per-task state in a `HashMap<TaskId, TaskInfo>`, eager heap
 //! removal through [`RemovableMaxHeap`]'s task→slot index, and a fresh
-//! `Vec` per `top_k` window. Do not optimize this file; its cost *is* the
-//! baseline.
+//! `Vec` per `top_k` window. Keep it a plain transcription rather than a
+//! fast one: an oracle is useful for being obviously the algorithm.
 
 use std::collections::HashMap;
 

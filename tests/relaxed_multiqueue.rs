@@ -286,13 +286,16 @@ fn killed_workers_shard_drains_through_the_survivors() {
 
 /// The relaxed front-end through the whole differential harness: the
 /// same queue on the simulator and on the threaded runtime, clean and
-/// faulty, with rank statistics reported on both sides.
+/// faulty, with rank statistics reported on both sides, on 4, 16 and 32
+/// workers.
 #[test]
 fn relaxed_differential_sweep_with_and_without_faults() {
-    let platform = simple(3, 1);
     let model: Arc<dyn PerfModel> = Arc::new(random_model());
     let noop_factory: &dyn Fn() -> Box<dyn Scheduler> = &|| Box::new(FifoScheduler::new());
-    for seed in [1u64, 2, 3] {
+    for (platform, seed) in [simple(3, 1), simple(15, 1), simple(31, 1)]
+        .iter()
+        .flat_map(|p| [1u64, 2, 3].map(|seed| (p, seed)))
+    {
         let g = random_dag(RandomDagConfig {
             layers: 5,
             width: 6,
@@ -324,10 +327,11 @@ fn relaxed_differential_sweep_with_and_without_faults() {
                     track_rank: true,
                 }),
             };
-            let report = differential(&g, &platform, &model, noop_factory, &cfg);
+            let report = differential(&g, platform, &model, noop_factory, &cfg);
             assert!(
                 report.is_clean(),
-                "seed={seed} faults={:?}: first mismatch: {}",
+                "{} workers, seed={seed} faults={:?}: first mismatch: {}",
+                platform.worker_count(),
                 cfg.faults,
                 report.mismatches[0]
             );
